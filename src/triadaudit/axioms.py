@@ -1,12 +1,13 @@
 """Seeded falsification engine for the nine inconsistency-index axioms.
 
-Each checker searches seeded random probes (plus a handful of pinned probes
-with known violations) for a counterexample to one axiom.  A verdict of
-"pass" means "no violation found at this configuration", never a proof; a
-"fail" verdict carries a self-contained witness that replays without the
-RNG.  Per-probe randomness is derived from (master_seed, axiom, probe index)
-by a counter-based scheme, so results do not depend on evaluation order and
-growing the sample count can only turn a pass into a fail.
+One table entry per axiom gives its violated relation, its seeded probes and
+a handful of pinned probes with known violations; a check searches them in
+order for a counterexample.  A verdict of "pass" means "no violation found at
+this configuration", never a proof; a "fail" verdict carries a
+self-contained witness that replays without the RNG.  Per-probe randomness
+is derived from (master_seed, axiom, probe index) by a counter-based scheme,
+so results do not depend on evaluation order and growing the sample count
+can only turn a pass into a fail.
 
 Axiom identifiers:
 
@@ -30,7 +31,9 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from functools import partial
+from itertools import chain
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .core import (
     Triad,
@@ -206,67 +209,30 @@ class AxiomVerdict:
 
 
 # ---------------------------------------------------------------------------
-# violation probes (shared between the search loops and witness replay)
+# violations: one relation per axiom, shared by the search and witness replay
 # ---------------------------------------------------------------------------
 
 
-def _si_violation(evaluate: Evaluator, t: Triad, k: float, tol: float) -> Witness | None:
-    scaled = scale_transform(t, k)
-    a, b = evaluate(t), evaluate(scaled)
+def _invariance_violation(
+    axiom: str, name: str, transform: Callable[..., Triad], evaluate: Evaluator, tol: float, input: Triad, **params
+) -> Witness | None:
+    """SI, HTA, IIP and IPA: I(input) must equal I(transform(input, **params)) within the band."""
+    other = transform(input, **params)
+    a, b = evaluate(input), evaluate(other)
     if _close(a, b, tol):
         return None
     return Witness(
-        axiom="SI",
-        relation="|I(input) - I(scaled)| > tolerance band",
-        triads={"input": t, "scaled": scaled},
-        params={"k": k},
-        observed={"input": a, "scaled": b},
+        axiom=axiom,
+        relation=f"|I(input) - I({name})| > tolerance band",
+        triads={"input": input, name: other},
+        params=params,
+        observed={"input": a, name: b},
     )
 
 
-def _hta_violation(evaluate: Evaluator, t: Triad, tol: float) -> Witness | None:
-    collapsed = Triad(1.0, t.t13 / t.t23, 1.0)
-    a, b = evaluate(t), evaluate(collapsed)
-    if _close(a, b, tol):
-        return None
-    return Witness(
-        axiom="HTA",
-        relation="|I(input) - I(collapsed)| > tolerance band",
-        triads={"input": t, "collapsed": collapsed},
-        observed={"input": a, "collapsed": b},
-    )
-
-
-def _iip_violation(evaluate: Evaluator, t: Triad, tol: float) -> Witness | None:
-    transposed = transpose_triad(t)
-    a, b = evaluate(t), evaluate(transposed)
-    if _close(a, b, tol):
-        return None
-    return Witness(
-        axiom="IIP",
-        relation="|I(input) - I(transposed)| > tolerance band",
-        triads={"input": t, "transposed": transposed},
-        observed={"input": a, "transposed": b},
-    )
-
-
-def _ipa_violation(evaluate: Evaluator, t: Triad, perm: tuple[int, ...], tol: float) -> Witness | None:
-    permuted = permute_triad(t, perm)
-    a, b = evaluate(t), evaluate(permuted)
-    if _close(a, b, tol):
-        return None
-    return Witness(
-        axiom="IPA",
-        relation="|I(input) - I(permuted)| > tolerance band",
-        triads={"input": t, "permuted": permuted},
-        params={"perm": perm},
-        observed={"input": a, "permuted": b},
-    )
-
-
-def _mrp_violation(evaluate: Evaluator, t: Triad, b: float, tol: float) -> Witness | None:
-    powered = power_transform(t, b)
-    base, after = evaluate(t), evaluate(powered)
+def _mrp_violation(evaluate: Evaluator, tol: float, input: Triad, b: float) -> Witness | None:
+    powered = power_transform(input, b)
+    base, after = evaluate(input), evaluate(powered)
     band = _band(tol, base, after)
     if b >= 1.0 and after < base - band:
         relation = "I(powered) < I(input) - tolerance band although b >= 1"
@@ -277,20 +243,20 @@ def _mrp_violation(evaluate: Evaluator, t: Triad, b: float, tol: float) -> Witne
     return Witness(
         axiom="MRP",
         relation=relation,
-        triads={"input": t, "powered": powered},
+        triads={"input": input, "powered": powered},
         params={"b": b},
         observed={"input": base, "powered": after},
     )
 
 
 def _monotone_step_violation(
+    strict: bool,
     evaluate: Evaluator,
-    base: Triad,
+    tol: float,
+    consistent: Triad,
     position: str,
     delta_prev: float,
     delta: float,
-    strict: bool,
-    tol: float,
 ) -> Witness | None:
     """Check one rung of the MSC/SMSC intensification ladder.
 
@@ -298,38 +264,25 @@ def _monotone_step_violation(
     witness when the index drops below the consistent value, decreases from
     the previous rung, or (strict only) fails to increase beyond the band.
     """
-    base_value = evaluate(base)
-    prev_value = base_value if delta_prev == 1.0 else evaluate(single_entry_perturb(base, position, delta_prev))
-    cur_value = evaluate(single_entry_perturb(base, position, delta))
-    axiom = "SMSC" if strict else "MSC"
-    params = {"position": position, "delta_prev": delta_prev, "delta": delta}
-    observed = {"consistent": base_value, "previous": prev_value, "perturbed": cur_value}
-    if cur_value < base_value - _band(tol, base_value, cur_value):
-        return Witness(
-            axiom=axiom,
-            relation="I(perturbed) < I(consistent) - tolerance band",
-            triads={"consistent": base},
-            params={**params, "violation": "below_consistent"},
-            observed=observed,
-        )
+    base_value = evaluate(consistent)
+    prev_value = base_value if delta_prev == 1.0 else evaluate(single_entry_perturb(consistent, position, delta_prev))
+    cur_value = evaluate(single_entry_perturb(consistent, position, delta))
     step_band = _band(tol, prev_value, cur_value)
-    if cur_value < prev_value - step_band:
-        return Witness(
-            axiom=axiom,
-            relation="I at the larger intensification < I at the smaller one - tolerance band",
-            triads={"consistent": base},
-            params={**params, "violation": "decrease"},
-            observed=observed,
-        )
-    if strict and cur_value - prev_value <= step_band:
-        return Witness(
-            axiom=axiom,
-            relation="intensification step failed to increase I beyond the tolerance band",
-            triads={"consistent": base},
-            params={**params, "violation": "tie"},
-            observed=observed,
-        )
-    return None
+    if cur_value < base_value - _band(tol, base_value, cur_value):
+        violation, relation = "below_consistent", "I(perturbed) < I(consistent) - tolerance band"
+    elif cur_value < prev_value - step_band:
+        violation, relation = "decrease", "I at the larger intensification < I at the smaller one - tolerance band"
+    elif strict and cur_value - prev_value <= step_band:
+        violation, relation = "tie", "intensification step failed to increase I beyond the tolerance band"
+    else:
+        return None
+    return Witness(
+        axiom="SMSC" if strict else "MSC",
+        relation=relation,
+        triads={"consistent": consistent},
+        params={"position": position, "delta_prev": delta_prev, "delta": delta, "violation": violation},
+        observed={"consistent": base_value, "previous": prev_value, "perturbed": cur_value},
+    )
 
 
 def _multiplicative_perturb(t: Triad, position: str, eps: float) -> Triad:
@@ -342,17 +295,17 @@ def _multiplicative_perturb(t: Triad, position: str, eps: float) -> Triad:
 
 
 def _con_violation(
-    evaluate: Evaluator, t: Triad, position: str, ladder: tuple[float, ...], tol: float
+    evaluate: Evaluator, tol: float, input: Triad, position: str, ladder: tuple[float, ...]
 ) -> Witness | None:
-    base_value = evaluate(t)
-    changes = [abs(evaluate(_multiplicative_perturb(t, position, eps)) - base_value) for eps in ladder]
+    base_value = evaluate(input)
+    changes = [abs(evaluate(_multiplicative_perturb(input, position, eps)) - base_value) for eps in ladder]
     threshold = max(_band(tol, base_value), _CON_JUMP_FRACTION * max(changes))
     if changes[-1] <= threshold:
         return None
     return Witness(
         axiom="CON",
         relation="index change does not vanish as the perturbation shrinks",
-        triads={"input": t},
+        triads={"input": input},
         params={"position": position, "ladder": tuple(ladder)},
         observed={
             "base": base_value,
@@ -363,9 +316,9 @@ def _con_violation(
     )
 
 
-def _urs_violation(
-    evaluate: Evaluator, reference: Triad, offender: Triad, kind: str, tol: float
-) -> Witness | None:
+def _urs_violation(evaluate: Evaluator, tol: float, reference: Triad, offender: Triad, kind: str) -> Witness | None:
+    """The band absorbs rounding between values that should be equal; a clearly
+    inconsistent offender asks whether two values differ, so it must hit the same float."""
     v = evaluate(reference)
     value = evaluate(offender)
     if kind == "consistent_mismatch":
@@ -373,7 +326,7 @@ def _urs_violation(
             return None
         relation = "two consistent triads take different index values"
     else:
-        if abs(consistency_ratio(offender) - 1.0) <= 10.0 * tol or not _close(value, v, tol):
+        if abs(consistency_ratio(offender) - 1.0) <= 10.0 * tol or value != v:
             return None
         relation = "an inconsistent triad attains the consistent reference value"
     return Witness(
@@ -386,46 +339,44 @@ def _urs_violation(
 
 
 # ---------------------------------------------------------------------------
-# per-axiom search loops
+# probes: (samples_used, row) pairs, probe i drawing only from probe_rng(seed, axiom, i)
 # ---------------------------------------------------------------------------
 
+_Probes = Iterator[tuple[int, dict]]
 
-def _check_urs(index: IndexDescriptor, cfg: AuditConfig) -> AxiomVerdict:
+
+def _triad_probes(axiom: str, cfg: AuditConfig) -> _Probes:
+    for i in range(cfg.samples):
+        yield i + 1, {"input": sample_triad(probe_rng(cfg.master_seed, axiom, i), cfg.entry_range)}
+
+
+def _grid_probes(axiom: str, param: str, grid: Callable[[AuditConfig], Iterable], cfg: AuditConfig) -> _Probes:
+    """One sampled triad per probe, paired with every value of `param` on `grid`."""
+    values = tuple(grid(cfg))
+    for i in range(cfg.samples):
+        t = sample_triad(probe_rng(cfg.master_seed, axiom, i), cfg.entry_range)
+        for value in values:
+            yield i + 1, {"input": t, param: value}
+
+
+def _hta_probes(cfg: AuditConfig) -> _Probes:
+    lo, hi = math.log(cfg.entry_range[0]), math.log(cfg.entry_range[1])
+    for i in range(cfg.samples):
+        rng = probe_rng(cfg.master_seed, "HTA", i)
+        yield i + 1, {"input": Triad(1.0, math.exp(rng.uniform(lo, hi)), math.exp(rng.uniform(lo, hi)))}
+
+
+def _urs_probes(cfg: AuditConfig) -> _Probes:
     reference = sample_consistent_triad(probe_rng(cfg.master_seed, "URS", 0), cfg.entry_range)
     for i in range(cfg.samples):
         rng = probe_rng(cfg.master_seed, "URS", i)
         consistent = sample_consistent_triad(rng, cfg.entry_range)
-        w = _urs_violation(index.evaluate, reference, consistent, "consistent_mismatch", cfg.tolerance)
-        if w is None:
-            w = _urs_violation(
-                index.evaluate, reference, sample_triad(rng, cfg.entry_range), "inconsistent_match", cfg.tolerance
-            )
-        if w is not None:
-            return _fail("URS", w, i + 1, cfg)
-    return _pass("URS", cfg)
+        yield i + 1, {"reference": reference, "offender": consistent, "kind": "consistent_mismatch"}
+        offender = sample_triad(rng, cfg.entry_range)
+        yield i + 1, {"reference": reference, "offender": offender, "kind": "inconsistent_match"}
 
 
-def _check_ipa(index: IndexDescriptor, cfg: AuditConfig) -> AxiomVerdict:
-    for i in range(cfg.samples):
-        t = sample_triad(probe_rng(cfg.master_seed, "IPA", i), cfg.entry_range)
-        for perm in _PERMUTATIONS_3:
-            w = _ipa_violation(index.evaluate, t, perm, cfg.tolerance)
-            if w is not None:
-                return _fail("IPA", w, i + 1, cfg)
-    return _pass("IPA", cfg)
-
-
-def _check_mrp(index: IndexDescriptor, cfg: AuditConfig) -> AxiomVerdict:
-    for i in range(cfg.samples):
-        t = sample_triad(probe_rng(cfg.master_seed, "MRP", i), cfg.entry_range)
-        for b in cfg.b_grid:
-            w = _mrp_violation(index.evaluate, t, b, cfg.tolerance)
-            if w is not None:
-                return _fail("MRP", w, i + 1, cfg)
-    return _pass("MRP", cfg)
-
-
-def _check_monotone_single(index: IndexDescriptor, cfg: AuditConfig, strict: bool) -> AxiomVerdict:
+def _monotone_probes(axiom: str, cfg: AuditConfig) -> _Probes:
     """MSC/SMSC: walk intensification ladders away from consistent triads.
 
     Only the ladder side whose perturbations land on the canonical side
@@ -434,7 +385,6 @@ def _check_monotone_single(index: IndexDescriptor, cfg: AuditConfig, strict: boo
     characterization arguments, and the one an asymmetric index such as cx4
     must still satisfy.
     """
-    axiom = "SMSC" if strict else "MSC"
     above = tuple(sorted(d for d in cfg.delta_grid if d > 1.0))
     below = tuple(sorted((d for d in cfg.delta_grid if d < 1.0), reverse=True))
     for i in range(cfg.samples):
@@ -442,115 +392,105 @@ def _check_monotone_single(index: IndexDescriptor, cfg: AuditConfig, strict: boo
         base = _sample_consistent_off_unit(rng, cfg.entry_range)
         position = rng.choice(_POSITIONS)
         for deltas in (above, below):
-            if not deltas:
+            if not deltas or consistency_ratio(single_entry_perturb(base, position, deltas[0])) < 1.0:
                 continue
-            if consistency_ratio(single_entry_perturb(base, position, deltas[0])) < 1.0:
-                continue
-            prev_delta = 1.0
-            for delta in deltas:
-                w = _monotone_step_violation(index.evaluate, base, position, prev_delta, delta, strict, cfg.tolerance)
-                if w is not None:
-                    return _fail(axiom, w, i + 1, cfg)
-                prev_delta = delta
-    return _pass(axiom, cfg)
+            for delta_prev, delta in zip((1.0, *deltas), deltas):
+                yield i + 1, {"consistent": base, "position": position, "delta_prev": delta_prev, "delta": delta}
 
 
-def _check_con(index: IndexDescriptor, cfg: AuditConfig) -> AxiomVerdict:
+def _con_probes(cfg: AuditConfig) -> _Probes:
     for i in range(cfg.samples):
         rng = probe_rng(cfg.master_seed, "CON", i)
         bases = (sample_triad(rng, cfg.entry_range), sample_consistent_triad(rng, cfg.entry_range))
         position = rng.choice(_POSITIONS)
         for base in bases:
-            w = _con_violation(index.evaluate, base, position, cfg.continuity_ladder, cfg.tolerance)
-            if w is not None:
-                return _fail("CON", w, i + 1, cfg)
-    return _pass("CON", cfg)
+            yield i + 1, {"input": base, "position": position, "ladder": cfg.continuity_ladder}
 
 
-def _check_iip(index: IndexDescriptor, cfg: AuditConfig) -> AxiomVerdict:
-    for i in range(cfg.samples):
-        t = sample_triad(probe_rng(cfg.master_seed, "IIP", i), cfg.entry_range)
-        w = _iip_violation(index.evaluate, t, cfg.tolerance)
-        if w is not None:
-            return _fail("IIP", w, i + 1, cfg)
-    return _pass("IIP", cfg)
+# ---------------------------------------------------------------------------
+# the axiom table
+# ---------------------------------------------------------------------------
 
 
-def _check_hta(index: IndexDescriptor, cfg: AuditConfig) -> AxiomVerdict:
-    lo, hi = math.log(cfg.entry_range[0]), math.log(cfg.entry_range[1])
-    for i in range(cfg.samples):
-        rng = probe_rng(cfg.master_seed, "HTA", i)
-        t = Triad(1.0, math.exp(rng.uniform(lo, hi)), math.exp(rng.uniform(lo, hi)))
-        w = _hta_violation(index.evaluate, t, cfg.tolerance)
-        if w is not None:
-            return _fail("HTA", w, i + 1, cfg)
-    return _pass("HTA", cfg)
+@dataclass(frozen=True)
+class _AxiomSpec:
+    """Everything the engine knows about one axiom.
+
+    ``violation(evaluate, tol, **row)`` tests one parameter row and returns a
+    witness or None.  ``probes(cfg)`` yields ``(samples_used, row)`` pairs from
+    the seeded probes.  ``row`` names the fields of a row; a witness stores
+    each under the same name in its ``triads`` or ``params``, which is how a
+    replay reads the row back.  ``pinned`` maps an index id to rows with a
+    violation known in closed form: they are tried before any sampling, so
+    the fail verdict does not depend on the sample budget.
+    """
+
+    violation: Callable[..., Witness | None]
+    probes: Callable[[AuditConfig], _Probes]
+    row: tuple[str, ...]
+    pinned: Mapping[str, tuple[dict, ...]] = field(default_factory=dict)
 
 
-def _check_si(index: IndexDescriptor, cfg: AuditConfig) -> AxiomVerdict:
-    for i in range(cfg.samples):
-        t = sample_triad(probe_rng(cfg.master_seed, "SI", i), cfg.entry_range)
-        for k in cfg.k_grid:
-            w = _si_violation(index.evaluate, t, k, cfg.tolerance)
-            if w is not None:
-                return _fail("SI", w, i + 1, cfg)
-    return _pass("SI", cfg)
-
-
-def _pass(axiom: str, cfg: AuditConfig) -> AxiomVerdict:
-    return AxiomVerdict(axiom, "pass", None, cfg.samples, cfg.master_seed)
-
-
-def _fail(axiom: str, witness: Witness, samples_used: int, cfg: AuditConfig) -> AxiomVerdict:
-    return AxiomVerdict(axiom, "fail", witness, samples_used, cfg.master_seed)
-
-
-_CHECKERS: dict[str, Callable[[IndexDescriptor, AuditConfig], AxiomVerdict]] = {
-    "URS": _check_urs,
-    "IPA": _check_ipa,
-    "MRP": _check_mrp,
-    "MSC": lambda index, cfg: _check_monotone_single(index, cfg, strict=False),
-    "CON": _check_con,
-    "IIP": _check_iip,
-    "HTA": _check_hta,
-    "SI": _check_si,
-    "SMSC": lambda index, cfg: _check_monotone_single(index, cfg, strict=True),
+_SPECS: dict[str, _AxiomSpec] = {
+    "URS": _AxiomSpec(_urs_violation, _urs_probes, ("reference", "offender", "kind")),
+    "IPA": _AxiomSpec(
+        partial(_invariance_violation, "IPA", "permuted", permute_triad),
+        partial(_grid_probes, "IPA", "perm", lambda cfg: _PERMUTATIONS_3),
+        ("input", "perm"),
+    ),
+    "MRP": _AxiomSpec(
+        _mrp_violation,
+        partial(_grid_probes, "MRP", "b", lambda cfg: cfg.b_grid),
+        ("input", "b"),
+    ),
+    "MSC": _AxiomSpec(
+        partial(_monotone_step_violation, False),
+        partial(_monotone_probes, "MSC"),
+        ("consistent", "position", "delta_prev", "delta"),
+    ),
+    "CON": _AxiomSpec(_con_violation, _con_probes, ("input", "position", "ladder")),
+    "IIP": _AxiomSpec(
+        partial(_invariance_violation, "IIP", "transposed", transpose_triad),
+        partial(_triad_probes, "IIP"),
+        ("input",),
+        pinned={"cx4": ({"input": Triad(1.0, 3.0, 2.0)},)},
+    ),
+    "HTA": _AxiomSpec(
+        partial(_invariance_violation, "HTA", "collapsed", lambda t: Triad(1.0, t.t13 / t.t23, 1.0)),
+        _hta_probes,
+        ("input",),
+        pinned={"cx5": ({"input": Triad(1.0, 8.0, 4.0)},)},
+    ),
+    "SI": _AxiomSpec(
+        partial(_invariance_violation, "SI", "scaled", scale_transform),
+        partial(_grid_probes, "SI", "k", lambda cfg: cfg.k_grid),
+        ("input", "k"),
+        pinned={
+            "cx6": ({"input": Triad(1.0, 8.0, 4.0), "k": 2.0},),
+            "scale_dependent": ({"input": Triad(1.0, 3.0, 2.0), "k": 2.0},),
+        },
+    ),
+    "SMSC": _AxiomSpec(
+        partial(_monotone_step_violation, True),
+        partial(_monotone_probes, "SMSC"),
+        ("consistent", "position", "delta_prev", "delta"),
+    ),
 }
-
-# Violations known in closed form, tried before any sampling; they make the
-# corresponding fail verdicts independent of the sample budget.
-_PINNED_PROBES: dict[tuple[str, str], tuple] = {
-    ("cx5", "HTA"): ((Triad(1.0, 8.0, 4.0),),),
-    ("cx6", "SI"): ((Triad(1.0, 8.0, 4.0), 2.0),),
-    ("scale_dependent", "SI"): ((Triad(1.0, 3.0, 2.0), 2.0),),
-    ("cx4", "IIP"): ((Triad(1.0, 3.0, 2.0),),),
-}
-
-
-def _pinned_witness(index: IndexDescriptor, axiom: str, cfg: AuditConfig) -> Witness | None:
-    for probe in _PINNED_PROBES.get((index.id, axiom), ()):
-        if axiom == "SI":
-            w = _si_violation(index.evaluate, probe[0], probe[1], cfg.tolerance)
-        elif axiom == "HTA":
-            w = _hta_violation(index.evaluate, probe[0], cfg.tolerance)
-        elif axiom == "IIP":
-            w = _iip_violation(index.evaluate, probe[0], cfg.tolerance)
-        else:
-            w = None
-        if w is not None:
-            return w
-    return None
 
 
 def check_axiom(index: IndexDescriptor, axiom: str, cfg: AuditConfig | None = None) -> AxiomVerdict:
     """Search for a violation of `axiom` by `index`; deterministic in (index.id, axiom, cfg)."""
     cfg = cfg if cfg is not None else AuditConfig()
-    if axiom not in _CHECKERS:
+    spec = _SPECS.get(axiom)
+    if spec is None:
         raise UnknownAxiomError(f"unknown axiom {axiom!r}; valid axioms: {', '.join(AXIOMS)}")
-    pinned = _pinned_witness(index, axiom, cfg)
-    if pinned is not None:
-        return AxiomVerdict(axiom, "fail", pinned, 0, cfg.master_seed)
-    return _CHECKERS[axiom](index, cfg)
+    evaluate, violation, tol = index.evaluate, spec.violation, cfg.tolerance
+    pinned = ((0, row) for row in spec.pinned.get(index.id, ()))
+    for samples_used, row in chain(pinned, spec.probes(cfg)):
+        witness = violation(evaluate, tol, **row)
+        if witness is not None:
+            return AxiomVerdict(axiom, "fail", witness, samples_used, cfg.master_seed)
+    return AxiomVerdict(axiom, "pass", None, cfg.samples, cfg.master_seed)
 
 
 @dataclass(frozen=True)
@@ -606,72 +546,10 @@ def audit(index: IndexDescriptor, axioms, cfg: AuditConfig | None = None) -> Aud
     return AuditReport(index_id=index.id, config=cfg, verdicts=verdicts, expected=expected)
 
 
-# ---------------------------------------------------------------------------
-# witness replay
-# ---------------------------------------------------------------------------
-
-
-def _replay_urs(w: Witness, evaluate: Evaluator, tol: float) -> bool:
-    return (
-        _urs_violation(evaluate, w.triads["reference"], w.triads["offender"], str(w.params["kind"]), tol) is not None
-    )
-
-
-def _replay_ipa(w: Witness, evaluate: Evaluator, tol: float) -> bool:
-    return _ipa_violation(evaluate, w.triads["input"], tuple(w.params["perm"]), tol) is not None
-
-
-def _replay_mrp(w: Witness, evaluate: Evaluator, tol: float) -> bool:
-    return _mrp_violation(evaluate, w.triads["input"], float(w.params["b"]), tol) is not None
-
-
-def _replay_monotone(w: Witness, evaluate: Evaluator, tol: float) -> bool:
-    found = _monotone_step_violation(
-        evaluate,
-        w.triads["consistent"],
-        str(w.params["position"]),
-        float(w.params["delta_prev"]),
-        float(w.params["delta"]),
-        strict=w.axiom == "SMSC",
-        tol=tol,
-    )
-    return found is not None
-
-
-def _replay_con(w: Witness, evaluate: Evaluator, tol: float) -> bool:
-    ladder = tuple(float(e) for e in w.params["ladder"])
-    return _con_violation(evaluate, w.triads["input"], str(w.params["position"]), ladder, tol) is not None
-
-
-def _replay_iip(w: Witness, evaluate: Evaluator, tol: float) -> bool:
-    return _iip_violation(evaluate, w.triads["input"], tol) is not None
-
-
-def _replay_hta(w: Witness, evaluate: Evaluator, tol: float) -> bool:
-    return _hta_violation(evaluate, w.triads["input"], tol) is not None
-
-
-def _replay_si(w: Witness, evaluate: Evaluator, tol: float) -> bool:
-    return _si_violation(evaluate, w.triads["input"], float(w.params["k"]), tol) is not None
-
-
-_REPLAYERS = {
-    "URS": _replay_urs,
-    "IPA": _replay_ipa,
-    "MRP": _replay_mrp,
-    "MSC": _replay_monotone,
-    "SMSC": _replay_monotone,
-    "CON": _replay_con,
-    "IIP": _replay_iip,
-    "HTA": _replay_hta,
-    "SI": _replay_si,
-}
-
-
 def replay_witness(witness: Witness, evaluate: Evaluator, tolerance: float = 1e-9) -> bool:
     """Re-run a witness against `evaluate`; True iff the violation reproduces."""
-    try:
-        replayer = _REPLAYERS[witness.axiom]
-    except KeyError:
-        raise UnknownAxiomError(f"unknown axiom {witness.axiom!r} in witness") from None
-    return replayer(witness, evaluate, tolerance)
+    spec = _SPECS.get(witness.axiom)
+    if spec is None:
+        raise UnknownAxiomError(f"unknown axiom {witness.axiom!r} in witness")
+    fields = {**witness.triads, **witness.params}
+    return spec.violation(evaluate, tolerance, **{name: fields[name] for name in spec.row}) is not None

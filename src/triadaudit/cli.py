@@ -101,7 +101,11 @@ def _resolve_seed(args) -> int:
 
 
 def _config_from(args) -> AuditConfig:
-    return AuditConfig(samples=getattr(args, "samples", DEFAULT_SAMPLES), master_seed=_resolve_seed(args))
+    seed = _resolve_seed(args)
+    try:
+        return AuditConfig(samples=getattr(args, "samples", DEFAULT_SAMPLES), master_seed=seed)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
 
 
 def _parse_axioms(arg: str) -> tuple[str, ...]:

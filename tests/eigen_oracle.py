@@ -1,4 +1,4 @@
-"""Principal-eigenvalue oracle for small positive matrices.
+"""Principal-eigenvalue oracle for small positive matrices, used by the tests.
 
 Power iteration with a positive start vector converges to the Perron root of
 any entrywise-positive matrix.  This is kept independent of the closed-form
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DomainError, Triad
+from triadaudit.core import DomainError, Triad
 
 __all__ = ["dominant_eigenvalue", "saaty_ci_oracle"]
 

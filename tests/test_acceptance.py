@@ -11,6 +11,7 @@ from contextlib import redirect_stdout
 
 import jsonschema
 
+from eigen_oracle import saaty_ci_oracle
 from triadaudit import (
     AXIOMS,
     AuditConfig,
@@ -27,7 +28,6 @@ from triadaudit import (
     ranking_concordance,
     replay_witness,
     saaty_ci,
-    saaty_ci_oracle,
     sample_triad,
     scale_dependent_index,
     scale_transform,

@@ -6,6 +6,7 @@ import pytest
 
 from triadaudit import (
     AXIOMS,
+    INDEX_IDS,
     AuditConfig,
     IndexDescriptor,
     Triad,
@@ -243,3 +244,39 @@ def test_checkers_cover_all_nine_axioms():
     report = audit(get_index("koczkodaj"), AXIOMS, FAST)
     assert [v.axiom for v in report.verdicts] == list(AXIOMS)
     assert math.isclose(sum(v.samples_used for v in report.verdicts), 9 * FAST.samples)
+
+
+def test_saaty_ci_urs_is_not_failed_by_rounding():
+    # At this seed a triad with x - 1 = -1e-4 scores 5.5e-10: inside the
+    # equality band of the consistent value 0, but not equal to it.
+    verdict = check_axiom(get_index("saaty_ci"), "URS", AuditConfig(samples=5000, master_seed=3))
+    assert verdict.status == "pass"
+
+
+# The fail cells of the 12x9 verdict matrix at the default config, with their
+# samples_used (0 = pinned probe); every other cell passes after 1000 probes.
+DEFAULT_FAILS = {
+    "natural": {},
+    "scale_dependent": {"HTA": 1, "SI": 0},
+    "koczkodaj": {},
+    "saaty_ci": {},
+    "cx1": {"URS": 1, "SMSC": 1},
+    "cx2": {"MRP": 1, "MSC": 1, "SMSC": 1},
+    "cx3": {"CON": 1},
+    "cx4": {"IPA": 1, "MRP": 2, "IIP": 0},
+    "cx5": {"IPA": 1, "HTA": 0},
+    "cx6": {"IPA": 1, "SI": 0},
+    "flat": {"URS": 1, "SMSC": 1},
+    "discretised_natural": {"SMSC": 2},
+}
+
+
+def test_default_verdict_matrix_is_pinned():
+    cfg = AuditConfig()
+    assert tuple(DEFAULT_FAILS) == INDEX_IDS
+    for index_id, fails in DEFAULT_FAILS.items():
+        report = audit(get_index(index_id), AXIOMS, cfg)
+        observed = {v.axiom: (v.status, v.samples_used) for v in report.verdicts}
+        pinned = {a: ("fail", fails[a]) if a in fails else ("pass", cfg.samples) for a in AXIOMS}
+        assert observed == pinned, index_id
+        assert report.matches_expected, index_id

@@ -247,3 +247,18 @@ def test_usage_error_exits_two():
 def test_unknown_command_exits_two():
     code, _, _ = run_cli("frobnicate")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("audit", "natural", "--samples", "0"),
+        ("independence", "--samples", "0"),
+        ("concordance", "natural", "koczkodaj", "--samples", "-1"),
+    ],
+)
+def test_bad_config_value_exits_two(argv):
+    code, out, err = run_cli(*argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: samples must be >= 1") and err.count("\n") == 1
