@@ -106,6 +106,13 @@ class AuditConfig:
         lo, hi = self.entry_range
         if not (0.0 < lo < hi) or not math.isfinite(hi):
             raise ValueError(f"entry_range must be positive with lower < upper, got {self.entry_range}")
+        # MSC/SMSC redraw consistent triads until every entry is at least
+        # _MIN_LOG_ENTRY from 1 in log space.  At log(hi/lo) = 4 * _MIN_LOG_ENTRY
+        # about 1/8 of the draws qualify; narrower ranges starve that sampler.
+        if math.log(hi / lo) < 4 * _MIN_LOG_ENTRY:
+            raise ValueError(
+                f"entry_range is too narrow: log(upper/lower) must be >= {4 * _MIN_LOG_ENTRY:g}, got {self.entry_range}"
+            )
         if not (self.tolerance > 0.0):
             raise ValueError(f"tolerance must be > 0, got {self.tolerance}")
         for name in ("b_grid", "delta_grid", "k_grid", "continuity_ladder"):
@@ -131,11 +138,11 @@ def _close(a: float, b: float, tol: float) -> bool:
 
 
 def _band(tol: float, *values: float) -> float:
-    return tol * max(1.0, *(abs(v) for v in values))
+    return tol * max(1.0, *map(abs, values))
 
 
 def _derive_seed(master_seed: int, *tags) -> int:
-    material = ":".join(["triadaudit", str(int(master_seed)), *(str(t) for t in tags)])
+    material = ":".join(("triadaudit", str(int(master_seed)), *map(str, tags)))
     digest = hashlib.sha256(material.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
 
@@ -147,15 +154,19 @@ def probe_rng(master_seed: int, *tags) -> random.Random:
 
 def sample_triad(rng: random.Random, entry_range: tuple[float, float]) -> Triad:
     """Three entries drawn independently, log-uniform on entry_range."""
-    lo, hi = math.log(entry_range[0]), math.log(entry_range[1])
-    return Triad(*(math.exp(rng.uniform(lo, hi)) for _ in range(3)))
+    lo = math.log(entry_range[0])
+    span = math.log(entry_range[1]) - lo
+    # lo + span * random() is exactly what rng.uniform(lo, hi) computes.
+    draw = rng.random
+    return Triad(math.exp(lo + span * draw()), math.exp(lo + span * draw()), math.exp(lo + span * draw()))
 
 
 def sample_consistent_triad(rng: random.Random, entry_range: tuple[float, float]) -> Triad:
     """Consistent triad from three log-uniform weights: (w1/w2, w1/w3, w2/w3)."""
-    lo, hi = math.log(entry_range[0]), math.log(entry_range[1])
-    w1, w2, w3 = (math.exp(rng.uniform(lo, hi)) for _ in range(3))
-    return triad_from_weights(w1, w2, w3)
+    lo = math.log(entry_range[0])
+    span = math.log(entry_range[1]) - lo
+    draw = rng.random
+    return triad_from_weights(math.exp(lo + span * draw()), math.exp(lo + span * draw()), math.exp(lo + span * draw()))
 
 
 def _sample_consistent_off_unit(rng: random.Random, entry_range: tuple[float, float]) -> Triad:
@@ -214,10 +225,20 @@ class AxiomVerdict:
 
 
 def _invariance_violation(
-    axiom: str, name: str, transform: Callable[..., Triad], evaluate: Evaluator, tol: float, input: Triad, **params
+    axiom: str,
+    name: str,
+    transform: Callable[..., Triad],
+    param: str | None,
+    evaluate: Evaluator,
+    tol: float,
+    input: Triad,
+    value: object = None,
 ) -> Witness | None:
-    """SI, HTA, IIP and IPA: I(input) must equal I(transform(input, **params)) within the band."""
-    other = transform(input, **params)
+    """SI, HTA, IIP and IPA: I(input) must equal I(transform(input[, value])) within the band.
+
+    ``param`` names the transform's parameter (None for IIP and HTA, which take none).
+    """
+    other = transform(input) if param is None else transform(input, value)
     a, b = evaluate(input), evaluate(other)
     if _close(a, b, tol):
         return None
@@ -225,7 +246,7 @@ def _invariance_violation(
         axiom=axiom,
         relation=f"|I(input) - I({name})| > tolerance band",
         triads={"input": input, name: other},
-        params=params,
+        params={} if param is None else {param: value},
         observed={"input": a, name: b},
     )
 
@@ -342,28 +363,29 @@ def _urs_violation(evaluate: Evaluator, tol: float, reference: Triad, offender: 
 # probes: (samples_used, row) pairs, probe i drawing only from probe_rng(seed, axiom, i)
 # ---------------------------------------------------------------------------
 
-_Probes = Iterator[tuple[int, dict]]
+_Probes = Iterator[tuple[int, tuple]]
 
 
 def _triad_probes(axiom: str, cfg: AuditConfig) -> _Probes:
     for i in range(cfg.samples):
-        yield i + 1, {"input": sample_triad(probe_rng(cfg.master_seed, axiom, i), cfg.entry_range)}
+        yield i + 1, (sample_triad(probe_rng(cfg.master_seed, axiom, i), cfg.entry_range),)
 
 
-def _grid_probes(axiom: str, param: str, grid: Callable[[AuditConfig], Iterable], cfg: AuditConfig) -> _Probes:
-    """One sampled triad per probe, paired with every value of `param` on `grid`."""
+def _grid_probes(axiom: str, grid: Callable[[AuditConfig], Iterable], cfg: AuditConfig) -> _Probes:
+    """One sampled triad per probe, paired with every parameter value on `grid`."""
     values = tuple(grid(cfg))
     for i in range(cfg.samples):
         t = sample_triad(probe_rng(cfg.master_seed, axiom, i), cfg.entry_range)
         for value in values:
-            yield i + 1, {"input": t, param: value}
+            yield i + 1, (t, value)
 
 
 def _hta_probes(cfg: AuditConfig) -> _Probes:
-    lo, hi = math.log(cfg.entry_range[0]), math.log(cfg.entry_range[1])
+    lo = math.log(cfg.entry_range[0])
+    span = math.log(cfg.entry_range[1]) - lo
     for i in range(cfg.samples):
-        rng = probe_rng(cfg.master_seed, "HTA", i)
-        yield i + 1, {"input": Triad(1.0, math.exp(rng.uniform(lo, hi)), math.exp(rng.uniform(lo, hi)))}
+        draw = probe_rng(cfg.master_seed, "HTA", i).random
+        yield i + 1, (Triad(1.0, math.exp(lo + span * draw()), math.exp(lo + span * draw())),)
 
 
 def _urs_probes(cfg: AuditConfig) -> _Probes:
@@ -371,9 +393,9 @@ def _urs_probes(cfg: AuditConfig) -> _Probes:
     for i in range(cfg.samples):
         rng = probe_rng(cfg.master_seed, "URS", i)
         consistent = sample_consistent_triad(rng, cfg.entry_range)
-        yield i + 1, {"reference": reference, "offender": consistent, "kind": "consistent_mismatch"}
+        yield i + 1, (reference, consistent, "consistent_mismatch")
         offender = sample_triad(rng, cfg.entry_range)
-        yield i + 1, {"reference": reference, "offender": offender, "kind": "inconsistent_match"}
+        yield i + 1, (reference, offender, "inconsistent_match")
 
 
 def _monotone_probes(axiom: str, cfg: AuditConfig) -> _Probes:
@@ -395,7 +417,7 @@ def _monotone_probes(axiom: str, cfg: AuditConfig) -> _Probes:
             if not deltas or consistency_ratio(single_entry_perturb(base, position, deltas[0])) < 1.0:
                 continue
             for delta_prev, delta in zip((1.0, *deltas), deltas):
-                yield i + 1, {"consistent": base, "position": position, "delta_prev": delta_prev, "delta": delta}
+                yield i + 1, (base, position, delta_prev, delta)
 
 
 def _con_probes(cfg: AuditConfig) -> _Probes:
@@ -404,7 +426,7 @@ def _con_probes(cfg: AuditConfig) -> _Probes:
         bases = (sample_triad(rng, cfg.entry_range), sample_consistent_triad(rng, cfg.entry_range))
         position = rng.choice(_POSITIONS)
         for base in bases:
-            yield i + 1, {"input": base, "position": position, "ladder": cfg.continuity_ladder}
+            yield i + 1, (base, position, cfg.continuity_ladder)
 
 
 # ---------------------------------------------------------------------------
@@ -416,31 +438,33 @@ def _con_probes(cfg: AuditConfig) -> _Probes:
 class _AxiomSpec:
     """Everything the engine knows about one axiom.
 
-    ``violation(evaluate, tol, **row)`` tests one parameter row and returns a
-    witness or None.  ``probes(cfg)`` yields ``(samples_used, row)`` pairs from
-    the seeded probes.  ``row`` names the fields of a row; a witness stores
-    each under the same name in its ``triads`` or ``params``, which is how a
-    replay reads the row back.  ``pinned`` maps an index id to rows with a
-    violation known in closed form: they are tried before any sampling, so
-    the fail verdict does not depend on the sample budget.
+    A parameter row is a tuple whose fields are positional, in the order
+    that ``row`` names them.  ``violation(evaluate, tol, *row)`` tests one
+    row and returns a witness or None.  ``probes(cfg)`` yields
+    ``(samples_used, row)`` pairs from the seeded probes.  A witness stores
+    each field of its row under the name ``row`` gives it, in its ``triads``
+    or ``params``; a replay reads the fields back by name in ``row`` order.
+    ``pinned`` maps an index id to rows with a violation known in closed
+    form: they are tried before any sampling, so the fail verdict does not
+    depend on the sample budget.
     """
 
     violation: Callable[..., Witness | None]
     probes: Callable[[AuditConfig], _Probes]
     row: tuple[str, ...]
-    pinned: Mapping[str, tuple[dict, ...]] = field(default_factory=dict)
+    pinned: Mapping[str, tuple[tuple, ...]] = field(default_factory=dict)
 
 
 _SPECS: dict[str, _AxiomSpec] = {
     "URS": _AxiomSpec(_urs_violation, _urs_probes, ("reference", "offender", "kind")),
     "IPA": _AxiomSpec(
-        partial(_invariance_violation, "IPA", "permuted", permute_triad),
-        partial(_grid_probes, "IPA", "perm", lambda cfg: _PERMUTATIONS_3),
+        partial(_invariance_violation, "IPA", "permuted", permute_triad, "perm"),
+        partial(_grid_probes, "IPA", lambda cfg: _PERMUTATIONS_3),
         ("input", "perm"),
     ),
     "MRP": _AxiomSpec(
         _mrp_violation,
-        partial(_grid_probes, "MRP", "b", lambda cfg: cfg.b_grid),
+        partial(_grid_probes, "MRP", lambda cfg: cfg.b_grid),
         ("input", "b"),
     ),
     "MSC": _AxiomSpec(
@@ -450,24 +474,24 @@ _SPECS: dict[str, _AxiomSpec] = {
     ),
     "CON": _AxiomSpec(_con_violation, _con_probes, ("input", "position", "ladder")),
     "IIP": _AxiomSpec(
-        partial(_invariance_violation, "IIP", "transposed", transpose_triad),
+        partial(_invariance_violation, "IIP", "transposed", transpose_triad, None),
         partial(_triad_probes, "IIP"),
         ("input",),
-        pinned={"cx4": ({"input": Triad(1.0, 3.0, 2.0)},)},
+        pinned={"cx4": ((Triad(1.0, 3.0, 2.0),),)},
     ),
     "HTA": _AxiomSpec(
-        partial(_invariance_violation, "HTA", "collapsed", lambda t: Triad(1.0, t.t13 / t.t23, 1.0)),
+        partial(_invariance_violation, "HTA", "collapsed", lambda t: Triad(1.0, t.t13 / t.t23, 1.0), None),
         _hta_probes,
         ("input",),
-        pinned={"cx5": ({"input": Triad(1.0, 8.0, 4.0)},)},
+        pinned={"cx5": ((Triad(1.0, 8.0, 4.0),),)},
     ),
     "SI": _AxiomSpec(
-        partial(_invariance_violation, "SI", "scaled", scale_transform),
-        partial(_grid_probes, "SI", "k", lambda cfg: cfg.k_grid),
+        partial(_invariance_violation, "SI", "scaled", scale_transform, "k"),
+        partial(_grid_probes, "SI", lambda cfg: cfg.k_grid),
         ("input", "k"),
         pinned={
-            "cx6": ({"input": Triad(1.0, 8.0, 4.0), "k": 2.0},),
-            "scale_dependent": ({"input": Triad(1.0, 3.0, 2.0), "k": 2.0},),
+            "cx6": ((Triad(1.0, 8.0, 4.0), 2.0),),
+            "scale_dependent": ((Triad(1.0, 3.0, 2.0), 2.0),),
         },
     ),
     "SMSC": _AxiomSpec(
@@ -487,7 +511,7 @@ def check_axiom(index: IndexDescriptor, axiom: str, cfg: AuditConfig | None = No
     evaluate, violation, tol = index.evaluate, spec.violation, cfg.tolerance
     pinned = ((0, row) for row in spec.pinned.get(index.id, ()))
     for samples_used, row in chain(pinned, spec.probes(cfg)):
-        witness = violation(evaluate, tol, **row)
+        witness = violation(evaluate, tol, *row)
         if witness is not None:
             return AxiomVerdict(axiom, "fail", witness, samples_used, cfg.master_seed)
     return AxiomVerdict(axiom, "pass", None, cfg.samples, cfg.master_seed)
@@ -552,4 +576,4 @@ def replay_witness(witness: Witness, evaluate: Evaluator, tolerance: float = 1e-
     if spec is None:
         raise UnknownAxiomError(f"unknown axiom {witness.axiom!r} in witness")
     fields = {**witness.triads, **witness.params}
-    return spec.violation(evaluate, tolerance, **{name: fields[name] for name in spec.row}) is not None
+    return spec.violation(evaluate, tolerance, *[fields[name] for name in spec.row]) is not None

@@ -41,6 +41,9 @@ CONSISTENCY_TOL = 1e-9
 RECIPROCITY_TOL = 1e-6
 
 
+_INF = math.inf
+
+
 class DomainError(ValueError):
     """Raised when an input violates a documented precondition."""
 
@@ -61,6 +64,18 @@ class Triad:
     t23: float
 
     def __post_init__(self):
+        # Fast path: the entries are already the floats that the general
+        # path below would store.  Anything else is converted or rejected there.
+        t12, t13, t23 = self.t12, self.t13, self.t23
+        if (
+            type(t12) is float
+            and type(t13) is float
+            and type(t23) is float
+            and 0.0 < t12 < _INF
+            and 0.0 < t13 < _INF
+            and 0.0 < t23 < _INF
+        ):
+            return
         for name in ("t12", "t13", "t23"):
             object.__setattr__(self, name, _require_positive_finite(name, getattr(self, name)))
 
@@ -68,10 +83,14 @@ class Triad:
         return (self.t12, self.t13, self.t23)
 
     def entry(self, position: str) -> float:
-        try:
-            return {"12": self.t12, "13": self.t13, "23": self.t23}[str(position)]
-        except KeyError:
-            raise DomainError(f"position must be one of '12', '13', '23', got {position!r}") from None
+        key = str(position)
+        if key == "12":
+            return self.t12
+        if key == "13":
+            return self.t13
+        if key == "23":
+            return self.t23
+        raise DomainError(f"position must be one of '12', '13', '23', got {position!r}")
 
     def matrix_rows(self) -> tuple[tuple[float, float, float], ...]:
         """Materialise the full 3x3 matrix, reciprocals computed on demand."""
@@ -170,7 +189,7 @@ class ReciprocalMatrix:
 
 
 def _validate_permutation(perm: Sequence[int], n: int) -> tuple[int, ...]:
-    p = tuple(int(v) for v in perm)
+    p = tuple(map(int, perm))
     if sorted(p) != list(range(n)):
         raise DomainError(f"perm must be a bijection on 0..{n - 1}, got {perm!r}")
     return p
@@ -192,11 +211,10 @@ def apply_permutation(m: ReciprocalMatrix, perm: Sequence[int]) -> ReciprocalMat
 def permute_triad(t: Triad, perm: Sequence[int]) -> Triad:
     """Triad view of apply_permutation for n = 3."""
     p = _validate_permutation(perm, 3)
-    inv = [0, 0, 0]
-    for old, new in enumerate(p):
-        inv[new] = old
+    # Row/column i of the result is alternative p.index(i) of the input.
+    i, j, k = p.index(0), p.index(1), p.index(2)
     v = t.matrix_rows()
-    return Triad(v[inv[0]][inv[1]], v[inv[0]][inv[2]], v[inv[1]][inv[2]])
+    return Triad(v[i][j], v[i][k], v[j][k])
 
 
 def transpose_triad(t: Triad) -> Triad:
@@ -230,13 +248,14 @@ def single_entry_perturb(t: Triad, position: str, delta: float) -> Triad:
         raise DomainError(f"delta must be finite, got {delta!r}")
     if not is_consistent(t):
         raise DomainError(f"input triad must be consistent, got consistency ratio {consistency_ratio(t)!r}")
-    entry = t.entry(str(position))
+    position = str(position)
+    entry = t.entry(position)
     if entry == 1.0:
         raise DomainError(f"entry at position {position} equals 1; the perturbed entry must differ from 1")
     powered = entry**delta
-    if str(position) == "12":
+    if position == "12":
         return Triad(powered, t.t13, t.t23)
-    if str(position) == "13":
+    if position == "13":
         return Triad(t.t12, powered, t.t23)
     return Triad(t.t12, t.t13, powered)
 

@@ -1,5 +1,7 @@
 """Falsification engine: samplers, checkers, witnesses, determinism."""
 
+import hashlib
+import json
 import math
 
 import pytest
@@ -72,6 +74,7 @@ class TestConfig:
             {"entry_range": (9.0, 1.0)},
             {"tolerance": 0.0},
             {"k_grid": ()},
+            {"entry_range": (0.999, 1.001)},
         ],
     )
     def test_validation(self, kwargs):
@@ -271,12 +274,38 @@ DEFAULT_FAILS = {
 }
 
 
+# sha256 of the canonical JSON of every verdict of the 12 indices, witness
+# included, per (samples, master_seed).  A change that moves one witness float
+# changes the digest; diff the documents against the previous release to see which.
+VERDICT_DIGESTS = {
+    (1000, 42): "bc02a3128b36de5f714c6b11c8e2b5eb7ce8c6a4850c15ee4c008dc2d66faf5b",
+    (37, 3): "133ae16f42c4c8f0128e5e6bf5543d1ac2d68185b330d36335cc1bfa12d55482",
+    (37, 7): "02b91bd24ae87e9e9ce67684a919ae26ebbcc93b8ef73b6ca2ceb6fc07686825",
+}
+
+
+def _verdict_digest(reports) -> str:
+    doc = {
+        r.index_id: [{**v.to_dict(), "witness": v.witness and v.witness.to_dict()} for v in r.verdicts]
+        for r in reports
+    }
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode("utf-8")).hexdigest()
+
+
 def test_default_verdict_matrix_is_pinned():
     cfg = AuditConfig()
     assert tuple(DEFAULT_FAILS) == INDEX_IDS
-    for index_id, fails in DEFAULT_FAILS.items():
-        report = audit(get_index(index_id), AXIOMS, cfg)
+    reports = [audit(get_index(index_id), AXIOMS, cfg) for index_id in INDEX_IDS]
+    for report, fails in zip(reports, DEFAULT_FAILS.values()):
         observed = {v.axiom: (v.status, v.samples_used) for v in report.verdicts}
         pinned = {a: ("fail", fails[a]) if a in fails else ("pass", cfg.samples) for a in AXIOMS}
-        assert observed == pinned, index_id
-        assert report.matches_expected, index_id
+        assert observed == pinned, report.index_id
+        assert report.matches_expected, report.index_id
+    assert _verdict_digest(reports) == VERDICT_DIGESTS[(cfg.samples, cfg.master_seed)]
+
+
+@pytest.mark.parametrize("seed", [3, 7])
+def test_small_budget_witnesses_are_pinned(seed):
+    cfg = AuditConfig(samples=37, master_seed=seed)
+    reports = [audit(get_index(index_id), AXIOMS, cfg) for index_id in INDEX_IDS]
+    assert _verdict_digest(reports) == VERDICT_DIGESTS[(cfg.samples, cfg.master_seed)]

@@ -2,11 +2,16 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import triadaudit
 from triadaudit import ReciprocalMatrix, Triad
 from triadaudit.cli import main, parse_matrix_file, save_matrix_json
 from triadaudit.reporting import report_schema
@@ -262,3 +267,12 @@ def test_bad_config_value_exits_two(argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: samples must be >= 1") and err.count("\n") == 1
+
+
+def test_cli_import_does_not_load_numpy():
+    # numpy is a test-only dependency; importing it would add its start-up
+    # time and memory to every CLI call.
+    src = str(Path(triadaudit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = "import sys, triadaudit.cli; sys.exit('numpy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

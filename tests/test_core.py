@@ -1,5 +1,6 @@
 """Domain types and the elementary ratio-preserving transforms."""
 
+import json
 import math
 
 import pytest
@@ -24,6 +25,11 @@ from triadaudit import (
     transpose_triad,
     triad_from_weights,
 )
+
+
+class FloatSubclass(float):
+    pass
+
 
 PERMUTATIONS = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
 
@@ -52,6 +58,22 @@ class TestMakeTriad:
 
     def test_weights_construction(self):
         assert triad_from_weights(6, 3, 1) == Triad(2, 6, 3)
+
+    @pytest.mark.parametrize("field", ["t12", "t13", "t23"])
+    @pytest.mark.parametrize("bad", [0.0, -math.inf, math.nan, -2.0])
+    def test_bad_float_names_its_field(self, field, bad):
+        entries = {"t12": 1.0, "t13": 3.0, "t23": 2.0, field: bad}
+        with pytest.raises(DomainError, match=f"^{field} must be a finite positive real"):
+            Triad(**entries)
+
+    @pytest.mark.parametrize("value", [2, True, FloatSubclass(0.5)])
+    def test_non_float_entries_are_stored_as_exact_floats(self, value):
+        t = Triad(value, value, value)
+        for v in t.entries():
+            assert type(v) is float and v == float(value)
+
+    def test_integer_entries_serialise_as_floats(self):
+        assert json.dumps(make_triad(1, 3, 2).as_dict()) == '{"t12": 1.0, "t13": 3.0, "t23": 2.0}'
 
 
 class TestConsistencyRatio:
@@ -128,6 +150,11 @@ class TestPermutation:
         m = t.to_matrix()
         assert apply_permutation(apply_permutation(m, perm), tuple(inverse)) == m
 
+    @pytest.mark.parametrize("perm", PERMUTATIONS)
+    def test_triad_view_matches_matrix_relabelling(self, perm):
+        t = Triad(1.5, 7.0, 0.3)
+        assert permute_triad(t, perm) == apply_permutation(t.to_matrix(), perm).triad()
+
     def test_non_bijection_rejected(self):
         with pytest.raises(DomainError, match="bijection"):
             apply_permutation(Triad(1, 3, 2).to_matrix(), (0, 0, 2))
@@ -164,6 +191,13 @@ class TestSingleEntryPerturb:
     def test_inconsistent_input_rejected(self):
         with pytest.raises(DomainError, match="consistent"):
             single_entry_perturb(Triad(1, 3, 2), "13", 2.0)
+
+    def test_integer_position_accepted(self):
+        assert single_entry_perturb(Triad(2, 6, 3), 13, 2.0) == Triad(2, 36, 3)
+
+    def test_unknown_position_rejected(self):
+        with pytest.raises(DomainError, match="position must be one of"):
+            single_entry_perturb(Triad(2, 6, 3), "21", 2.0)
 
 
 class TestScaleTransform:
