@@ -4,7 +4,7 @@
 import argparse
 import time
 
-from triadaudit import AXIOMS, CATALOG, AuditConfig, audit
+from triadaudit import AXIOMS, CATALOG, AuditConfig, verdict_matrix
 
 
 def main() -> int:
@@ -18,8 +18,7 @@ def main() -> int:
     header = "  ".join(f"{a:<4}" for a in AXIOMS)
     print(f"{'index':<20}  {header}  profile")
     mismatches = 0
-    for descriptor in CATALOG:
-        report = audit(descriptor, AXIOMS, cfg)
+    for descriptor, report in verdict_matrix(CATALOG, AXIOMS, cfg).rows:
         cells = "  ".join(f"{report.verdict(a).status:<4}" for a in AXIOMS)
         if report.matches_expected:
             note = "as expected"

@@ -3,13 +3,17 @@
 
 Reproduces, at desk scale: the pinned index values, the six-axiom
 independence table, the three implication rules over the catalog, the
-headline ranking concordances and the characterization verdicts.
+headline ranking concordances and the characterization verdicts.  The
+table, the rules and the characterizations all read one 12x9 verdict matrix,
+so each (index, axiom) cell is checked once.
 """
 
 import argparse
 import time
 
 from triadaudit import (
+    AXIOMS,
+    CATALOG,
     AuditConfig,
     Triad,
     audit_implications,
@@ -19,6 +23,7 @@ from triadaudit import (
     independence_table,
     ranking_concordance,
     scale_dependent_index,
+    verdict_matrix,
 )
 from triadaudit.analysis import INDEPENDENCE_AXIOMS
 
@@ -41,14 +46,15 @@ def main() -> int:
     print(f"cx6(2,32,8)            = {eval_catalog('cx6', Triad(2, 32, 8)):.12g}   (9/4)")
 
     print(f"\n== independence table (samples={cfg.samples}, seed={cfg.master_seed}) ==")
-    table = independence_table(cfg)
+    matrix = verdict_matrix(CATALOG, AXIOMS, cfg)
+    table = independence_table(matrix)
     print("index  " + "  ".join(f"{a:<4}" for a in INDEPENDENCE_AXIOMS))
     for row in table.rows:
         print(f"{row.index_id:<5}  " + "  ".join(f"{c.status:<4}" for c in row.cells))
     print(f"matches expected diagonal: {table.matches_expected}")
 
     print("\n== implication rules over the catalog ==")
-    verdicts = audit_implications(cfg)
+    verdicts = audit_implications(matrix)
     broken = [v for v in verdicts if v.status == "counterexample-to-lemma"]
     print(f"checked {len(verdicts)} (rule, index) combinations; counterexamples: {len(broken)}")
     for v in broken:
@@ -65,7 +71,7 @@ def main() -> int:
 
     print("\n== characterization (SMSC + IIP + HTA + SI => natural ranking) ==")
     for index_id in ("koczkodaj", "saaty_ci", "discretised_natural", "cx4", "flat", "scale_dependent"):
-        verdict = characterization_check(get_index(index_id), cfg)
+        verdict = characterization_check(get_index(index_id), matrix)
         print(f"{index_id:<20} {verdict.status}")
 
     print(f"\ndone in {time.time() - started:.1f}s")

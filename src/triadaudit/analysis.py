@@ -1,6 +1,7 @@
 """Executable reproductions of the structural results about the axiom system.
 
-Three experiments, all driven by the falsification engine:
+Three experiments, each read off one index x axiom verdict matrix built by
+the falsification engine:
 
 * the independence table: each counterexample index cx1..cx6 violates
   exactly one of {URS, MSC, CON, IIP, HTA, SI} and passes the other five;
@@ -13,12 +14,11 @@ Three experiments, all driven by the falsification engine:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping
 
 from .axioms import AuditConfig, AuditReport, Witness, audit, probe_rng, sample_triad
-from .core import Triad
-from .indices import CATALOG, IndexDescriptor, get_index
+from .indices import AXIOMS, CATALOG, IndexDescriptor, get_index
 
 __all__ = [
     "INDEPENDENCE_AXIOMS",
@@ -31,12 +31,44 @@ __all__ = [
     "IndependenceTable",
     "ConcordanceStats",
     "CharacterizationVerdict",
+    "VerdictMatrix",
+    "verdict_matrix",
     "independence_table",
-    "implication_audit",
     "audit_implications",
     "ranking_concordance",
     "characterization_check",
 ]
+
+
+@dataclass(frozen=True)
+class VerdictMatrix:
+    """One audit report per index at one config, from which the structural
+    results read their cells.  Rows are found by descriptor, not by id: a
+    user's descriptor may reuse a catalog id."""
+
+    config: AuditConfig
+    rows: tuple[tuple[IndexDescriptor, AuditReport], ...]
+
+    def report(self, index: IndexDescriptor, axioms) -> AuditReport:
+        """The report that audit(index, axioms, self.config) returns, read from the matrix."""
+        row = next((report for descriptor, report in self.rows if descriptor == index), None)
+        if row is None:
+            raise LookupError(f"index {index.id!r} is not a row of this verdict matrix")
+        wanted = set(axioms)
+        verdicts = tuple(row.verdict(a) for a in AXIOMS if a in wanted)
+        return AuditReport(row.index_id, self.config, verdicts, {v.axiom: row.expected[v.axiom] for v in verdicts})
+
+
+def verdict_matrix(indices, axioms, cfg: AuditConfig | None = None) -> VerdictMatrix:
+    """Audit every index on `axioms` once, for the structural results to read."""
+    cfg = cfg if cfg is not None else AuditConfig()
+    return VerdictMatrix(cfg, tuple((descriptor, audit(descriptor, axioms, cfg)) for descriptor in indices))
+
+
+def _matrix(source: AuditConfig | VerdictMatrix | None, indices, axioms) -> VerdictMatrix:
+    """`source` itself, or the cells `indices` x `axioms` audited at the config `source`."""
+    return source if isinstance(source, VerdictMatrix) else verdict_matrix(indices, axioms, source)
+
 
 # Columns and rows of the independence experiment: cx_i is expected to fail
 # exactly the i-th axiom of this list.
@@ -93,27 +125,23 @@ class IndependenceTable:
         }
 
 
-def independence_table(cfg: AuditConfig | None = None) -> IndependenceTable:
-    """Audit cx1..cx6 against the six independence axioms.
+def independence_table(source: AuditConfig | VerdictMatrix | None = None) -> IndependenceTable:
+    """cx1..cx6 against the six independence axioms, read from a verdict
+    matrix or audited at a config.
 
     The expected pattern is diagonal: cx_i fails axiom i and passes the
     other five.
     """
-    cfg = cfg if cfg is not None else AuditConfig()
+    descriptors = [get_index(row_id) for row_id in INDEPENDENCE_ROWS]
+    matrix = _matrix(source, descriptors, INDEPENDENCE_AXIOMS)
     rows = []
-    for row_id, designated in zip(INDEPENDENCE_ROWS, INDEPENDENCE_AXIOMS):
-        report = audit(get_index(row_id), INDEPENDENCE_AXIOMS, cfg)
+    for descriptor, designated in zip(descriptors, INDEPENDENCE_AXIOMS):
         cells = tuple(
-            IndependenceCell(
-                axiom=axiom,
-                status=report.verdict(axiom).status,
-                expected="fail" if axiom == designated else "pass",
-                witness=report.verdict(axiom).witness,
-            )
-            for axiom in INDEPENDENCE_AXIOMS
+            IndependenceCell(v.axiom, v.status, "fail" if v.axiom == designated else "pass", v.witness)
+            for v in matrix.report(descriptor, INDEPENDENCE_AXIOMS).verdicts
         )
-        rows.append(IndependenceRow(index_id=row_id, cells=cells))
-    return IndependenceTable(rows=tuple(rows), config=cfg)
+        rows.append(IndependenceRow(index_id=descriptor.id, cells=cells))
+    return IndependenceTable(rows=tuple(rows), config=matrix.config)
 
 
 @dataclass(frozen=True)
@@ -173,30 +201,19 @@ def _implication_verdict(rule: ImplicationRule, report: AuditReport) -> Implicat
     )
 
 
-def implication_audit(
-    premises, conclusion: str, index: IndexDescriptor, cfg: AuditConfig | None = None
-) -> ImplicationVerdict:
-    """Check one implication rule on one index."""
-    premises = tuple(premises)
-    if not premises:
-        raise ValueError("premises must be non-empty")
-    if conclusion in premises:
-        raise ValueError("conclusion must not be one of the premises")
-    rule = ImplicationRule(premises=premises, conclusion=conclusion)
-    report = audit(index, premises + (conclusion,), cfg)
-    return _implication_verdict(rule, report)
-
-
-def audit_implications(cfg: AuditConfig | None = None, indices=None) -> tuple[ImplicationVerdict, ...]:
-    """Evaluate every implication rule over the catalog (one audit per index)."""
+def audit_implications(
+    source: AuditConfig | VerdictMatrix | None = None, indices=None
+) -> tuple[ImplicationVerdict, ...]:
+    """Evaluate every implication rule over `indices` (default: the catalog),
+    read from a verdict matrix or audited at a config."""
     indices = tuple(indices) if indices is not None else CATALOG
-    needed = sorted({a for rule in IMPLICATION_RULES for a in rule.premises + (rule.conclusion,)})
-    verdicts = []
-    for descriptor in indices:
-        report = audit(descriptor, needed, cfg)
-        for rule in IMPLICATION_RULES:
-            verdicts.append(_implication_verdict(rule, report))
-    return tuple(verdicts)
+    needed = {a for rule in IMPLICATION_RULES for a in rule.premises + (rule.conclusion,)}
+    matrix = _matrix(source, indices, needed)
+    return tuple(
+        _implication_verdict(rule, matrix.report(descriptor, needed))
+        for descriptor in indices
+        for rule in IMPLICATION_RULES
+    )
 
 
 @dataclass(frozen=True)
@@ -215,25 +232,7 @@ class ConcordanceStats:
     discordant_witness: Witness | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "index_a": self.index_a,
-            "index_b": self.index_b,
-            "pairs": self.pairs,
-            "concordant": self.concordant,
-            "discordant": self.discordant,
-            "ties_a_only": self.ties_a_only,
-            "ties_b_only": self.ties_b_only,
-            "ties_both": self.ties_both,
-            "kendall_tau_b": self.kendall_tau_b,
-        }
-
-
-def _tau_b(concordant: int, discordant: int, ties_a: int, ties_b: int, pairs: int) -> float:
-    # ties_a / ties_b count every pair tied in that index (one-sided + both).
-    denom = math.sqrt((pairs - ties_a) * (pairs - ties_b))
-    if denom == 0.0:
-        return 0.0
-    return (concordant - discordant) / denom
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "discordant_witness"}
 
 
 def ranking_concordance(
@@ -246,7 +245,7 @@ def ranking_concordance(
     swapped.
     """
     cfg = cfg if cfg is not None else AuditConfig()
-    concordant = discordant = ties_a_only = ties_b_only = ties_both = 0
+    counts = dict.fromkeys(("concordant", "discordant", "ties_a_only", "ties_b_only", "ties_both"), 0)
     witness = None
     for i in range(cfg.samples):
         rng = probe_rng(cfg.master_seed, "pair", i)
@@ -256,16 +255,12 @@ def ranking_concordance(
         b_s, b_t = b.evaluate(s), b.evaluate(t)
         tie_a = math.isclose(a_s, a_t, rel_tol=cfg.tolerance, abs_tol=cfg.tolerance)
         tie_b = math.isclose(b_s, b_t, rel_tol=cfg.tolerance, abs_tol=cfg.tolerance)
-        if tie_a and tie_b:
-            ties_both += 1
-        elif tie_a:
-            ties_a_only += 1
-        elif tie_b:
-            ties_b_only += 1
+        if tie_a or tie_b:
+            kind = "ties_both" if tie_a and tie_b else "ties_a_only" if tie_a else "ties_b_only"
         elif (a_s - a_t) * (b_s - b_t) > 0.0:
-            concordant += 1
+            kind = "concordant"
         else:
-            discordant += 1
+            kind = "discordant"
             if witness is None:
                 witness = Witness(
                     axiom="concordance",
@@ -274,19 +269,13 @@ def ranking_concordance(
                     params={"index_a": a.id, "index_b": b.id},
                     observed={"a_s": a_s, "a_t": a_t, "b_s": b_s, "b_t": b_t},
                 )
-    tau = _tau_b(concordant, discordant, ties_a_only + ties_both, ties_b_only + ties_both, cfg.samples)
-    return ConcordanceStats(
-        index_a=a.id,
-        index_b=b.id,
-        pairs=cfg.samples,
-        concordant=concordant,
-        discordant=discordant,
-        ties_a_only=ties_a_only,
-        ties_b_only=ties_b_only,
-        ties_both=ties_both,
-        kendall_tau_b=tau,
-        discordant_witness=witness,
-    )
+        counts[kind] += 1
+    # tau-b: a pair tied in both indices counts among the ties of each.
+    untied_a = cfg.samples - (counts["ties_a_only"] + counts["ties_both"])
+    untied_b = cfg.samples - (counts["ties_b_only"] + counts["ties_both"])
+    denom = math.sqrt(untied_a * untied_b)
+    tau = (counts["concordant"] - counts["discordant"]) / denom if denom else 0.0
+    return ConcordanceStats(a.id, b.id, cfg.samples, **counts, kendall_tau_b=tau, discordant_witness=witness)
 
 
 # The four axioms that pin down the natural ranking.
@@ -315,14 +304,17 @@ class CharacterizationVerdict:
         return payload
 
 
-def characterization_check(index: IndexDescriptor, cfg: AuditConfig | None = None) -> CharacterizationVerdict:
-    """Audit {SMSC, IIP, HTA, SI}; when all pass, demand full order-equivalence
-    with the natural index (no discordance and no one-sided ties)."""
-    cfg = cfg if cfg is not None else AuditConfig()
-    report = audit(index, CHARACTERIZATION_AXIOMS, cfg)
+def characterization_check(
+    index: IndexDescriptor, source: AuditConfig | VerdictMatrix | None = None
+) -> CharacterizationVerdict:
+    """Read {SMSC, IIP, HTA, SI} from a verdict matrix or audit them at a config;
+    when all pass, demand full order-equivalence with the natural index (no
+    discordance and no one-sided ties) at the same config."""
+    matrix = _matrix(source, (index,), CHARACTERIZATION_AXIOMS)
+    report = matrix.report(index, CHARACTERIZATION_AXIOMS)
     if not report.all_pass:
         return CharacterizationVerdict(index.id, report, False, None, "premises-not-met")
-    stats = ranking_concordance(index, get_index("natural"), cfg)
+    stats = ranking_concordance(index, get_index("natural"), matrix.config)
     equivalent = stats.discordant == 0 and stats.ties_a_only == 0 and stats.ties_b_only == 0
     return CharacterizationVerdict(
         index.id, report, True, stats, "order-equivalent" if equivalent else "not-order-equivalent"

@@ -30,9 +30,10 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass, field, fields
 from functools import partial
-from itertools import chain
+from itertools import chain, permutations
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .core import (
@@ -74,9 +75,10 @@ _MIN_LOG_ENTRY = 0.05
 # index shrinks by ~1e-7 across the default ladder; a jump stays at ~1.
 _CON_JUMP_FRACTION = 1e-3
 
-_POSITIONS = ("12", "13", "23")
+# Largest |log v| of a float v whose reciprocal is also a finite float.
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
-_PERMUTATIONS_3 = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
+_POSITIONS = ("12", "13", "23")
 
 
 class UnknownAxiomError(LookupError):
@@ -119,18 +121,29 @@ class AuditConfig:
             grid = getattr(self, name)
             if not grid or any(not math.isfinite(v) or v <= 0.0 for v in grid):
                 raise ValueError(f"{name} must be non-empty with finite positive values, got {grid}")
+        if _log_extent(self) > _LOG_FLOAT_MAX:
+            raise ValueError(
+                f"entry_range is too wide for the grids: its probes leave float64's range, got {self.entry_range}"
+            )
 
     def as_dict(self) -> dict:
-        return {
-            "samples": int(self.samples),
-            "master_seed": int(self.master_seed),
-            "entry_range": list(self.entry_range),
-            "tolerance": self.tolerance,
-            "b_grid": list(self.b_grid),
-            "delta_grid": list(self.delta_grid),
-            "k_grid": list(self.k_grid),
-            "continuity_ladder": list(self.continuity_ladder),
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc.update(samples=int(self.samples), master_seed=int(self.master_seed))
+        return {name: list(v) if isinstance(v, tuple) else v for name, v in doc.items()}
+
+
+def _log_extent(cfg: AuditConfig) -> float:
+    """Largest |log| of an entry, a product of two entries or a consistency ratio
+    that a probe hands to an index: sampled and consistent triads, MRP's powers b,
+    MSC/SMSC's powers delta of one consistent entry, SI's factors k, CON's 1 + eps."""
+    lo, hi = math.log(cfg.entry_range[0]), math.log(cfg.entry_range[1])
+    sampled = max(2 * abs(lo), 2 * abs(hi), hi - 2 * lo, 2 * hi - lo)
+    return max(
+        max(1.0, *cfg.b_grid) * sampled,
+        max(1.0, *cfg.delta_grid) * (hi - lo),
+        sampled + 2 * max(abs(math.log(k)) for k in cfg.k_grid),
+        sampled + math.log1p(max(cfg.continuity_ladder)),
+    )
 
 
 def _close(a: float, b: float, tol: float) -> bool:
@@ -211,12 +224,7 @@ class AxiomVerdict:
     master_seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "axiom": self.axiom,
-            "status": self.status,
-            "samples_used": self.samples_used,
-            "master_seed": self.master_seed,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "witness"}
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +467,7 @@ _SPECS: dict[str, _AxiomSpec] = {
     "URS": _AxiomSpec(_urs_violation, _urs_probes, ("reference", "offender", "kind")),
     "IPA": _AxiomSpec(
         partial(_invariance_violation, "IPA", "permuted", permute_triad, "perm"),
-        partial(_grid_probes, "IPA", lambda cfg: _PERMUTATIONS_3),
+        partial(_grid_probes, "IPA", lambda cfg: permutations(range(3))),
         ("input", "perm"),
     ),
     "MRP": _AxiomSpec(
@@ -530,7 +538,7 @@ class AuditReport:
         for v in self.verdicts:
             if v.axiom == axiom:
                 return v
-        raise UnknownAxiomError(f"axiom {axiom!r} was not part of this audit")
+        raise UnknownAxiomError(f"axiom {axiom!r} was not part of the audit of {self.index_id!r}")
 
     @property
     def all_pass(self) -> bool:

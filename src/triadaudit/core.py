@@ -19,15 +19,9 @@ __all__ = [
     "DomainError",
     "Triad",
     "ReciprocalMatrix",
-    "ReductionStep",
-    "CanonicalForm",
-    "make_triad",
     "triad_from_weights",
     "consistency_ratio",
     "is_consistent",
-    "canonicalize",
-    "replay_reduction",
-    "apply_permutation",
     "permute_triad",
     "transpose_triad",
     "power_transform",
@@ -100,16 +94,8 @@ class Triad:
             (1.0 / self.t13, 1.0 / self.t23, 1.0),
         )
 
-    def to_matrix(self) -> "ReciprocalMatrix":
-        return ReciprocalMatrix(self.matrix_rows())
-
     def as_dict(self) -> dict[str, float]:
         return {"t12": self.t12, "t13": self.t13, "t23": self.t23}
-
-
-def make_triad(t12: float, t13: float, t23: float) -> Triad:
-    """Build a triad from its above-diagonal ratios; rejects non-positive entries."""
-    return Triad(t12, t13, t23)
 
 
 def triad_from_weights(w1: float, w2: float, w3: float) -> Triad:
@@ -188,29 +174,11 @@ class ReciprocalMatrix:
         return Triad(self.entries[0][1], self.entries[0][2], self.entries[1][2])
 
 
-def _validate_permutation(perm: Sequence[int], n: int) -> tuple[int, ...]:
-    p = tuple(map(int, perm))
-    if sorted(p) != list(range(n)):
-        raise DomainError(f"perm must be a bijection on 0..{n - 1}, got {perm!r}")
-    return p
-
-
-def apply_permutation(m: ReciprocalMatrix, perm: Sequence[int]) -> ReciprocalMatrix:
-    """Relabel alternatives: entry (i,j) of the result is a[inv(i)][inv(j)].
-
-    ``perm[i]`` is the new position of alternative i (0-based).
-    """
-    p = _validate_permutation(perm, m.n)
-    inv = [0] * m.n
-    for old, new in enumerate(p):
-        inv[new] = old
-    rows = tuple(tuple(m.entries[inv[i]][inv[j]] for j in range(m.n)) for i in range(m.n))
-    return ReciprocalMatrix(rows)
-
-
 def permute_triad(t: Triad, perm: Sequence[int]) -> Triad:
-    """Triad view of apply_permutation for n = 3."""
-    p = _validate_permutation(perm, 3)
+    """Relabel the alternatives of `t`: ``perm[i]`` is the new position of alternative i (0-based)."""
+    p = tuple(map(int, perm))
+    if sorted(p) != [0, 1, 2]:
+        raise DomainError(f"perm must be a bijection on 0..2, got {perm!r}")
     # Row/column i of the result is alternative p.index(i) of the input.
     i, j, k = p.index(0), p.index(1), p.index(2)
     v = t.matrix_rows()
@@ -258,65 +226,3 @@ def single_entry_perturb(t: Triad, position: str, delta: float) -> Triad:
     if position == "13":
         return Triad(t.t12, powered, t.t23)
     return Triad(t.t12, t.t13, powered)
-
-
-@dataclass(frozen=True)
-class ReductionStep:
-    """One rewrite in the canonicalization pipeline.
-
-    ``rule`` is the axiom-shaped rewrite applied ("SI", "HTA" or "IIP"),
-    ``factor`` its parameter (the SI scale k, None otherwise) and ``triad``
-    the intermediate result, so a trace replays without any other state.
-    """
-
-    rule: str
-    factor: float | None
-    triad: Triad
-
-
-@dataclass(frozen=True)
-class CanonicalForm:
-    """Outcome of reducing a triad to the normal form (1; ratio; 1), ratio >= 1."""
-
-    ratio: float
-    steps: tuple[ReductionStep, ...]
-
-
-def _apply_step_rule(t: Triad, step: ReductionStep) -> Triad:
-    if step.rule == "SI":
-        return scale_transform(t, step.factor)
-    if step.rule == "HTA":
-        return Triad(1.0, t.t13 / t.t23, 1.0)
-    if step.rule == "IIP":
-        return transpose_triad(t)
-    raise DomainError(f"unknown reduction rule {step.rule!r}")
-
-
-def canonicalize(t: Triad) -> CanonicalForm:
-    """Reduce a triad to (1; ratio; 1) with ratio = max(x, 1/x).
-
-    Pipeline: rescale by k = 1/t12 so the first entry becomes 1, collapse the
-    (1; a; b) form to (1; a/b; 1), and invert preferences when the remaining
-    ratio falls below 1.
-    """
-    k = 1.0 / t.t12
-    s1 = scale_transform(t, k)
-    steps = [ReductionStep("SI", k, s1)]
-    s2 = Triad(1.0, s1.t13 / s1.t23, 1.0)
-    steps.append(ReductionStep("HTA", None, s2))
-    ratio = s2.t13
-    if ratio < 1.0:
-        s3 = transpose_triad(s2)
-        steps.append(ReductionStep("IIP", None, s3))
-        ratio = s3.t13
-    return CanonicalForm(ratio=ratio, steps=tuple(steps))
-
-
-def replay_reduction(t: Triad, form: CanonicalForm) -> Triad:
-    """Re-apply a trace from `t`; raises if any intermediate disagrees."""
-    current = t
-    for step in form.steps:
-        current = _apply_step_rule(current, step)
-        if current != step.triad:
-            raise DomainError(f"trace replay diverged at rule {step.rule}: {current} != {step.triad}")
-    return current

@@ -1,10 +1,12 @@
-"""Shared hypothesis strategies for triad-valued properties."""
+"""Shared hypothesis strategies for triad-valued properties, and verdict
+matrices that several test modules read."""
 
 import math
 
 import hypothesis.strategies as st
+import pytest
 
-from triadaudit import Triad
+from triadaudit import AXIOMS, CATALOG, AuditConfig, Triad, verdict_matrix
 
 # Entries live on the same log range the audit sampler uses by default.
 LOG_NINE = math.log(9.0)
@@ -32,3 +34,22 @@ def consistent_triads(draw, span: float = LOG_NINE) -> Triad:
 @st.composite
 def scale_factors(draw) -> float:
     return math.exp(draw(st.floats(min_value=-math.log(10.0), max_value=math.log(10.0))))
+
+
+@pytest.fixture(scope="session")
+def catalog_matrix():
+    """The catalog's 12x9 verdict matrix at a config, built once per session."""
+    built = {}
+
+    def build(cfg: AuditConfig):
+        if cfg not in built:
+            built[cfg] = verdict_matrix(CATALOG, AXIOMS, cfg)
+        return built[cfg]
+
+    return build
+
+
+@pytest.fixture(scope="session")
+def default_matrix(catalog_matrix):
+    """The 12x9 verdict matrix at the default config (samples=1000, seed=42)."""
+    return catalog_matrix(AuditConfig())

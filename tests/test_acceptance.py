@@ -16,7 +16,6 @@ from triadaudit import (
     AXIOMS,
     AuditConfig,
     Triad,
-    audit,
     audit_implications,
     characterization_check,
     eval_catalog,
@@ -57,8 +56,8 @@ def test_criterion_1_exact_values():
     _ok("criterion 1: pinned index values (19/6, 5, 17/4, 3/2, 9/4) within 1e-12 relative")
 
 
-def test_criterion_2_independence_table():
-    table = independence_table(AuditConfig(samples=1000, master_seed=42))
+def test_criterion_2_independence_table(default_matrix):
+    table = independence_table(default_matrix)
     assert table.matches_expected
     designated = {"cx1": "URS", "cx2": "MSC", "cx3": "CON", "cx4": "IIP", "cx5": "HTA", "cx6": "SI"}
     for row in table.rows:
@@ -77,9 +76,9 @@ def test_criterion_2_independence_table():
     _ok("criterion 2: independence table diagonal at samples=1000 seed=42, pinned witnesses verified")
 
 
-def test_criterion_3_scale_dependent_profile():
+def test_criterion_3_scale_dependent_profile(default_matrix):
     descriptor = get_index("scale_dependent")
-    report = audit(descriptor, ("URS", "IPA", "MRP", "MSC", "CON", "IIP", "SI"), DEFAULT)
+    report = default_matrix.report(descriptor, ("URS", "IPA", "MRP", "MSC", "CON", "IIP", "SI"))
     for axiom in ("URS", "IPA", "MRP", "MSC", "CON", "IIP"):
         assert report.verdict(axiom).status == "pass"
     si = report.verdict("SI")
@@ -88,9 +87,9 @@ def test_criterion_3_scale_dependent_profile():
     _ok("criterion 3: scale_dependent passes URS,IPA,MRP,MSC,CON,IIP and fails SI with replayable witness")
 
 
-def test_criterion_4_full_pass_profiles():
+def test_criterion_4_full_pass_profiles(default_matrix):
     for index_id in ("koczkodaj", "natural"):
-        report = audit(get_index(index_id), AXIOMS, DEFAULT)
+        report = default_matrix.report(get_index(index_id), AXIOMS)
         assert report.all_pass, [v.axiom for v in report.verdicts if v.status == "fail"]
     _ok("criterion 4: koczkodaj and natural pass all nine axiom checks at default config")
 
@@ -118,10 +117,10 @@ def test_criterion_6_characterization():
         "koczkodaj characterization is order-equivalent")
 
 
-def test_criterion_7_discretised_boundary():
+def test_criterion_7_discretised_boundary(default_matrix):
     descriptor = get_index("discretised_natural")
-    assert audit(descriptor, ("SMSC",), DEFAULT).verdict("SMSC").status == "fail"
-    assert audit(descriptor, ("MSC",), DEFAULT).verdict("MSC").status == "pass"
+    assert default_matrix.report(descriptor, ("SMSC",)).verdict("SMSC").status == "fail"
+    assert default_matrix.report(descriptor, ("MSC",)).verdict("MSC").status == "pass"
     cfg = AuditConfig(samples=10_000, master_seed=42)
     stats = ranking_concordance(get_index("natural"), descriptor, cfg)
     assert stats.ties_b_only > 0 and stats.discordant == 0
@@ -138,8 +137,8 @@ def test_criterion_7_discretised_boundary():
     _ok("criterion 7: discretised_natural fails SMSC, passes MSC, ties against natural exactly on clipped pairs")
 
 
-def test_criterion_8_implication_rules():
-    verdicts = audit_implications(DEFAULT)
+def test_criterion_8_implication_rules(default_matrix):
+    verdicts = audit_implications(default_matrix)
     counterexamples = [v for v in verdicts if v.status == "counterexample-to-lemma"]
     assert counterexamples == []
     assert len(verdicts) == 3 * 12  # three rules over the whole catalog

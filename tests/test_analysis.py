@@ -4,46 +4,63 @@ import math
 
 import pytest
 
+import triadaudit.axioms
 from triadaudit import (
     AXIOMS,
     AuditConfig,
     IMPLICATION_RULES,
+    ImplicationRule,
     IndexDescriptor,
+    VerdictMatrix,
+    audit,
     audit_implications,
     characterization_check,
+    consistency_ratio,
     get_index,
-    implication_audit,
     independence_table,
     natural_index,
     probe_rng,
     ranking_concordance,
     sample_triad,
+    verdict_matrix,
 )
-from triadaudit.analysis import INDEPENDENCE_AXIOMS, INDEPENDENCE_ROWS
+from triadaudit.analysis import INDEPENDENCE_AXIOMS, INDEPENDENCE_ROWS, _implication_verdict
 
 FAST = AuditConfig(samples=200, master_seed=42)
 
 
+@pytest.fixture(scope="module")
+def fast_matrix(catalog_matrix):
+    """The 12x9 verdict matrix at FAST, shared by this module's tests."""
+    return catalog_matrix(FAST)
+
+
+def _implication(matrix, rule_name, index_id):
+    return next(
+        v for v in audit_implications(matrix) if v.rule.name == rule_name and v.index_id == index_id
+    )
+
+
 class TestIndependenceTable:
-    def test_diagonal_pattern(self):
-        table = independence_table(FAST)
+    def test_diagonal_pattern(self, fast_matrix):
+        table = independence_table(fast_matrix)
         assert table.matches_expected
         for row, designated in zip(table.rows, INDEPENDENCE_AXIOMS):
             statuses = {c.axiom: c.status for c in row.cells}
             assert statuses[designated] == "fail"
             assert all(statuses[a] == "pass" for a in INDEPENDENCE_AXIOMS if a != designated)
 
-    def test_each_row_expects_exactly_one_fail(self):
-        table = independence_table(FAST)
+    def test_each_row_expects_exactly_one_fail(self, fast_matrix):
+        table = independence_table(fast_matrix)
         for row in table.rows:
             assert sum(c.expected == "fail" for c in row.cells) == 1
 
-    def test_row_order(self):
-        table = independence_table(FAST)
+    def test_row_order(self, fast_matrix):
+        table = independence_table(fast_matrix)
         assert tuple(r.index_id for r in table.rows) == INDEPENDENCE_ROWS
 
-    def test_cx5_witness_carries_known_values(self):
-        table = independence_table(FAST)
+    def test_cx5_witness_carries_known_values(self, fast_matrix):
+        table = independence_table(fast_matrix)
         row = next(r for r in table.rows if r.index_id == "cx5")
         cell = next(c for c in row.cells if c.axiom == "HTA")
         # The pinned probe (1, 8, 4) vs its collapsed form (1, 2, 1): 17/4 vs 2.
@@ -52,8 +69,8 @@ class TestIndependenceTable:
         assert abs(cell.witness.observed["input"] - 4.25) <= 1e-12
         assert abs(cell.witness.observed["collapsed"] - 2.0) <= 1e-12
 
-    def test_cx6_witness_is_the_pinned_scaling_pair(self):
-        table = independence_table(FAST)
+    def test_cx6_witness_is_the_pinned_scaling_pair(self, fast_matrix):
+        table = independence_table(fast_matrix)
         row = next(r for r in table.rows if r.index_id == "cx6")
         cell = next(c for c in row.cells if c.axiom == "SI")
         assert cell.witness.triads["scaled"].entries() == (2.0, 32.0, 8.0)
@@ -76,33 +93,27 @@ class TestImplications:
             "SMSC+CON+HTA+SI=>URS",
         ]
 
-    def test_no_counterexamples_over_catalog(self):
-        verdicts = audit_implications(FAST)
+    def test_no_counterexamples_over_catalog(self, fast_matrix):
+        verdicts = audit_implications(fast_matrix)
         assert all(v.status == "consistent-with-lemma" for v in verdicts)
 
-    def test_flat_is_vacuous_for_strict_monotonicity_rule(self):
-        verdict = implication_audit(("SMSC", "CON", "HTA", "SI"), "URS", get_index("flat"), FAST)
+    def test_flat_is_vacuous_for_strict_monotonicity_rule(self, fast_matrix):
+        verdict = _implication(fast_matrix, "SMSC+CON+HTA+SI=>URS", "flat")
         assert verdict.status == "consistent-with-lemma"
         assert verdict.vacuous
         assert verdict.premise_status["SMSC"] == "fail"
         assert verdict.conclusion_status == "fail"
 
-    def test_koczkodaj_satisfies_permutation_rule_non_vacuously(self):
-        verdict = implication_audit(("IIP", "HTA", "SI"), "IPA", get_index("koczkodaj"), FAST)
+    def test_koczkodaj_satisfies_permutation_rule_non_vacuously(self, fast_matrix):
+        verdict = _implication(fast_matrix, "IIP+HTA+SI=>IPA", "koczkodaj")
         assert verdict.status == "consistent-with-lemma"
         assert not verdict.vacuous
         assert verdict.conclusion_status == "pass"
 
-    def test_natural_satisfies_power_map_rule(self):
-        verdict = implication_audit(("URS", "MSC", "IIP", "HTA", "SI"), "MRP", get_index("natural"), FAST)
+    def test_natural_satisfies_power_map_rule(self, fast_matrix):
+        verdict = _implication(fast_matrix, "URS+MSC+IIP+HTA+SI=>MRP", "natural")
         assert verdict.status == "consistent-with-lemma"
         assert not verdict.vacuous
-
-    def test_preconditions(self):
-        with pytest.raises(ValueError):
-            implication_audit((), "URS", get_index("natural"), FAST)
-        with pytest.raises(ValueError):
-            implication_audit(("URS", "SI"), "SI", get_index("natural"), FAST)
 
     def test_fabricated_counterexample_is_reported(self):
         # An index that passes IIP, HTA and SI but not IPA cannot exist; feed
@@ -114,7 +125,8 @@ class TestImplications:
             evaluate=lambda t: max(t.t12, 1.0 / t.t12),
             expected_profile=profile,
         )
-        verdict = implication_audit(("IIP",), "IPA", cheat, FAST)
+        rule = ImplicationRule(premises=("IIP",), conclusion="IPA")
+        verdict = _implication_verdict(rule, audit(cheat, ("IIP", "IPA"), FAST))
         assert verdict.status == "counterexample-to-lemma"
         assert verdict.witness is not None
 
@@ -210,15 +222,15 @@ class TestCharacterization:
         assert verdict.status == "order-equivalent"
         assert verdict.concordance.discordant == 0
 
-    def test_discretised_fails_premises(self):
-        verdict = characterization_check(get_index("discretised_natural"), FAST)
+    def test_discretised_fails_premises(self, fast_matrix):
+        verdict = characterization_check(get_index("discretised_natural"), fast_matrix)
         assert not verdict.premises_met
         assert verdict.status == "premises-not-met"
         assert verdict.concordance is None
         assert verdict.audit_report.verdict("SMSC").status == "fail"
 
-    def test_cx4_fails_premises_on_transpose(self):
-        verdict = characterization_check(get_index("cx4"), FAST)
+    def test_cx4_fails_premises_on_transpose(self, fast_matrix):
+        verdict = characterization_check(get_index("cx4"), fast_matrix)
         assert verdict.status == "premises-not-met"
         assert verdict.audit_report.verdict("IIP").status == "fail"
 
@@ -246,3 +258,59 @@ def test_tau_b_counts_match_scipy_convention():
     n2 = stats.ties_b_only + stats.ties_both
     expected = (stats.concordant - stats.discordant) / math.sqrt((n0 - n1) * (n0 - n2))
     assert math.isclose(stats.kendall_tau_b, expected, rel_tol=1e-15)
+
+
+class TestVerdictMatrix:
+    # The matrices whose digests test_axioms.py pins; the config path audits
+    # the same cells again.
+    @pytest.mark.parametrize("seed", [3, 7])
+    def test_matrix_view_equals_config_path(self, catalog_matrix, monkeypatch, seed):
+        cfg = AuditConfig(samples=37, master_seed=seed)
+        matrix = catalog_matrix(cfg)
+        calls = []
+        check = triadaudit.axioms.check_axiom
+        monkeypatch.setattr(triadaudit.axioms, "check_axiom", lambda *args: calls.append(args) or check(*args))
+
+        def results(source):
+            return (
+                independence_table(source),
+                audit_implications(source, [get_index("cx4")]),
+                tuple(characterization_check(get_index(i), source) for i in ("cx3", "cx4")),
+            )
+
+        viewed = results(matrix)
+        assert calls == []
+        audited = results(cfg)
+        assert len(calls) == 36 + 9 + 2 * 4
+        table, implications, characterizations = viewed
+        assert table.to_dict() == audited[0].to_dict()
+        assert [v.to_dict() for v in implications] == [v.to_dict() for v in audited[1]]
+        assert [c.to_dict() for c in characterizations] == [c.to_dict() for c in audited[2]]
+        assert characterizations[0].status == "order-equivalent"
+        # Dataclass equality compares every witness too.
+        assert viewed == audited
+
+    def test_user_descriptor_with_a_catalog_id_gets_its_own_row(self):
+        natural = get_index("natural")
+        impostor = IndexDescriptor(
+            id="natural",
+            label="unsymmetrised consistency ratio",
+            evaluate=consistency_ratio,
+            expected_profile=natural.expected_profile,
+        )
+        matrix = verdict_matrix([natural, impostor], ("IIP",), FAST)
+        assert matrix.report(natural, ("IIP",)).verdict("IIP").status == "pass"
+        assert matrix.report(impostor, ("IIP",)).verdict("IIP").status == "fail"
+
+    def test_missing_cell_raises_lookup_error(self, fast_matrix):
+        natural = get_index("natural")
+        impostor = IndexDescriptor("natural", "copy", lambda t: natural_index(t), natural.expected_profile)
+        with pytest.raises(LookupError, match="not a row"):
+            characterization_check(impostor, fast_matrix)
+        with pytest.raises(LookupError, match="not a row"):
+            independence_table(VerdictMatrix(FAST, ()))
+        only_iip = VerdictMatrix(FAST, ((natural, fast_matrix.report(natural, ("IIP",))),))
+        with pytest.raises(LookupError, match="HTA. was not part of the audit of .natural"):
+            characterization_check(natural, only_iip)
+        with pytest.raises(LookupError):
+            audit_implications(only_iip, [natural])

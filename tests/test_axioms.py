@@ -8,13 +8,13 @@ import pytest
 
 from triadaudit import (
     AXIOMS,
+    CATALOG,
     INDEX_IDS,
     AuditConfig,
     IndexDescriptor,
     Triad,
     UnknownAxiomError,
     audit,
-    canonicalize,
     check_axiom,
     consistency_ratio,
     get_index,
@@ -23,6 +23,7 @@ from triadaudit import (
     replay_witness,
     sample_consistent_triad,
     sample_triad,
+    verdict_matrix,
 )
 
 FAST = AuditConfig(samples=150, master_seed=42)
@@ -80,6 +81,17 @@ class TestConfig:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             AuditConfig(**kwargs)
+
+    # MRP raises a sampled triad to max(b_grid) = 3, so at entry_range (1/R, R)
+    # its consistency ratio reaches R^-9: float64 holds it up to R = 10^34.25.
+    @pytest.mark.parametrize("entry_range", [(1e-35, 1e35), (1e-50, 1e50), (1e-100, 1e100)])
+    def test_ranges_beyond_float64_are_rejected(self, entry_range):
+        with pytest.raises(ValueError, match="entry_range"):
+            AuditConfig(entry_range=entry_range)
+
+    def test_range_just_inside_the_float64_bound_runs(self):
+        matrix = verdict_matrix(CATALOG, AXIOMS, AuditConfig(samples=20, entry_range=(1e-34, 1e34)))
+        assert [len(report.verdicts) for _, report in matrix.rows] == [9] * 12
 
 
 class TestCheckAxiom:
@@ -142,21 +154,18 @@ class TestCheckAxiom:
         squared = IndexDescriptor(
             id="canonical_square",
             label="squared canonical ratio",
-            evaluate=lambda t: canonicalize(t).ratio ** 2,
+            evaluate=lambda t: natural_index(t) ** 2,
             expected_profile=profile,
         )
         assert check_axiom(squared, "IPA", FAST).status == "pass"
 
 
 class TestWitnessReplay:
-    def test_all_catalog_failures_replay(self):
-        from triadaudit import CATALOG
-
-        for descriptor in CATALOG:
-            report = audit(descriptor, AXIOMS, FAST)
+    def test_all_catalog_failures_replay(self, default_matrix):
+        for descriptor, report in default_matrix.rows:
             for verdict in report.verdicts:
                 if verdict.status == "fail":
-                    assert replay_witness(verdict.witness, descriptor.evaluate, FAST.tolerance), (
+                    assert replay_witness(verdict.witness, descriptor.evaluate, default_matrix.config.tolerance), (
                         descriptor.id,
                         verdict.axiom,
                     )
@@ -188,12 +197,12 @@ class TestAudit:
         report = audit(get_index("natural"), ("SI", "URS", "MSC"), FAST)
         assert [v.axiom for v in report.verdicts] == ["URS", "MSC", "SI"]
 
-    def test_natural_passes_everything(self):
-        report = audit(get_index("natural"), AXIOMS, FAST)
+    def test_natural_passes_everything(self, default_matrix):
+        report = default_matrix.report(get_index("natural"), AXIOMS)
         assert report.all_pass and report.matches_expected
 
-    def test_scale_dependent_profile(self):
-        report = audit(get_index("scale_dependent"), AXIOMS, FAST)
+    def test_scale_dependent_profile(self, default_matrix):
+        report = default_matrix.report(get_index("scale_dependent"), AXIOMS)
         statuses = {v.axiom: v.status for v in report.verdicts}
         assert statuses == {
             "URS": "pass",
@@ -243,10 +252,10 @@ def test_band_is_relative():
     assert check_axiom(big, "SI", FAST).status == "pass"
 
 
-def test_checkers_cover_all_nine_axioms():
-    report = audit(get_index("koczkodaj"), AXIOMS, FAST)
+def test_checkers_cover_all_nine_axioms(default_matrix):
+    report = default_matrix.report(get_index("koczkodaj"), AXIOMS)
     assert [v.axiom for v in report.verdicts] == list(AXIOMS)
-    assert math.isclose(sum(v.samples_used for v in report.verdicts), 9 * FAST.samples)
+    assert math.isclose(sum(v.samples_used for v in report.verdicts), 9 * default_matrix.config.samples)
 
 
 def test_saaty_ci_urs_is_not_failed_by_rounding():
@@ -292,10 +301,11 @@ def _verdict_digest(reports) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode("utf-8")).hexdigest()
 
 
-def test_default_verdict_matrix_is_pinned():
-    cfg = AuditConfig()
+def test_default_verdict_matrix_is_pinned(default_matrix):
+    cfg = default_matrix.config
+    assert cfg == AuditConfig()
     assert tuple(DEFAULT_FAILS) == INDEX_IDS
-    reports = [audit(get_index(index_id), AXIOMS, cfg) for index_id in INDEX_IDS]
+    reports = [report for _, report in default_matrix.rows]
     for report, fails in zip(reports, DEFAULT_FAILS.values()):
         observed = {v.axiom: (v.status, v.samples_used) for v in report.verdicts}
         pinned = {a: ("fail", fails[a]) if a in fails else ("pass", cfg.samples) for a in AXIOMS}
@@ -305,7 +315,7 @@ def test_default_verdict_matrix_is_pinned():
 
 
 @pytest.mark.parametrize("seed", [3, 7])
-def test_small_budget_witnesses_are_pinned(seed):
+def test_small_budget_witnesses_are_pinned(catalog_matrix, seed):
     cfg = AuditConfig(samples=37, master_seed=seed)
-    reports = [audit(get_index(index_id), AXIOMS, cfg) for index_id in INDEX_IDS]
+    reports = [report for _, report in catalog_matrix(cfg).rows]
     assert _verdict_digest(reports) == VERDICT_DIGESTS[(cfg.samples, cfg.master_seed)]

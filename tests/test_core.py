@@ -12,14 +12,11 @@ from triadaudit import (
     DomainError,
     ReciprocalMatrix,
     Triad,
-    apply_permutation,
-    canonicalize,
     consistency_ratio,
     is_consistent,
-    make_triad,
+    natural_index,
     permute_triad,
     power_transform,
-    replay_reduction,
     scale_transform,
     single_entry_perturb,
     transpose_triad,
@@ -38,23 +35,32 @@ def rel_close(a, b, tol=1e-12):
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
 
 
+def apply_permutation(m: ReciprocalMatrix, perm) -> ReciprocalMatrix:
+    """Reference relabelling: entry (i, j) of the result is a[inv(i)][inv(j)],
+    where ``perm[i]`` is the new position of alternative i (0-based)."""
+    inv = [0] * m.n
+    for old, new in enumerate(perm):
+        inv[new] = old
+    return ReciprocalMatrix(tuple(tuple(m.entries[inv[i]][inv[j]] for j in range(m.n)) for i in range(m.n)))
+
+
 class TestMakeTriad:
     def test_identity_triad(self):
-        t = make_triad(1, 1, 1)
+        t = Triad(1, 1, 1)
         assert t.entries() == (1.0, 1.0, 1.0)
 
     def test_example_matrix_s(self):
-        t = make_triad(1, 3, 2)
+        t = Triad(1, 3, 2)
         assert t.matrix_rows()[2] == (1.0 / 3.0, 0.5, 1.0)
 
     def test_zero_entry_names_field(self):
         with pytest.raises(DomainError, match="t13"):
-            make_triad(1, 0, 2)
+            Triad(1, 0, 2)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -2.0])
     def test_non_finite_or_negative_rejected(self, bad):
         with pytest.raises(DomainError):
-            make_triad(1, bad, 2)
+            Triad(1, bad, 2)
 
     def test_weights_construction(self):
         assert triad_from_weights(6, 3, 1) == Triad(2, 6, 3)
@@ -73,7 +79,7 @@ class TestMakeTriad:
             assert type(v) is float and v == float(value)
 
     def test_integer_entries_serialise_as_floats(self):
-        assert json.dumps(make_triad(1, 3, 2).as_dict()) == '{"t12": 1.0, "t13": 3.0, "t23": 2.0}'
+        assert json.dumps(Triad(1, 3, 2).as_dict()) == '{"t12": 1.0, "t13": 3.0, "t23": 2.0}'
 
 
 class TestConsistencyRatio:
@@ -90,49 +96,23 @@ class TestConsistencyRatio:
 
 
 class TestCanonicalize:
-    def test_consistent_input(self):
-        form = canonicalize(Triad(2, 6, 3))
-        assert form.ratio == 1.0
-        assert [s.rule for s in form.steps] == ["SI", "HTA"]
-        assert form.steps[0].factor == 0.5
-
-    def test_ratio_above_one(self):
-        form = canonicalize(Triad(1, 3, 2))
-        assert form.ratio == 1.5
-        assert [s.rule for s in form.steps] == ["SI", "HTA"]
-        assert form.steps[0].factor == 1.0
+    """SI, HTA and IIP reduce every triad to the normal form (1; r; 1) with
+    r = natural_index(t); the invariances of r are tested in test_indices.py."""
 
     def test_flip_branch(self):
-        form = canonicalize(Triad(1, 1, 2))
-        assert form.ratio == 2.0
-        assert [s.rule for s in form.steps] == ["SI", "HTA", "IIP"]
+        # x = 1/2: the reduction inverts preferences, (1; 1/2; 1) -> (1; 2; 1).
+        assert natural_index(Triad(1, 1, 2)) == 2.0
 
     @given(triads())
     def test_ratio_is_symmetrised_consistency_ratio(self, t):
         x = consistency_ratio(t)
-        assert rel_close(canonicalize(t).ratio, max(x, 1.0 / x))
-
-    @given(triads())
-    def test_replay_reaches_normal_form_exactly(self, t):
-        form = canonicalize(t)
-        final = replay_reduction(t, form)
-        assert final == Triad(1.0, form.ratio, 1.0)
-        assert form.ratio >= 1.0
-
-    @given(triads(), scale_factors())
-    def test_ratio_invariant_under_rescaling(self, t, k):
-        assert rel_close(canonicalize(scale_transform(t, k)).ratio, canonicalize(t).ratio)
-
-    @given(triads(), st.sampled_from(PERMUTATIONS))
-    def test_ratio_invariant_under_permutation_and_transpose(self, t, perm):
-        assert rel_close(canonicalize(permute_triad(t, perm)).ratio, canonicalize(t).ratio)
-        assert rel_close(canonicalize(transpose_triad(t)).ratio, canonicalize(t).ratio)
+        assert rel_close(natural_index(t), max(x, 1.0 / x))
 
 
 class TestPermutation:
     def test_identity(self):
-        m = Triad(1, 3, 2).to_matrix()
-        assert apply_permutation(m, (0, 1, 2)) == m
+        t = Triad(1, 3, 2)
+        assert permute_triad(t, (0, 1, 2)) == t
 
     def test_swap_first_and_third(self):
         # Hand computation: relabelling 1<->3 of (1, 3, 2) gives (1/2, 1/3, 1).
@@ -147,17 +127,17 @@ class TestPermutation:
         inverse = [0, 0, 0]
         for old, new in enumerate(perm):
             inverse[new] = old
-        m = t.to_matrix()
-        assert apply_permutation(apply_permutation(m, perm), tuple(inverse)) == m
+        back = permute_triad(permute_triad(t, perm), tuple(inverse))
+        assert all(rel_close(a, b) for a, b in zip(back.entries(), t.entries()))
 
     @pytest.mark.parametrize("perm", PERMUTATIONS)
     def test_triad_view_matches_matrix_relabelling(self, perm):
         t = Triad(1.5, 7.0, 0.3)
-        assert permute_triad(t, perm) == apply_permutation(t.to_matrix(), perm).triad()
+        assert permute_triad(t, perm) == apply_permutation(ReciprocalMatrix(t.matrix_rows()), perm).triad()
 
     def test_non_bijection_rejected(self):
         with pytest.raises(DomainError, match="bijection"):
-            apply_permutation(Triad(1, 3, 2).to_matrix(), (0, 0, 2))
+            permute_triad(Triad(1, 3, 2), (0, 0, 2))
 
 
 class TestPowerTransform:
@@ -244,4 +224,4 @@ class TestReciprocalMatrix:
 
     @given(triads())
     def test_triad_matrix_round_trip(self, t):
-        assert t.to_matrix().triad() == t
+        assert ReciprocalMatrix(t.matrix_rows()).triad() == t
