@@ -4,10 +4,10 @@ One table entry per axiom gives its violated relation, its seeded probes and
 a handful of pinned probes with known violations; a check searches them in
 order for a counterexample.  A verdict of "pass" means "no violation found at
 this configuration", never a proof; a "fail" verdict carries a
-self-contained witness that replays without the RNG.  Per-probe randomness
-is derived from (master_seed, axiom, probe index) by a counter-based scheme,
-so results do not depend on evaluation order and growing the sample count
-can only turn a pass into a fail.
+self-contained witness that replays without the RNG.  Each probe draws from
+its own MT19937 ``random.Random``, seeded with 64 bits of the sha256 of
+(master_seed, axiom, probe index), so results do not depend on evaluation
+order and growing the sample count can only turn a pass into a fail.
 
 Axiom identifiers:
 
@@ -27,8 +27,10 @@ SMSC strict variant of MSC: ties count as violations
 
 from __future__ import annotations
 
+import _random
 import hashlib
 import math
+import operator
 import random
 import sys
 from dataclasses import dataclass, field, fields
@@ -89,6 +91,7 @@ class UnknownAxiomError(LookupError):
 class AuditConfig:
     """Probe counts, seeds, grids and equality band driving every checker.
 
+    ``samples`` and ``master_seed`` take any integer type but ``bool`` and are stored as ``int``.
     ``tolerance`` is a relative equality band: a equals b when
     |a - b| <= tolerance * max(1, |a|, |b|).
     """
@@ -103,7 +106,12 @@ class AuditConfig:
     continuity_ladder: tuple[float, ...] = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
 
     def __post_init__(self):
-        if int(self.samples) < 1:
+        for name in ("samples", "master_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, operator.index(value))
+        if self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
         lo, hi = self.entry_range
         if not (0.0 < lo < hi) or not math.isfinite(hi):
@@ -128,7 +136,6 @@ class AuditConfig:
 
     def as_dict(self) -> dict:
         doc = {f.name: getattr(self, f.name) for f in fields(self)}
-        doc.update(samples=int(self.samples), master_seed=int(self.master_seed))
         return {name: list(v) if isinstance(v, tuple) else v for name, v in doc.items()}
 
 
@@ -150,8 +157,8 @@ def _close(a: float, b: float, tol: float) -> bool:
     return math.isclose(a, b, rel_tol=tol, abs_tol=tol)
 
 
-def _band(tol: float, *values: float) -> float:
-    return tol * max(1.0, *map(abs, values))
+def _band(tol: float, a: float, b: float = 0.0) -> float:
+    return tol * max(1.0, abs(a), abs(b))
 
 
 def _derive_seed(master_seed: int, *tags) -> int:
@@ -161,8 +168,15 @@ def _derive_seed(master_seed: int, *tags) -> int:
 
 
 def probe_rng(master_seed: int, *tags) -> random.Random:
-    """Independent RNG for one probe, a pure function of (master_seed, tags)."""
-    return random.Random(_derive_seed(master_seed, *tags))
+    """Independent RNG for one probe, a pure function of (master_seed, tags).
+
+    Equal to ``random.Random(_derive_seed(master_seed, *tags))``, but seeded
+    by the C-level ``seed`` alone, without the Python-level wrappers.
+    """
+    rng = random.Random.__new__(random.Random)
+    _random.Random.seed(rng, _derive_seed(master_seed, *tags))
+    rng.gauss_next = None
+    return rng
 
 
 def sample_triad(rng: random.Random, entry_range: tuple[float, float]) -> Triad:
@@ -240,94 +254,105 @@ def _invariance_violation(
     evaluate: Evaluator,
     tol: float,
     input: Triad,
-    value: object = None,
+    *values: object,
 ) -> Witness | None:
-    """SI, HTA, IIP and IPA: I(input) must equal I(transform(input[, value])) within the band.
+    """SI, HTA, IIP and IPA: I(input) must equal I(transform(input, value)) within the band.
 
-    ``param`` names the transform's parameter (None for IIP and HTA, which take none).
+    ``param`` names the transform's parameter, whose ``values`` are tried in
+    order; IIP and HTA take none and no values, so they transform once.
     """
-    other = transform(input) if param is None else transform(input, value)
-    a, b = evaluate(input), evaluate(other)
-    if _close(a, b, tol):
-        return None
-    return Witness(
-        axiom=axiom,
-        relation=f"|I(input) - I({name})| > tolerance band",
-        triads={"input": input, name: other},
-        params={} if param is None else {param: value},
-        observed={"input": a, name: b},
-    )
+    a = evaluate(input)
+    for value in values or (None,):
+        other = transform(input) if param is None else transform(input, value)
+        b = evaluate(other)
+        if not _close(a, b, tol):
+            return Witness(
+                axiom=axiom,
+                relation=f"|I(input) - I({name})| > tolerance band",
+                triads={"input": input, name: other},
+                params={} if param is None else {param: value},
+                observed={"input": a, name: b},
+            )
+    return None
 
 
-def _mrp_violation(evaluate: Evaluator, tol: float, input: Triad, b: float) -> Witness | None:
-    powered = power_transform(input, b)
-    base, after = evaluate(input), evaluate(powered)
-    band = _band(tol, base, after)
-    if b >= 1.0 and after < base - band:
-        relation = "I(powered) < I(input) - tolerance band although b >= 1"
-    elif b <= 1.0 and after > base + band:
-        relation = "I(powered) > I(input) + tolerance band although b <= 1"
-    else:
-        return None
-    return Witness(
-        axiom="MRP",
-        relation=relation,
-        triads={"input": input, "powered": powered},
-        params={"b": b},
-        observed={"input": base, "powered": after},
-    )
+def _mrp_violation(evaluate: Evaluator, tol: float, input: Triad, *bs: float) -> Witness | None:
+    """I(input^b) must not fall below I(input) for b >= 1 nor rise above it for b <= 1, for each b in order."""
+    base = evaluate(input)
+    for b in bs:
+        powered = power_transform(input, b)
+        after = evaluate(powered)
+        band = _band(tol, base, after)
+        if b >= 1.0 and after < base - band:
+            relation = "I(powered) < I(input) - tolerance band although b >= 1"
+        elif b <= 1.0 and after > base + band:
+            relation = "I(powered) > I(input) + tolerance band although b <= 1"
+        else:
+            continue
+        return Witness(
+            axiom="MRP",
+            relation=relation,
+            triads={"input": input, "powered": powered},
+            params={"b": b},
+            observed={"input": base, "powered": after},
+        )
+    return None
 
 
-def _monotone_step_violation(
-    strict: bool,
-    evaluate: Evaluator,
-    tol: float,
-    consistent: Triad,
-    position: str,
-    delta_prev: float,
-    delta: float,
+def _monotone_violation(
+    strict: bool, evaluate: Evaluator, tol: float, consistent: Triad, position: str, delta_prev: float, *deltas: float
 ) -> Witness | None:
-    """Check one rung of the MSC/SMSC intensification ladder.
+    """Walk an MSC/SMSC intensification ladder from delta_prev through deltas.
 
     delta_prev = 1 denotes the unperturbed consistent triad.  Returns a
-    witness when the index drops below the consistent value, decreases from
-    the previous rung, or (strict only) fails to increase beyond the band.
+    witness for the first rung at which the index drops below the consistent
+    value, decreases from the previous rung, or (strict only) fails to
+    increase beyond the band.
     """
     base_value = evaluate(consistent)
     prev_value = base_value if delta_prev == 1.0 else evaluate(single_entry_perturb(consistent, position, delta_prev))
-    cur_value = evaluate(single_entry_perturb(consistent, position, delta))
-    step_band = _band(tol, prev_value, cur_value)
-    if cur_value < base_value - _band(tol, base_value, cur_value):
-        violation, relation = "below_consistent", "I(perturbed) < I(consistent) - tolerance band"
-    elif cur_value < prev_value - step_band:
-        violation, relation = "decrease", "I at the larger intensification < I at the smaller one - tolerance band"
-    elif strict and cur_value - prev_value <= step_band:
-        violation, relation = "tie", "intensification step failed to increase I beyond the tolerance band"
-    else:
-        return None
-    return Witness(
-        axiom="SMSC" if strict else "MSC",
-        relation=relation,
-        triads={"consistent": consistent},
-        params={"position": position, "delta_prev": delta_prev, "delta": delta, "violation": violation},
-        observed={"consistent": base_value, "previous": prev_value, "perturbed": cur_value},
-    )
+    # single_entry_perturb checks the base and the position on the first
+    # rung; the later rungs raise the same entry to their own power.
+    perturbed, entry = single_entry_perturb(consistent, position, deltas[0]), consistent.entry(position)
+    for rung, delta in enumerate(deltas):
+        if rung:
+            perturbed = _with_entry(consistent, position, entry**delta)
+        cur_value = evaluate(perturbed)
+        step_band = _band(tol, prev_value, cur_value)
+        if cur_value < base_value - _band(tol, base_value, cur_value):
+            violation, relation = "below_consistent", "I(perturbed) < I(consistent) - tolerance band"
+        elif cur_value < prev_value - step_band:
+            violation, relation = "decrease", "I at the larger intensification < I at the smaller one - tolerance band"
+        elif strict and cur_value - prev_value <= step_band:
+            violation, relation = "tie", "intensification step failed to increase I beyond the tolerance band"
+        else:
+            prev_value, delta_prev = cur_value, delta
+            continue
+        return Witness(
+            axiom="SMSC" if strict else "MSC",
+            relation=relation,
+            triads={"consistent": consistent},
+            params={"position": position, "delta_prev": delta_prev, "delta": delta, "violation": violation},
+            observed={"consistent": base_value, "previous": prev_value, "perturbed": cur_value},
+        )
+    return None
 
 
-def _multiplicative_perturb(t: Triad, position: str, eps: float) -> Triad:
-    factor = 1.0 + eps
+def _with_entry(t: Triad, position: str, value: float) -> Triad:
+    """``t`` with the entry at ``position`` replaced by ``value``."""
     if position == "12":
-        return Triad(t.t12 * factor, t.t13, t.t23)
+        return Triad(value, t.t13, t.t23)
     if position == "13":
-        return Triad(t.t12, t.t13 * factor, t.t23)
-    return Triad(t.t12, t.t13, t.t23 * factor)
+        return Triad(t.t12, value, t.t23)
+    return Triad(t.t12, t.t13, value)
 
 
 def _con_violation(
     evaluate: Evaluator, tol: float, input: Triad, position: str, ladder: tuple[float, ...]
 ) -> Witness | None:
     base_value = evaluate(input)
-    changes = [abs(evaluate(_multiplicative_perturb(input, position, eps)) - base_value) for eps in ladder]
+    entry = input.entry(position)
+    changes = [abs(evaluate(_with_entry(input, position, entry * (1.0 + eps))) - base_value) for eps in ladder]
     threshold = max(_band(tol, base_value), _CON_JUMP_FRACTION * max(changes))
     if changes[-1] <= threshold:
         return None
@@ -374,18 +399,11 @@ def _urs_violation(evaluate: Evaluator, tol: float, reference: Triad, offender: 
 _Probes = Iterator[tuple[int, tuple]]
 
 
-def _triad_probes(axiom: str, cfg: AuditConfig) -> _Probes:
-    for i in range(cfg.samples):
-        yield i + 1, (sample_triad(probe_rng(cfg.master_seed, axiom, i), cfg.entry_range),)
-
-
 def _grid_probes(axiom: str, grid: Callable[[AuditConfig], Iterable], cfg: AuditConfig) -> _Probes:
-    """One sampled triad per probe, paired with every parameter value on `grid`."""
+    """One sampled triad per probe, followed by every parameter value on `grid` (IIP has none)."""
     values = tuple(grid(cfg))
     for i in range(cfg.samples):
-        t = sample_triad(probe_rng(cfg.master_seed, axiom, i), cfg.entry_range)
-        for value in values:
-            yield i + 1, (t, value)
+        yield i + 1, (sample_triad(probe_rng(cfg.master_seed, axiom, i), cfg.entry_range), *values)
 
 
 def _hta_probes(cfg: AuditConfig) -> _Probes:
@@ -407,13 +425,11 @@ def _urs_probes(cfg: AuditConfig) -> _Probes:
 
 
 def _monotone_probes(axiom: str, cfg: AuditConfig) -> _Probes:
-    """MSC/SMSC: walk intensification ladders away from consistent triads.
+    """MSC/SMSC: one row per probe, a whole intensification ladder from a consistent triad.
 
-    Only the ladder side whose perturbations land on the canonical side
-    (consistency ratio >= 1) is probed; that is the side on which the
-    monotonicity axioms are actually exercised by the independence and
-    characterization arguments, and the one an asymmetric index such as cx4
-    must still satisfy.
+    Only the side whose perturbations land on the canonical side (consistency
+    ratio >= 1) is probed: the side that the independence and characterization
+    arguments exercise, and that an asymmetric index such as cx4 must satisfy.
     """
     above = tuple(sorted(d for d in cfg.delta_grid if d > 1.0))
     below = tuple(sorted((d for d in cfg.delta_grid if d < 1.0), reverse=True))
@@ -422,10 +438,8 @@ def _monotone_probes(axiom: str, cfg: AuditConfig) -> _Probes:
         base = _sample_consistent_off_unit(rng, cfg.entry_range)
         position = rng.choice(_POSITIONS)
         for deltas in (above, below):
-            if not deltas or consistency_ratio(single_entry_perturb(base, position, deltas[0])) < 1.0:
-                continue
-            for delta_prev, delta in zip((1.0, *deltas), deltas):
-                yield i + 1, (base, position, delta_prev, delta)
+            if deltas and consistency_ratio(single_entry_perturb(base, position, deltas[0])) >= 1.0:
+                yield i + 1, (base, position, 1.0, *deltas)
 
 
 def _con_probes(cfg: AuditConfig) -> _Probes:
@@ -446,15 +460,17 @@ def _con_probes(cfg: AuditConfig) -> _Probes:
 class _AxiomSpec:
     """Everything the engine knows about one axiom.
 
-    A parameter row is a tuple whose fields are positional, in the order
-    that ``row`` names them.  ``violation(evaluate, tol, *row)`` tests one
-    row and returns a witness or None.  ``probes(cfg)`` yields
-    ``(samples_used, row)`` pairs from the seeded probes.  A witness stores
-    each field of its row under the name ``row`` gives it, in its ``triads``
-    or ``params``; a replay reads the fields back by name in ``row`` order.
-    ``pinned`` maps an index id to rows with a violation known in closed
-    form: they are tried before any sampling, so the fail verdict does not
-    depend on the sample budget.
+    A row is a tuple of the fields ``row`` names, in that order; a grid or
+    ladder row repeats its last field once per value, so one row is one probe
+    (URS and CON make two rows per probe, one per triad drawn).
+    ``violation(evaluate, tol, *row)`` evaluates each distinct triad of the
+    row once and returns the first violating value's witness, or None.
+    ``probes(cfg)`` yields ``(samples_used, row)`` pairs from the seeded
+    probes.  A witness stores the fields of its one-value row by name in its
+    ``triads`` or ``params``; replay reads them back in ``row`` order and
+    passes that one-value row to the same ``violation``.  ``pinned`` maps an
+    index id to rows with a violation known in closed form: they are tried
+    before any sampling, so the fail verdict does not depend on the budget.
     """
 
     violation: Callable[..., Witness | None]
@@ -470,20 +486,16 @@ _SPECS: dict[str, _AxiomSpec] = {
         partial(_grid_probes, "IPA", lambda cfg: permutations(range(3))),
         ("input", "perm"),
     ),
-    "MRP": _AxiomSpec(
-        _mrp_violation,
-        partial(_grid_probes, "MRP", lambda cfg: cfg.b_grid),
-        ("input", "b"),
-    ),
+    "MRP": _AxiomSpec(_mrp_violation, partial(_grid_probes, "MRP", lambda cfg: cfg.b_grid), ("input", "b")),
     "MSC": _AxiomSpec(
-        partial(_monotone_step_violation, False),
+        partial(_monotone_violation, False),
         partial(_monotone_probes, "MSC"),
         ("consistent", "position", "delta_prev", "delta"),
     ),
     "CON": _AxiomSpec(_con_violation, _con_probes, ("input", "position", "ladder")),
     "IIP": _AxiomSpec(
         partial(_invariance_violation, "IIP", "transposed", transpose_triad, None),
-        partial(_triad_probes, "IIP"),
+        partial(_grid_probes, "IIP", lambda cfg: ()),
         ("input",),
         pinned={"cx4": ((Triad(1.0, 3.0, 2.0),),)},
     ),
@@ -503,7 +515,7 @@ _SPECS: dict[str, _AxiomSpec] = {
         },
     ),
     "SMSC": _AxiomSpec(
-        partial(_monotone_step_violation, True),
+        partial(_monotone_violation, True),
         partial(_monotone_probes, "SMSC"),
         ("consistent", "position", "delta_prev", "delta"),
     ),

@@ -3,7 +3,9 @@
 import hashlib
 import json
 import math
+import random
 
+import numpy as np
 import pytest
 
 from triadaudit import (
@@ -25,6 +27,7 @@ from triadaudit import (
     sample_triad,
     verdict_matrix,
 )
+from triadaudit.axioms import _derive_seed
 
 FAST = AuditConfig(samples=150, master_seed=42)
 RANGE = (1.0 / 9.0, 9.0)
@@ -76,11 +79,21 @@ class TestConfig:
             {"tolerance": 0.0},
             {"k_grid": ()},
             {"entry_range": (0.999, 1.001)},
+            {"samples": 2.5},
+            {"samples": "3"},
+            {"samples": True},
+            {"master_seed": 1.5},
+            {"master_seed": True},
         ],
     )
     def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
             AuditConfig(**kwargs)
+
+    def test_integral_fields_are_stored_as_int(self):
+        cfg = AuditConfig(samples=np.int64(5), master_seed=np.int32(-7))
+        assert type(cfg.samples) is int and type(cfg.master_seed) is int
+        assert cfg == AuditConfig(samples=5, master_seed=-7)
 
     # MRP raises a sampled triad to max(b_grid) = 3, so at entry_range (1/R, R)
     # its consistency ratio reaches R^-9: float64 holds it up to R = 10^34.25.
@@ -222,7 +235,7 @@ class TestAudit:
         assert a == b
 
     def test_failures_persist_as_samples_grow(self):
-        # Counter-based probes make (pass -> fail) the only possible flip.
+        # Per-probe seeding makes (pass -> fail) the only possible flip.
         small = audit(get_index("scale_dependent"), ("SI", "HTA"), AuditConfig(samples=1, master_seed=42))
         large = audit(get_index("scale_dependent"), ("SI", "HTA"), AuditConfig(samples=400, master_seed=42))
         assert small.verdict("SI").status == "fail"
@@ -239,6 +252,53 @@ def test_probe_rng_is_order_free():
     values = [sample_triad(probe_rng(3, "x", i), RANGE) for i in range(5)]
     assert values[3] == sample_triad(probe_rng(3, "x", 3), RANGE)
     assert len({tuple(v.entries()) for v in values}) == 5
+
+
+@pytest.mark.parametrize("seed", [0, 42, -7, 2**70])
+@pytest.mark.parametrize("index", [0, 1, 10**6])
+def test_probe_rng_matches_a_seeded_random(seed, index):
+    # probe_rng seeds through the C-level Random.seed; it must build exactly
+    # the generator that random.Random(seed) builds.
+    rng = probe_rng(seed, "MSC", index)
+    reference = random.Random(_derive_seed(seed, "MSC", index))
+    assert rng.getstate() == reference.getstate()
+    assert [rng.random() for _ in range(5)] == [reference.random() for _ in range(5)]
+    assert rng.gauss(0.0, 1.0) == reference.gauss(0.0, 1.0)
+    assert probe_rng(seed, "MSC", index) is not probe_rng(seed, "MSC", index)
+
+
+def test_each_probe_evaluates_each_triad_once():
+    # One engine row per probe: a grid probe evaluates its input once plus one
+    # transform per grid value, a ladder its base once plus one triad per rung.
+    calls = []
+
+    def evaluate(t):
+        calls.append(t)
+        return natural_index(t)
+
+    counting = IndexDescriptor(
+        id="counting_natural",
+        label="natural, counting its evaluations",
+        evaluate=evaluate,
+        expected_profile={a: "pass" for a in AXIOMS},
+    )
+    cfg = AuditConfig(samples=50)
+    counts = {}
+    for axiom in AXIOMS:
+        calls.clear()
+        assert check_axiom(counting, axiom, cfg).status == "pass"
+        counts[axiom] = len(calls)
+    assert counts == {
+        "URS": 200,
+        "IPA": 350,
+        "MRP": 400,
+        "MSC": 200,
+        "CON": 900,
+        "IIP": 100,
+        "HTA": 100,
+        "SI": 350,
+        "SMSC": 200,
+    }
 
 
 def test_band_is_relative():
