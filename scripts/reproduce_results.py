@@ -18,7 +18,6 @@ from triadaudit import (
     Triad,
     audit_implications,
     characterization_check,
-    eval_catalog,
     get_index,
     independence_table,
     ranking_concordance,
@@ -41,9 +40,9 @@ def main() -> int:
     print("== pinned values ==")
     print(f"scale_dependent(1,3,2) = {scale_dependent_index(Triad(1, 3, 2)):.12g}   (19/6)")
     print(f"scale_dependent(1,6,4) = {scale_dependent_index(Triad(1, 6, 4)):.12g}   (5)")
-    print(f"cx5(1,8,4)             = {eval_catalog('cx5', Triad(1, 8, 4)):.12g}   (17/4)")
-    print(f"cx6(1,8,4)             = {eval_catalog('cx6', Triad(1, 8, 4)):.12g}   (3/2)")
-    print(f"cx6(2,32,8)            = {eval_catalog('cx6', Triad(2, 32, 8)):.12g}   (9/4)")
+    print(f"cx5(1,8,4)             = {get_index('cx5').evaluate(Triad(1, 8, 4)):.12g}   (17/4)")
+    print(f"cx6(1,8,4)             = {get_index('cx6').evaluate(Triad(1, 8, 4)):.12g}   (3/2)")
+    print(f"cx6(2,32,8)            = {get_index('cx6').evaluate(Triad(2, 32, 8)):.12g}   (9/4)")
 
     print(f"\n== independence table (samples={cfg.samples}, seed={cfg.master_seed}) ==")
     matrix = verdict_matrix(CATALOG, AXIOMS, cfg)

@@ -174,16 +174,6 @@ class ImplicationVerdict:
     vacuous: bool
     witness: Witness | None
 
-    def to_dict(self) -> dict:
-        return {
-            "rule": self.rule.name,
-            "index": self.index_id,
-            "premises": dict(self.premise_status),
-            "conclusion": {self.rule.conclusion: self.conclusion_status},
-            "status": self.status,
-            "vacuous": self.vacuous,
-        }
-
 
 def _implication_verdict(rule: ImplicationRule, report: AuditReport) -> ImplicationVerdict:
     premise_status = {a: report.verdict(a).status for a in rule.premises}
@@ -291,17 +281,6 @@ class CharacterizationVerdict:
     premises_met: bool
     concordance: ConcordanceStats | None
     status: str  # "order-equivalent" | "premises-not-met" | "not-order-equivalent"
-
-    def to_dict(self) -> dict:
-        payload = {
-            "index": self.index_id,
-            "axioms": self.audit_report.to_dict()["verdicts"],
-            "premises_met": self.premises_met,
-            "status": self.status,
-        }
-        if self.concordance is not None:
-            payload["concordance"] = self.concordance.to_dict()
-        return payload
 
 
 def characterization_check(

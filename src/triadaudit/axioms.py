@@ -430,6 +430,8 @@ def _monotone_probes(axiom: str, cfg: AuditConfig) -> _Probes:
     Only the side whose perturbations land on the canonical side (consistency
     ratio >= 1) is probed: the side that the independence and characterization
     arguments exercise, and that an asymmetric index such as cx4 must satisfy.
+    On a consistent base that side follows from signs alone: the ratio
+    t13 / (t12 * t23) rises above 1 when t13 is raised or t12 or t23 lowered.
     """
     above = tuple(sorted(d for d in cfg.delta_grid if d > 1.0))
     below = tuple(sorted((d for d in cfg.delta_grid if d < 1.0), reverse=True))
@@ -437,9 +439,9 @@ def _monotone_probes(axiom: str, cfg: AuditConfig) -> _Probes:
         rng = probe_rng(cfg.master_seed, axiom, i)
         base = _sample_consistent_off_unit(rng, cfg.entry_range)
         position = rng.choice(_POSITIONS)
-        for deltas in (above, below):
-            if deltas and consistency_ratio(single_entry_perturb(base, position, deltas[0])) >= 1.0:
-                yield i + 1, (base, position, 1.0, *deltas)
+        deltas = above if (base.entry(position) > 1.0) == (position == "13") else below
+        if deltas:
+            yield i + 1, (base, position, 1.0, *deltas)
 
 
 def _con_probes(cfg: AuditConfig) -> _Probes:

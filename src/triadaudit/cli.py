@@ -11,20 +11,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
 
-from .analysis import independence_table, ranking_concordance
+from .analysis import INDEPENDENCE_AXIOMS, independence_table, ranking_concordance
 from .axioms import AuditConfig, AuditReport, UnknownAxiomError, audit
 from .core import DomainError, ReciprocalMatrix
-from .indices import AXIOMS, INDEX_IDS, UnknownIndexError, eval_catalog, get_index
+from .indices import AXIOMS, INDEX_IDS, UnknownIndexError, get_index
 from .reporting import build_report, dumps_canonical
 
-__all__ = ["main", "parse_matrix_file", "save_matrix_json", "CliError"]
-
-DEFAULT_SEED = 42
-DEFAULT_SAMPLES = 1000
+__all__ = ["main", "parse_matrix_file", "CliError"]
 
 
 class CliError(Exception):
@@ -35,88 +33,64 @@ def parse_matrix_file(path: str | Path, complete_lower: bool = False) -> tuple[R
     """Read a matrix file: JSON with a "matrix" key, or CSV rows.
 
     A single CSV row "t12,t13,t23" is interpreted as a triad.  Returns the
-    validated matrix and the optional alternative labels.
+    validated matrix and the optional alternative labels.  Every way the file
+    can be unreadable or malformed raises CliError naming the file.
     """
     path = Path(path)
     try:
         text = path.read_text("utf-8")
+        if path.suffix.lower() == ".json":
+            doc = json.loads(text)
+            if not isinstance(doc, dict) or "matrix" not in doc:
+                raise CliError(f'{path} must be a JSON object with a "matrix" key')
+            rows = doc["matrix"]
+            labels = doc.get("labels")
+            if labels is not None:
+                if not isinstance(labels, list) or not all(isinstance(v, str) for v in labels):
+                    raise CliError(f'"labels" in {path} must be a list of strings')
+                if len(labels) != len(rows):
+                    raise CliError(f'"labels" in {path} must have one entry per row')
+        else:
+            rows = [[float(cell) for cell in line.split(",")] for line in text.splitlines() if line.strip()]
+            labels = None
+            if len(rows) == 1 and len(rows[0]) == 3:
+                t12, t13, t23 = rows[0]
+                rows = [[1.0, t12, t13], [0.0, 1.0, t23], [0.0, 0.0, 1.0]]
+                complete_lower = True
+        if not rows:
+            raise CliError(f"{path} contains no matrix rows")
+        matrix = ReciprocalMatrix.from_rows(rows, complete_lower=complete_lower)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
-    if path.suffix.lower() == ".json":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise CliError(f"{path} is not valid JSON: {exc}") from exc
-        if not isinstance(doc, dict) or "matrix" not in doc:
-            raise CliError(f'{path} must be a JSON object with a "matrix" key')
-        rows = doc["matrix"]
-        labels = doc.get("labels")
-        if labels is not None:
-            if not isinstance(labels, list) or not all(isinstance(v, str) for v in labels):
-                raise CliError(f'"labels" in {path} must be a list of strings')
-            if len(labels) != len(rows):
-                raise CliError(f'"labels" in {path} must have one entry per row')
-    else:
-        rows = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rows.append([float(cell) for cell in line.split(",")])
-            except ValueError as exc:
-                raise CliError(f"{path}: non-numeric cell in row {line!r}") from exc
-        labels = None
-        if len(rows) == 1 and len(rows[0]) == 3:
-            t12, t13, t23 = rows[0]
-            rows = [[1.0, t12, t13], [0.0, 1.0, t23], [0.0, 0.0, 1.0]]
-            complete_lower = True
-    if not rows:
-        raise CliError(f"{path} contains no matrix rows")
-    try:
-        matrix = ReciprocalMatrix.from_rows(rows, complete_lower=complete_lower)
-    except (DomainError, TypeError) as exc:
+    # Malformed text, JSON nested past the parser's depth, an integer beyond
+    # float64, a non-numeric cell or a matrix that is not positive reciprocal.
+    except (ValueError, TypeError, OverflowError, RecursionError) as exc:
         raise CliError(f"{path}: {exc}") from exc
     return matrix, labels
 
 
-def save_matrix_json(matrix: ReciprocalMatrix, path: str | Path, labels: list[str] | None = None) -> None:
-    """Write a matrix file that parse_matrix_file reads back to the identical matrix."""
-    doc: dict = {"matrix": [list(row) for row in matrix.entries]}
-    if labels is not None:
-        doc["labels"] = list(labels)
-    Path(path).write_text(dumps_canonical(doc) + "\n", "utf-8")
-
-
-def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
+def _config_from(args) -> AuditConfig:
+    """--samples and --seed (else PCM_SEED) when given; AuditConfig supplies every other value."""
+    given = {"samples": getattr(args, "samples", None), "master_seed": getattr(args, "seed", None)}
     env = os.environ.get("PCM_SEED")
-    if env is not None:
+    if given["master_seed"] is None and env is not None:
         try:
-            return int(env)
+            given["master_seed"] = int(env)
         except ValueError:
             raise CliError(f"PCM_SEED must be an integer, got {env!r}") from None
-    return DEFAULT_SEED
-
-
-def _config_from(args) -> AuditConfig:
-    seed = _resolve_seed(args)
     try:
-        return AuditConfig(samples=getattr(args, "samples", DEFAULT_SAMPLES), master_seed=seed)
+        return AuditConfig(**{name: value for name, value in given.items() if value is not None})
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
 
 def _parse_axioms(arg: str) -> tuple[str, ...]:
+    """'all' or comma-separated names, upper-cased; audit rejects unknown ones."""
     if arg.strip().lower() == "all":
         return AXIOMS
     names = tuple(part.strip().upper() for part in arg.split(",") if part.strip())
     if not names:
         raise CliError("--axioms must name at least one axiom or be 'all'")
-    unknown = [a for a in names if a not in AXIOMS]
-    if unknown:
-        raise CliError(f"unknown axiom name(s) {', '.join(unknown)}; valid axioms: {', '.join(AXIOMS)}")
     return names
 
 
@@ -138,10 +112,13 @@ def _cmd_compute(args) -> int:
         raise CliError(f"triads only: index commands need a 3x3 matrix, got order {matrix.n}")
     triad = matrix.triad()
     ids = tuple(args.index) if args.index else INDEX_IDS
+    # Valid entries can still push a ratio or product of entries past float64.
     try:
-        values = {index_id: eval_catalog(index_id, triad) for index_id in ids}
-    except UnknownIndexError as exc:
-        raise CliError(str(exc)) from exc
+        values = {index_id: get_index(index_id).evaluate(triad) for index_id in ids}
+        if not all(map(math.isfinite, values.values())):
+            raise OverflowError("an index value is not finite")
+    except ArithmeticError as exc:
+        raise CliError(f"{args.matrix}: the indices cannot be evaluated on this triad in float64 ({exc})") from exc
     if args.json:
         results: dict = {"triad": triad.as_dict(), "indices": values}
         if labels is not None:
@@ -172,16 +149,10 @@ def _render_audit_text(report: AuditReport, strict: bool) -> None:
 
 
 def _cmd_audit(args) -> int:
-    try:
-        descriptor = get_index(args.index)
-    except UnknownIndexError as exc:
-        raise CliError(str(exc)) from exc
+    descriptor = get_index(args.index)
     axioms = _parse_axioms(args.axioms)
     cfg = _config_from(args)
-    try:
-        report = audit(descriptor, axioms, cfg)
-    except UnknownAxiomError as exc:
-        raise CliError(str(exc)) from exc
+    report = audit(descriptor, axioms, cfg)
     if args.json:
         command = {
             "name": "audit",
@@ -208,7 +179,7 @@ def _cmd_independence(args) -> int:
         ]
         _print_report(build_report({"name": "independence"}, cfg, table.to_dict(), witnesses))
     else:
-        axiom_header = "  ".join(f"{a:<4}" for a in table.to_dict()["axioms"])
+        axiom_header = "  ".join(f"{a:<4}" for a in INDEPENDENCE_AXIOMS)
         print(f"index  {axiom_header}")
         for row in table.rows:
             cells = "  ".join(f"{c.status:<4}" for c in row.cells)
@@ -219,11 +190,8 @@ def _cmd_independence(args) -> int:
 
 
 def _cmd_concordance(args) -> int:
-    try:
-        a = get_index(args.index_a)
-        b = get_index(args.index_b)
-    except UnknownIndexError as exc:
-        raise CliError(str(exc)) from exc
+    a = get_index(args.index_a)
+    b = get_index(args.index_b)
     cfg = _config_from(args)
     stats = ranking_concordance(a, b, cfg)
     if args.json:
@@ -244,8 +212,8 @@ def _cmd_concordance(args) -> int:
 
 
 def _add_sampling_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--samples", type=int, default=DEFAULT_SAMPLES, help="random probes per check")
-    parser.add_argument("--seed", type=int, default=None, help="master seed (default: PCM_SEED or 42)")
+    parser.add_argument("--samples", type=int, help=f"random probes per check (default: {AuditConfig.samples})")
+    parser.add_argument("--seed", type=int, help=f"master seed (default: PCM_SEED or {AuditConfig.master_seed})")
     parser.add_argument("--json", action="store_true", help="emit a JSON report document")
 
 
@@ -258,8 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     compute.add_argument("--index", action="append", default=None, help="index id (repeatable; default: all)")
     compute.add_argument("--complete-lower", action="store_true", help="fill the lower triangle from the upper")
     compute.add_argument("--json", action="store_true", help="emit a JSON report document")
-    compute.add_argument("--samples", type=int, default=DEFAULT_SAMPLES, help=argparse.SUPPRESS)
-    compute.add_argument("--seed", type=int, default=None, help=argparse.SUPPRESS)
     compute.set_defaults(func=_cmd_compute)
 
     audit_cmd = sub.add_parser("audit", help="check axioms for one index")
@@ -289,10 +255,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DomainError, UnknownIndexError, UnknownAxiomError) as exc:
+    except (CliError, DomainError, UnknownIndexError, UnknownAxiomError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -25,7 +25,6 @@ __all__ = [
     "CATALOG",
     "INDEX_IDS",
     "get_index",
-    "eval_catalog",
     "natural_index",
     "scale_dependent_index",
     "koczkodaj_index",
@@ -221,8 +220,3 @@ def get_index(index_id: str) -> IndexDescriptor:
         return _BY_ID[index_id]
     except KeyError:
         raise UnknownIndexError(f"unknown index id {index_id!r}; valid ids: {', '.join(INDEX_IDS)}") from None
-
-
-def eval_catalog(index_id: str, t: Triad) -> float:
-    """Evaluate the catalog index `index_id` on `t`."""
-    return get_index(index_id).evaluate(t)

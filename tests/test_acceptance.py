@@ -18,7 +18,6 @@ from triadaudit import (
     Triad,
     audit_implications,
     characterization_check,
-    eval_catalog,
     get_index,
     independence_table,
     koczkodaj_index,
@@ -50,9 +49,9 @@ def rel_close(a, b, tol=1e-12):
 def test_criterion_1_exact_values():
     assert rel_close(scale_dependent_index(Triad(1, 3, 2)), 19.0 / 6.0)
     assert rel_close(scale_dependent_index(Triad(1, 6, 4)), 5.0)
-    assert rel_close(eval_catalog("cx5", Triad(1, 8, 4)), 17.0 / 4.0)
-    assert rel_close(eval_catalog("cx6", Triad(1, 8, 4)), 3.0 / 2.0)
-    assert rel_close(eval_catalog("cx6", Triad(2, 32, 8)), 9.0 / 4.0)
+    assert rel_close(get_index("cx5").evaluate(Triad(1, 8, 4)), 17.0 / 4.0)
+    assert rel_close(get_index("cx6").evaluate(Triad(1, 8, 4)), 3.0 / 2.0)
+    assert rel_close(get_index("cx6").evaluate(Triad(2, 32, 8)), 9.0 / 4.0)
     _ok("criterion 1: pinned index values (19/6, 5, 17/4, 3/2, 9/4) within 1e-12 relative")
 
 

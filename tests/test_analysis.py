@@ -282,10 +282,8 @@ class TestVerdictMatrix:
         assert calls == []
         audited = results(cfg)
         assert len(calls) == 36 + 9 + 2 * 4
-        table, implications, characterizations = viewed
+        table, _, characterizations = viewed
         assert table.to_dict() == audited[0].to_dict()
-        assert [v.to_dict() for v in implications] == [v.to_dict() for v in audited[1]]
-        assert [c.to_dict() for c in characterizations] == [c.to_dict() for c in audited[2]]
         assert characterizations[0].status == "order-equivalent"
         # Dataclass equality compares every witness too.
         assert viewed == audited

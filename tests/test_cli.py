@@ -10,10 +10,12 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import triadaudit
-from triadaudit import ReciprocalMatrix, Triad
-from triadaudit.cli import main, parse_matrix_file, save_matrix_json
+from triadaudit import AXIOMS, INDEX_IDS, Triad
+from triadaudit.cli import main, parse_matrix_file
 from triadaudit.reporting import report_schema
 
 
@@ -24,10 +26,20 @@ def run_cli(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
+S_MATRIX = json.dumps({"matrix": [[1, 1, 3], [1, 1, 2], [0.3333333333, 0.5, 1]]})
+
+
 @pytest.fixture
 def matrix_s(tmp_path):
     path = tmp_path / "s.json"
-    path.write_text(json.dumps({"matrix": [[1, 1, 3], [1, 1, 2], [0.3333333333, 0.5, 1]]}))
+    path.write_text(S_MATRIX)
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def matrix_s_module(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli") / "s.json"
+    path.write_text(S_MATRIX)
     return str(path)
 
 
@@ -62,14 +74,6 @@ class TestMatrixFiles:
         matrix, _ = parse_matrix_file(path, complete_lower=True)
         assert matrix.entries[1][0] == 0.25
         assert matrix.entries[2][0] == 0.125
-
-    def test_round_trip_is_identical(self, tmp_path):
-        original = ReciprocalMatrix.from_rows([[1, 1, 3], [1, 1, 2], [1 / 3, 1 / 2, 1]])
-        path = tmp_path / "roundtrip.json"
-        save_matrix_json(original, path, labels=["A", "B", "C"])
-        parsed, labels = parse_matrix_file(path)
-        assert parsed == original
-        assert labels == ["A", "B", "C"]
 
 
 class TestCompute:
@@ -267,6 +271,125 @@ def test_bad_config_value_exits_two(argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: samples must be >= 1") and err.count("\n") == 1
+
+
+def assert_one_line_error(code, out, err, name):
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1
+    assert name in err
+
+
+# Bad matrix files that reach past the JSON and CSV checks: each gets one error line, not a traceback.
+MALFORMED_FILES = {
+    "cells.json": b'{"matrix": [["a", 1, 2], [1, 1, 2], [0.5, 0.5, 1]]}',
+    "string.json": b'{"matrix": "abc"}',
+    "scalar.json": b'{"matrix": 5, "labels": ["a"]}',
+    "latin1.csv": b"1,3,\xff2\n",
+    "big_int.json": b'{"matrix": [[1, 1' + b"0" * 400 + b"], [1, 1]]}",
+    "deep.json": b"[" * 100_000,
+    # Valid entries whose ratios leave float64: a division by zero, then an infinite index value.
+    "overflow.csv": b"1e300,1,1e300\n",
+    "infinite.csv": b"1e150,1e-10,1e150\n",
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_FILES)
+def test_malformed_matrix_file_exits_two_with_one_line(tmp_path, name):
+    path = tmp_path / name
+    path.write_bytes(MALFORMED_FILES[name])
+    for json_flag in ((), ("--json",)):
+        assert_one_line_error(*run_cli("compute", "--matrix", str(path), *json_flag), name)
+
+
+def test_compute_takes_no_sampling_flags(matrix_s):
+    code, out, _ = run_cli("compute", "--matrix", matrix_s, "--seed", "7")
+    assert (code, out) == (2, "")
+
+
+# Fuzz: no input makes the CLI raise or print a traceback.  Every reply is an
+# exit code in {0, 1, 2}, and an "error:" reply is a single line.
+FUZZ = settings(derandomize=True, deadline=None, max_examples=150)
+cells = st.one_of(st.floats(), st.integers(), st.text(max_size=3), st.none(), st.booleans())
+json_text = st.one_of(
+    st.fixed_dictionaries(
+        {"matrix": st.lists(st.lists(cells, max_size=4), max_size=4)},
+        optional={"labels": st.one_of(cells, st.lists(st.text(max_size=2), max_size=4))},
+    ),
+    st.recursive(
+        cells, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(["matrix", "labels"]), inner)
+    ),
+).map(json.dumps)
+csv_cell = st.one_of(st.floats().map(repr), st.integers().map(str), st.text(max_size=3))
+csv_text = st.one_of(
+    st.tuples(*[st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)] * 3).map(
+        lambda t: ",".join(map(repr, t))
+    ),
+    st.lists(st.lists(csv_cell, min_size=1, max_size=4).map(",".join), max_size=4).map("\n".join),
+)
+file_bytes = st.one_of(st.binary(max_size=48), json_text.map(str.encode), csv_text.map(str.encode))
+
+
+def assert_clean_reply(argv):
+    code, _, err = run_cli(*argv)
+    assert code in (0, 1, 2)
+    if err.startswith("error:"):
+        assert err.endswith("\n") and err.count("\n") == 1
+    return code
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@FUZZ
+@given(
+    content=file_bytes,
+    suffix=st.sampled_from([".json", ".csv"]),
+    flags=st.sets(st.sampled_from(["--json", "--complete-lower"])),
+)
+def test_fuzzed_matrix_files_get_a_clean_reply(fuzz_dir, content, suffix, flags):
+    path = fuzz_dir / f"matrix{suffix}"
+    path.write_bytes(content)
+    assert assert_clean_reply(("compute", "--matrix", str(path), *sorted(flags))) in (0, 2)
+
+
+junk = st.text(max_size=4)
+name = st.sampled_from(INDEX_IDS) | junk
+POSITIONALS = {"compute": 0, "audit": 1, "independence": 0, "concordance": 2}
+FLAGS = {
+    "compute": ("--index", "--json", "--complete-lower"),
+    "audit": ("--axioms", "--seed", "--strict", "--json"),
+    "independence": ("--seed", "--json"),
+    "concordance": ("--seed", "--json"),
+}
+VALUES = {
+    "--index": name,
+    "--axioms": st.just("all") | st.lists(st.sampled_from(AXIOMS) | junk, max_size=3).map(",".join),
+    "--seed": st.integers(-(2**70), 2**70).map(str) | junk,
+}
+
+
+@st.composite
+def argvs(draw, matrix):
+    """Mostly well-formed argv for each command, with junk names, flags and values mixed in."""
+    command = draw(st.sampled_from([*POSITIONALS, "frobnicate"]))
+    positionals = POSITIONALS.get(command, 0)
+    argv = [command, *draw(st.lists(name, min_size=positionals, max_size=positionals))]
+    for flag in draw(st.lists(st.sampled_from(FLAGS.get(command, ()) + ("--bogus",)), max_size=3)):
+        argv += [flag, draw(VALUES[flag])] if flag in VALUES else [flag]
+    argv += draw(st.lists(junk, max_size=1))
+    if command == "compute":
+        return argv + ["--matrix", matrix]
+    # --samples comes last, so argparse keeps its small value and no audit runs long.
+    return argv + ["--samples", draw(st.sampled_from(["2", "1", "0", "-1", "x"]))]
+
+
+@FUZZ
+@given(data=st.data())
+def test_fuzzed_argv_gets_a_clean_reply(matrix_s_module, data):
+    assert_clean_reply(data.draw(argvs(matrix_s_module)))
 
 
 def test_cli_import_does_not_load_numpy():

@@ -14,7 +14,6 @@ from triadaudit import (
     INDEX_IDS,
     Triad,
     UnknownIndexError,
-    eval_catalog,
     get_index,
     koczkodaj_index,
     natural_index,
@@ -64,21 +63,21 @@ class TestPinnedValues:
         assert rel_close(saaty_ci(Triad(1, 1, 2)), saaty_ci(Triad(1, 8, 4)))
 
     def test_counterexample_indices(self):
-        assert eval_catalog("cx5", Triad(1, 8, 4)) == 17.0 / 4.0
-        assert eval_catalog("cx5", Triad(1, 2, 1)) == 2.0
-        assert eval_catalog("cx6", Triad(1, 8, 4)) == 1.5
-        assert eval_catalog("cx6", Triad(2, 32, 8)) == 2.25
-        assert eval_catalog("cx4", Triad(1, 3, 2)) == 1.5
-        assert rel_close(eval_catalog("cx4", transpose_triad(Triad(1, 3, 2))), 2.0 / 3.0)
-        assert eval_catalog("cx3", Triad(1, 3, 2)) == 2.5
-        assert eval_catalog("cx3", Triad(2, 6, 3)) == 0.0
-        assert eval_catalog("cx1", Triad(1, 3, 2)) == 0.0
-        assert eval_catalog("flat", Triad(1, 3, 2)) == 0.0
+        assert get_index("cx5").evaluate(Triad(1, 8, 4)) == 17.0 / 4.0
+        assert get_index("cx5").evaluate(Triad(1, 2, 1)) == 2.0
+        assert get_index("cx6").evaluate(Triad(1, 8, 4)) == 1.5
+        assert get_index("cx6").evaluate(Triad(2, 32, 8)) == 2.25
+        assert get_index("cx4").evaluate(Triad(1, 3, 2)) == 1.5
+        assert rel_close(get_index("cx4").evaluate(transpose_triad(Triad(1, 3, 2))), 2.0 / 3.0)
+        assert get_index("cx3").evaluate(Triad(1, 3, 2)) == 2.5
+        assert get_index("cx3").evaluate(Triad(2, 6, 3)) == 0.0
+        assert get_index("cx1").evaluate(Triad(1, 3, 2)) == 0.0
+        assert get_index("flat").evaluate(Triad(1, 3, 2)) == 0.0
 
     def test_discretised_clips_at_two(self):
-        assert eval_catalog("discretised_natural", Triad(1, 16, 4)) == 2.0
+        assert get_index("discretised_natural").evaluate(Triad(1, 16, 4)) == 2.0
         assert natural_index(Triad(1, 16, 4)) == 4.0
-        assert eval_catalog("discretised_natural", Triad(1, 3, 2)) == 1.5
+        assert get_index("discretised_natural").evaluate(Triad(1, 3, 2)) == 1.5
 
 
 class TestCatalog:
@@ -105,7 +104,7 @@ class TestCatalog:
 
     def test_unknown_id_lists_valid_ones(self):
         with pytest.raises(UnknownIndexError, match="natural"):
-            eval_catalog("nope", Triad(1, 1, 1))
+            get_index("nope")
 
 
 class TestIdentities:
@@ -152,12 +151,12 @@ class TestIdentities:
 
     @given(triads())
     def test_cx2_is_negated_natural(self, t):
-        assert eval_catalog("cx2", t) == -natural_index(t)
+        assert get_index("cx2").evaluate(t) == -natural_index(t)
 
     @given(triads())
     def test_discretised_monotone_and_clipped(self, t):
         m = natural_index(t)
-        value = eval_catalog("discretised_natural", t)
+        value = get_index("discretised_natural").evaluate(t)
         assert value == (m if m <= 2.0 else 2.0)
 
 
