@@ -36,7 +36,7 @@ import sys
 from dataclasses import dataclass, field, fields
 from functools import partial
 from itertools import chain, permutations
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .core import (
     Triad,
@@ -89,7 +89,7 @@ class UnknownAxiomError(LookupError):
 
 @dataclass(frozen=True)
 class AuditConfig:
-    """Probe counts, seeds, grids and equality band driving every checker.
+    """Probe count, seed, entry range and equality band; the grids are the fixed probe design below.
 
     ``samples`` and ``master_seed`` take any integer type but ``bool`` and are stored as ``int``.
     ``tolerance`` is a relative equality band: a equals b when
@@ -100,10 +100,6 @@ class AuditConfig:
     master_seed: int = 42
     entry_range: tuple[float, float] = (1.0 / 9.0, 9.0)
     tolerance: float = 1e-9
-    b_grid: tuple[float, ...] = (0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0)
-    delta_grid: tuple[float, ...] = (0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0)
-    k_grid: tuple[float, ...] = (0.1, 1.0 / 3.0, 0.5, 2.0, 3.0, 10.0)
-    continuity_ladder: tuple[float, ...] = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
 
     def __post_init__(self):
         for name in ("samples", "master_seed"):
@@ -125,31 +121,27 @@ class AuditConfig:
             )
         if not (self.tolerance > 0.0):
             raise ValueError(f"tolerance must be > 0, got {self.tolerance}")
-        for name in ("b_grid", "delta_grid", "k_grid", "continuity_ladder"):
-            grid = getattr(self, name)
-            if not grid or any(not math.isfinite(v) or v <= 0.0 for v in grid):
-                raise ValueError(f"{name} must be non-empty with finite positive values, got {grid}")
-        if _log_extent(self) > _LOG_FLOAT_MAX:
+        if _log_extent(self.entry_range) > _LOG_FLOAT_MAX:
             raise ValueError(
                 f"entry_range is too wide for the grids: its probes leave float64's range, got {self.entry_range}"
             )
 
     def as_dict(self) -> dict:
-        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc = {**{f.name: getattr(self, f.name) for f in fields(self)}, **_PROBE_DESIGN}
         return {name: list(v) if isinstance(v, tuple) else v for name, v in doc.items()}
 
 
-def _log_extent(cfg: AuditConfig) -> float:
+def _log_extent(entry_range: tuple[float, float]) -> float:
     """Largest |log| of an entry, a product of two entries or a consistency ratio
     that a probe hands to an index: sampled and consistent triads, MRP's powers b,
     MSC/SMSC's powers delta of one consistent entry, SI's factors k, CON's 1 + eps."""
-    lo, hi = math.log(cfg.entry_range[0]), math.log(cfg.entry_range[1])
+    lo, hi = math.log(entry_range[0]), math.log(entry_range[1])
     sampled = max(2 * abs(lo), 2 * abs(hi), hi - 2 * lo, 2 * hi - lo)
     return max(
-        max(1.0, *cfg.b_grid) * sampled,
-        max(1.0, *cfg.delta_grid) * (hi - lo),
-        sampled + 2 * max(abs(math.log(k)) for k in cfg.k_grid),
-        sampled + math.log1p(max(cfg.continuity_ladder)),
+        max(B_GRID) * sampled,
+        max(DELTA_GRID) * (hi - lo),
+        sampled + 2 * max(abs(math.log(k)) for k in K_GRID),
+        sampled + math.log1p(max(CONTINUITY_LADDER)),
     )
 
 
@@ -399,9 +391,8 @@ def _urs_violation(evaluate: Evaluator, tol: float, reference: Triad, offender: 
 _Probes = Iterator[tuple[int, tuple]]
 
 
-def _grid_probes(axiom: str, grid: Callable[[AuditConfig], Iterable], cfg: AuditConfig) -> _Probes:
-    """One sampled triad per probe, followed by every parameter value on `grid` (IIP has none)."""
-    values = tuple(grid(cfg))
+def _grid_probes(axiom: str, values: tuple, cfg: AuditConfig) -> _Probes:
+    """One sampled triad per probe, followed by every parameter value in `values` (IIP has none)."""
     for i in range(cfg.samples):
         yield i + 1, (sample_triad(probe_rng(cfg.master_seed, axiom, i), cfg.entry_range), *values)
 
@@ -433,15 +424,12 @@ def _monotone_probes(axiom: str, cfg: AuditConfig) -> _Probes:
     On a consistent base that side follows from signs alone: the ratio
     t13 / (t12 * t23) rises above 1 when t13 is raised or t12 or t23 lowered.
     """
-    above = tuple(sorted(d for d in cfg.delta_grid if d > 1.0))
-    below = tuple(sorted((d for d in cfg.delta_grid if d < 1.0), reverse=True))
     for i in range(cfg.samples):
         rng = probe_rng(cfg.master_seed, axiom, i)
         base = _sample_consistent_off_unit(rng, cfg.entry_range)
         position = rng.choice(_POSITIONS)
-        deltas = above if (base.entry(position) > 1.0) == (position == "13") else below
-        if deltas:
-            yield i + 1, (base, position, 1.0, *deltas)
+        deltas = _DELTAS_ABOVE if (base.entry(position) > 1.0) == (position == "13") else _DELTAS_BELOW
+        yield i + 1, (base, position, 1.0, *deltas)
 
 
 def _con_probes(cfg: AuditConfig) -> _Probes:
@@ -450,7 +438,7 @@ def _con_probes(cfg: AuditConfig) -> _Probes:
         bases = (sample_triad(rng, cfg.entry_range), sample_consistent_triad(rng, cfg.entry_range))
         position = rng.choice(_POSITIONS)
         for base in bases:
-            yield i + 1, (base, position, cfg.continuity_ladder)
+            yield i + 1, (base, position, CONTINUITY_LADDER)
 
 
 # ---------------------------------------------------------------------------
@@ -481,41 +469,64 @@ class _AxiomSpec:
     pinned: Mapping[str, tuple[tuple, ...]] = field(default_factory=dict)
 
 
+# The probe design: fixed grids that the checks walk at every config, echoed
+# under "config" by AuditConfig.as_dict.
+B_GRID = (0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0)
+DELTA_GRID = (0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0)
+K_GRID = (0.1, 1.0 / 3.0, 0.5, 2.0, 3.0, 10.0)
+CONTINUITY_LADDER = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
+_PROBE_DESIGN = {"b_grid": B_GRID, "delta_grid": DELTA_GRID, "k_grid": K_GRID, "continuity_ladder": CONTINUITY_LADDER}
+# The two MSC/SMSC ladder sides, each walked away from delta = 1.
+_DELTAS_ABOVE = tuple(d for d in DELTA_GRID if d > 1.0)
+_DELTAS_BELOW = tuple(d for d in reversed(DELTA_GRID) if d < 1.0)
+_PERMUTATIONS = tuple(permutations(range(3)))
+
+# Probe domains.  "Sampled": three entries log-uniform on entry_range.
+# "Consistent": (w1/w2, w1/w3, w2/w3) from three weights log-uniform on entry_range.
 _SPECS: dict[str, _AxiomSpec] = {
+    # URS: one consistent and one sampled offender per probe, against probe 0's consistent reference.
     "URS": _AxiomSpec(_urs_violation, _urs_probes, ("reference", "offender", "kind")),
+    # IPA: a sampled triad under each of the six permutations of the alternatives.
     "IPA": _AxiomSpec(
         partial(_invariance_violation, "IPA", "permuted", permute_triad, "perm"),
-        partial(_grid_probes, "IPA", lambda cfg: permutations(range(3))),
+        partial(_grid_probes, "IPA", _PERMUTATIONS),
         ("input", "perm"),
     ),
-    "MRP": _AxiomSpec(_mrp_violation, partial(_grid_probes, "MRP", lambda cfg: cfg.b_grid), ("input", "b")),
+    # MRP: a sampled triad raised to each power b in B_GRID, on both sides of 1.
+    "MRP": _AxiomSpec(_mrp_violation, partial(_grid_probes, "MRP", B_GRID), ("input", "b")),
+    # MSC: a consistent triad, |log entry| >= _MIN_LOG_ENTRY; one entry walks the DELTA_GRID side lifting the ratio.
     "MSC": _AxiomSpec(
         partial(_monotone_violation, False),
         partial(_monotone_probes, "MSC"),
         ("consistent", "position", "delta_prev", "delta"),
     ),
+    # CON: a sampled and a consistent triad; one entry times 1 + eps for each eps in CONTINUITY_LADDER.
     "CON": _AxiomSpec(_con_violation, _con_probes, ("input", "position", "ladder")),
+    # IIP: a sampled triad against its transpose.
     "IIP": _AxiomSpec(
         partial(_invariance_violation, "IIP", "transposed", transpose_triad, None),
-        partial(_grid_probes, "IIP", lambda cfg: ()),
+        partial(_grid_probes, "IIP", ()),
         ("input",),
         pinned={"cx4": ((Triad(1.0, 3.0, 2.0),),)},
     ),
+    # HTA: (1; a; b) with a and b log-uniform on entry_range, against (1; a/b; 1).
     "HTA": _AxiomSpec(
         partial(_invariance_violation, "HTA", "collapsed", lambda t: Triad(1.0, t.t13 / t.t23, 1.0), None),
         _hta_probes,
         ("input",),
         pinned={"cx5": ((Triad(1.0, 8.0, 4.0),),)},
     ),
+    # SI: a sampled triad scaled by each factor k in K_GRID, on both sides of 1.
     "SI": _AxiomSpec(
         partial(_invariance_violation, "SI", "scaled", scale_transform, "k"),
-        partial(_grid_probes, "SI", lambda cfg: cfg.k_grid),
+        partial(_grid_probes, "SI", K_GRID),
         ("input", "k"),
         pinned={
             "cx6": ((Triad(1.0, 8.0, 4.0), 2.0),),
             "scale_dependent": ((Triad(1.0, 3.0, 2.0), 2.0),),
         },
     ),
+    # SMSC: the MSC probes, with ties between rungs counted as violations.
     "SMSC": _AxiomSpec(
         partial(_monotone_violation, True),
         partial(_monotone_probes, "SMSC"),
@@ -592,7 +603,7 @@ def audit(index: IndexDescriptor, axioms, cfg: AuditConfig | None = None) -> Aud
     return AuditReport(index_id=index.id, config=cfg, verdicts=verdicts, expected=expected)
 
 
-def replay_witness(witness: Witness, evaluate: Evaluator, tolerance: float = 1e-9) -> bool:
+def replay_witness(witness: Witness, evaluate: Evaluator, tolerance: float = AuditConfig.tolerance) -> bool:
     """Re-run a witness against `evaluate`; True iff the violation reproduces."""
     spec = _SPECS.get(witness.axiom)
     if spec is None:

@@ -44,6 +44,8 @@ def parse_matrix_file(path: str | Path, complete_lower: bool = False) -> tuple[R
             if not isinstance(doc, dict) or "matrix" not in doc:
                 raise CliError(f'{path} must be a JSON object with a "matrix" key')
             rows = doc["matrix"]
+            if not all(type(cell) in (int, float) for row in rows for cell in row):
+                raise CliError(f"{path}: matrix cells must be JSON numbers")
             labels = doc.get("labels")
             if labels is not None:
                 if not isinstance(labels, list) or not all(isinstance(v, str) for v in labels):

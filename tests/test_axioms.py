@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import random
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -27,7 +28,8 @@ from triadaudit import (
     sample_triad,
     verdict_matrix,
 )
-from triadaudit.axioms import _derive_seed
+from triadaudit.axioms import B_GRID, CONTINUITY_LADDER, DELTA_GRID, K_GRID, _derive_seed, _SPECS
+from triadaudit.core import single_entry_perturb
 
 FAST = AuditConfig(samples=150, master_seed=42)
 RANGE = (1.0 / 9.0, 9.0)
@@ -68,7 +70,7 @@ class TestConfig:
         cfg = AuditConfig()
         assert cfg.samples == 1000
         assert cfg.entry_range == (1.0 / 9.0, 9.0)
-        assert 1.0 in cfg.b_grid and 1.0 in cfg.delta_grid
+        assert 1.0 in B_GRID and 1.0 in DELTA_GRID
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -77,7 +79,6 @@ class TestConfig:
             {"entry_range": (0.0, 9.0)},
             {"entry_range": (9.0, 1.0)},
             {"tolerance": 0.0},
-            {"k_grid": ()},
             {"entry_range": (0.999, 1.001)},
             {"samples": 2.5},
             {"samples": "3"},
@@ -90,12 +91,28 @@ class TestConfig:
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             AuditConfig(**kwargs)
 
+    def test_probe_design_is_not_configurable(self):
+        # The grids are constants of the engine; reports still echo them under "config".
+        for name in ("b_grid", "delta_grid", "k_grid", "continuity_ladder"):
+            with pytest.raises(TypeError, match=name):
+                AuditConfig(**{name: (2.0,)})
+        assert AuditConfig().as_dict() == {
+            "samples": 1000,
+            "master_seed": 42,
+            "entry_range": [1.0 / 9.0, 9.0],
+            "tolerance": 1e-9,
+            "b_grid": [0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0],
+            "delta_grid": [0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0],
+            "k_grid": [0.1, 1.0 / 3.0, 0.5, 2.0, 3.0, 10.0],
+            "continuity_ladder": [1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8],
+        }
+
     def test_integral_fields_are_stored_as_int(self):
         cfg = AuditConfig(samples=np.int64(5), master_seed=np.int32(-7))
         assert type(cfg.samples) is int and type(cfg.master_seed) is int
         assert cfg == AuditConfig(samples=5, master_seed=-7)
 
-    # MRP raises a sampled triad to max(b_grid) = 3, so at entry_range (1/R, R)
+    # MRP raises a sampled triad to max(B_GRID) = 3, so at entry_range (1/R, R)
     # its consistency ratio reaches R^-9: float64 holds it up to R = 10^34.25.
     @pytest.mark.parametrize("entry_range", [(1e-35, 1e35), (1e-50, 1e50), (1e-100, 1e100)])
     def test_ranges_beyond_float64_are_rejected(self, entry_range):
@@ -105,6 +122,44 @@ class TestConfig:
     def test_range_just_inside_the_float64_bound_runs(self):
         matrix = verdict_matrix(CATALOG, AXIOMS, AuditConfig(samples=20, entry_range=(1e-34, 1e34)))
         assert [len(report.verdicts) for _, report in matrix.rows] == [9] * 12
+
+
+class TestProbeDomains:
+    """Each axiom's probe domain, read off the constants and a few hundred probes, without an audit."""
+
+    CFG = AuditConfig(samples=300, master_seed=5)
+
+    def rows(self, axiom):
+        return [row for _, row in _SPECS[axiom].probes(self.CFG)]
+
+    @pytest.mark.parametrize("axiom, grid", [("MRP", B_GRID), ("SI", K_GRID)])
+    def test_power_and_scale_grids_are_positive_on_both_sides_of_one(self, axiom, grid):
+        assert all(v > 0.0 for v in grid)
+        assert min(grid) < 1.0 < max(grid)
+        assert {row[1:] for row in self.rows(axiom)} == {grid}
+
+    def test_continuity_ladder_is_positive_and_strictly_decreasing(self):
+        assert all(eps > 0.0 for eps in CONTINUITY_LADDER)
+        assert all(a > b for a, b in zip(CONTINUITY_LADDER, CONTINUITY_LADDER[1:]))
+        assert {row[2] for row in self.rows("CON")} == {CONTINUITY_LADDER}
+
+    def test_hta_probes_have_unit_t12(self):
+        rows = self.rows("HTA")
+        assert len(rows) == self.CFG.samples
+        assert all(t.t12 == 1.0 for (t,) in rows)
+
+    def test_ipa_rows_carry_the_six_bijections(self):
+        for _, *perms in self.rows("IPA"):
+            assert sorted(perms) == list(permutations(range(3)))
+
+    @pytest.mark.parametrize("axiom", ["MSC", "SMSC"])
+    def test_every_rung_lifts_the_consistency_ratio_further(self, axiom):
+        rows = self.rows(axiom)
+        assert len(rows) == self.CFG.samples
+        for base, position, delta_prev, *deltas in rows:
+            assert delta_prev == 1.0 and consistency_ratio(base) == pytest.approx(1.0)
+            ratios = [consistency_ratio(single_entry_perturb(base, position, d)) for d in deltas]
+            assert 1.0 < ratios[0] and all(a < b for a, b in zip(ratios, ratios[1:])), (base, position, deltas)
 
 
 class TestCheckAxiom:

@@ -283,6 +283,9 @@ def assert_one_line_error(code, out, err, name):
 # Bad matrix files that reach past the JSON and CSV checks: each gets one error line, not a traceback.
 MALFORMED_FILES = {
     "cells.json": b'{"matrix": [["a", 1, 2], [1, 1, 2], [0.5, 0.5, 1]]}',
+    # Cells that Python's float() would accept: JSON booleans and numeric strings.
+    "bools.json": b'{"matrix": [[true, 2, 4], [0.5, true, 2], [0.25, 0.5, true]]}',
+    "numeric_strings.json": b'{"matrix": [["1", "2", "4"], ["0.5", "1", "2"], ["0.25", "0.5", "1"]]}',
     "string.json": b'{"matrix": "abc"}',
     "scalar.json": b'{"matrix": 5, "labels": ["a"]}',
     "latin1.csv": b"1,3,\xff2\n",
