@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, fields
 from typing import Mapping
 
-from .axioms import AuditConfig, AuditReport, Witness, audit, probe_rng, sample_triad
+from .axioms import AuditConfig, AuditReport, Witness, audit, probe_key, probe_rng, sample_triad
 from .indices import AXIOMS, CATALOG, IndexDescriptor, get_index
 
 __all__ = [
@@ -230,15 +230,16 @@ def ranking_concordance(
 ) -> ConcordanceStats:
     """Classify cfg.samples sampled triad pairs by the sign pattern of both indices.
 
-    The pair stream depends only on (master_seed, probe index), so swapping
-    the two indices evaluates the exact same pairs with the tie columns
-    swapped.
+    Pair i draws from probe_rng(probe_key(master_seed, "pair"), i) alone, so
+    swapping the two indices evaluates the exact same pairs with the tie
+    columns swapped.
     """
     cfg = cfg if cfg is not None else AuditConfig()
     counts = dict.fromkeys(("concordant", "discordant", "ties_a_only", "ties_b_only", "ties_both"), 0)
     witness = None
+    key = probe_key(cfg.master_seed, "pair")
     for i in range(cfg.samples):
-        rng = probe_rng(cfg.master_seed, "pair", i)
+        rng = probe_rng(key, i)
         s = sample_triad(rng, cfg.entry_range)
         t = sample_triad(rng, cfg.entry_range)
         a_s, a_t = a.evaluate(s), a.evaluate(t)

@@ -4,10 +4,12 @@ One table entry per axiom gives its violated relation, its seeded probes and
 a handful of pinned probes with known violations; a check searches them in
 order for a counterexample.  A verdict of "pass" means "no violation found at
 this configuration", never a proof; a "fail" verdict carries a
-self-contained witness that replays without the RNG.  Each probe draws from
-its own MT19937 ``random.Random``, seeded with 64 bits of the sha256 of
-(master_seed, axiom, probe index), so results do not depend on evaluation
-order and growing the sample count can only turn a pass into a fail.
+self-contained witness that replays without the RNG, shrunk to simple entries
+first.  Probe i of an axiom draws from its own counter-based stream: the
+axiom's key, 8 bytes of the sha256 of (master_seed, axiom), is derived once
+per check, and block j of the stream is the keyed blake2b hash of (i, j).
+So results do not depend on evaluation order, and growing the sample count
+can only turn a pass into a fail.
 
 Axiom identifiers:
 
@@ -27,26 +29,25 @@ SMSC strict variant of MSC: ties count as violations
 
 from __future__ import annotations
 
-import _random
 import hashlib
 import math
 import operator
-import random
+import struct
 import sys
 from dataclasses import dataclass, field, fields
 from functools import partial
-from itertools import chain, permutations
+from itertools import chain, count, permutations
 from typing import Callable, Iterator, Mapping
 
 from .core import (
     Triad,
     consistency_ratio,
+    is_consistent,
     permute_triad,
     power_transform,
     scale_transform,
     single_entry_perturb,
     transpose_triad,
-    triad_from_weights,
 )
 from .indices import AXIOMS, IndexDescriptor
 
@@ -56,6 +57,7 @@ __all__ = [
     "AxiomVerdict",
     "AuditReport",
     "UnknownAxiomError",
+    "probe_key",
     "probe_rng",
     "sample_triad",
     "sample_consistent_triad",
@@ -159,19 +161,48 @@ def _derive_seed(master_seed: int, *tags) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def probe_rng(master_seed: int, *tags) -> random.Random:
-    """Independent RNG for one probe, a pure function of (master_seed, tags).
+def probe_key(master_seed: int, tag: str) -> bytes:
+    """Key of one family of probe streams (one axiom's probes, or one concordance's
+    pairs): 8 bytes of the sha256 of (master_seed, tag)."""
+    return _derive_seed(master_seed, tag).to_bytes(8, "big")
 
-    Equal to ``random.Random(_derive_seed(master_seed, *tags))``, but seeded
-    by the C-level ``seed`` alone, without the Python-level wrappers.
+
+# Block j of probe i: the 64-byte blake2b of the counter (i, j) as two
+# little-endian 64-bit words, keyed by the family's key, read as 8 such words.
+_COUNTER = struct.Struct("<2Q")
+_WORDS = struct.Struct("<8Q")
+
+
+def _draws(key: bytes, i: int) -> Iterator[float]:
+    for j in count():
+        for word in _WORDS.unpack(hashlib.blake2b(_COUNTER.pack(i, j), key=key, digest_size=64).digest()):
+            yield (word >> 11) * 2.0**-53
+
+
+class _ProbeStream:
+    """The uniform draws of one probe: ``random()`` in [0, 1) and ``choice(seq)``."""
+
+    __slots__ = ("random",)
+
+    def __init__(self, key: bytes, i: int):
+        self.random = _draws(key, i).__next__
+
+    def choice(self, seq):
+        return seq[int(len(seq) * self.random())]
+
+
+def probe_rng(key: bytes, i: int) -> _ProbeStream:
+    """Stream of probe ``i`` (0 <= i < 2**64) of the family keyed by ``key`` (see probe_key).
+
+    Draw m of the stream is word m % 8 of block m // 8, as the float
+    ``(word >> 11) * 2**-53``; ``choice`` over n items takes item
+    ``int(n * draw)``.  The stream is a pure function of (key, i), so no probe
+    depends on the probes drawn before it.
     """
-    rng = random.Random.__new__(random.Random)
-    _random.Random.seed(rng, _derive_seed(master_seed, *tags))
-    rng.gauss_next = None
-    return rng
+    return _ProbeStream(key, i)
 
 
-def sample_triad(rng: random.Random, entry_range: tuple[float, float]) -> Triad:
+def sample_triad(rng: _ProbeStream, entry_range: tuple[float, float]) -> Triad:
     """Three entries drawn independently, log-uniform on entry_range."""
     lo = math.log(entry_range[0])
     span = math.log(entry_range[1]) - lo
@@ -180,15 +211,20 @@ def sample_triad(rng: random.Random, entry_range: tuple[float, float]) -> Triad:
     return Triad(math.exp(lo + span * draw()), math.exp(lo + span * draw()), math.exp(lo + span * draw()))
 
 
-def sample_consistent_triad(rng: random.Random, entry_range: tuple[float, float]) -> Triad:
-    """Consistent triad from three log-uniform weights: (w1/w2, w1/w3, w2/w3)."""
+def sample_consistent_triad(rng: _ProbeStream, entry_range: tuple[float, float]) -> Triad:
+    """Consistent triad from three log-uniform weights: (w1/w2, w1/w3, w2/w3).
+
+    What triad_from_weights returns, without re-checking weights that are
+    exponentials of a bounded log.
+    """
     lo = math.log(entry_range[0])
     span = math.log(entry_range[1]) - lo
     draw = rng.random
-    return triad_from_weights(math.exp(lo + span * draw()), math.exp(lo + span * draw()), math.exp(lo + span * draw()))
+    w1, w2, w3 = math.exp(lo + span * draw()), math.exp(lo + span * draw()), math.exp(lo + span * draw())
+    return Triad(w1 / w2, w1 / w3, w2 / w3)
 
 
-def _sample_consistent_off_unit(rng: random.Random, entry_range: tuple[float, float]) -> Triad:
+def _sample_consistent_off_unit(rng: _ProbeStream, entry_range: tuple[float, float]) -> Triad:
     """Consistent triad with every entry at least _MIN_LOG_ENTRY away from 1."""
     for _ in range(100_000):
         t = sample_consistent_triad(rng, entry_range)
@@ -385,7 +421,7 @@ def _urs_violation(evaluate: Evaluator, tol: float, reference: Triad, offender: 
 
 
 # ---------------------------------------------------------------------------
-# probes: (samples_used, row) pairs, probe i drawing only from probe_rng(seed, axiom, i)
+# probes: (samples_used, row) pairs, probe i drawing only from probe_rng(key, i)
 # ---------------------------------------------------------------------------
 
 _Probes = Iterator[tuple[int, tuple]]
@@ -393,22 +429,25 @@ _Probes = Iterator[tuple[int, tuple]]
 
 def _grid_probes(axiom: str, values: tuple, cfg: AuditConfig) -> _Probes:
     """One sampled triad per probe, followed by every parameter value in `values` (IIP has none)."""
+    key = probe_key(cfg.master_seed, axiom)
     for i in range(cfg.samples):
-        yield i + 1, (sample_triad(probe_rng(cfg.master_seed, axiom, i), cfg.entry_range), *values)
+        yield i + 1, (sample_triad(probe_rng(key, i), cfg.entry_range), *values)
 
 
 def _hta_probes(cfg: AuditConfig) -> _Probes:
     lo = math.log(cfg.entry_range[0])
     span = math.log(cfg.entry_range[1]) - lo
+    key = probe_key(cfg.master_seed, "HTA")
     for i in range(cfg.samples):
-        draw = probe_rng(cfg.master_seed, "HTA", i).random
+        draw = probe_rng(key, i).random
         yield i + 1, (Triad(1.0, math.exp(lo + span * draw()), math.exp(lo + span * draw())),)
 
 
 def _urs_probes(cfg: AuditConfig) -> _Probes:
-    reference = sample_consistent_triad(probe_rng(cfg.master_seed, "URS", 0), cfg.entry_range)
+    key = probe_key(cfg.master_seed, "URS")
+    reference = sample_consistent_triad(probe_rng(key, 0), cfg.entry_range)
     for i in range(cfg.samples):
-        rng = probe_rng(cfg.master_seed, "URS", i)
+        rng = probe_rng(key, i)
         consistent = sample_consistent_triad(rng, cfg.entry_range)
         yield i + 1, (reference, consistent, "consistent_mismatch")
         offender = sample_triad(rng, cfg.entry_range)
@@ -424,8 +463,9 @@ def _monotone_probes(axiom: str, cfg: AuditConfig) -> _Probes:
     On a consistent base that side follows from signs alone: the ratio
     t13 / (t12 * t23) rises above 1 when t13 is raised or t12 or t23 lowered.
     """
+    key = probe_key(cfg.master_seed, axiom)
     for i in range(cfg.samples):
-        rng = probe_rng(cfg.master_seed, axiom, i)
+        rng = probe_rng(key, i)
         base = _sample_consistent_off_unit(rng, cfg.entry_range)
         position = rng.choice(_POSITIONS)
         deltas = _DELTAS_ABOVE if (base.entry(position) > 1.0) == (position == "13") else _DELTAS_BELOW
@@ -433,12 +473,102 @@ def _monotone_probes(axiom: str, cfg: AuditConfig) -> _Probes:
 
 
 def _con_probes(cfg: AuditConfig) -> _Probes:
+    key = probe_key(cfg.master_seed, "CON")
     for i in range(cfg.samples):
-        rng = probe_rng(cfg.master_seed, "CON", i)
+        rng = probe_rng(key, i)
         bases = (sample_triad(rng, cfg.entry_range), sample_consistent_triad(rng, cfg.entry_range))
         position = rng.choice(_POSITIONS)
         for base in bases:
             yield i + 1, (base, position, CONTINUITY_LADDER)
+
+
+# ---------------------------------------------------------------------------
+# witness shrinking: simpler entries for the row's triads, same violation
+# ---------------------------------------------------------------------------
+
+# Replays that one fail witness may spend on shrinking.
+_SHRINK_REPLAYS = 64
+
+
+def _sig_digits(x: float) -> int:
+    """Significant digits of x at %.15g."""
+    return len(f"{x:.14e}".split("e")[0].replace(".", "").rstrip("0"))
+
+
+def _roundings(x: float) -> list[float]:
+    """x cut to 1, then 2, significant digits and rounded down and up, the nearer value first."""
+    mantissa, exponent = f"{x:.14e}".split("e")
+    digits = mantissa.replace(".", "")
+    values = []
+    for n in (1, 2):
+        down, scale = int(digits[:n]), int(exponent) - n + 1
+        near = [float(f"{down}e{scale}")]
+        if digits[n:].strip("0"):
+            near = sorted((near[0], float(f"{down + 1}e{scale}")), key=lambda v: abs(v - x))
+        for v in near:
+            if v not in values:
+                values.append(v)
+    return values
+
+
+def _simpler_triads(t: Triad, position: str | None, lo: float, hi: float) -> list[Triad]:
+    """Candidates for ``t`` inside its probe domain on entry_range (lo, hi).
+
+    A sampled triad changes the entry at ``position`` to one of its roundings
+    in [lo, hi].  A consistent triad (``position`` None) stays consistent:
+    roundings of t12 and t23 with t13 = t12 * t23, every entry at most 2
+    significant digits and the weights (1, 1/t12, 1/t13) fitting in a ratio hi/lo.
+    """
+    if position is not None:
+        entry = t.entry(position)
+        return [_with_entry(t, position, v) for v in _roundings(entry) if v != entry and lo <= v <= hi]
+    pairs = sorted(
+        ((a, b) for a in _roundings(t.t12) for b in _roundings(t.t23) if (a, b) != (t.t12, t.t23)),
+        key=lambda pair: _sig_digits(pair[0]) + _sig_digits(pair[1]),
+    )
+    return [
+        Triad(a, a * b, b)
+        for a, b in pairs
+        if _sig_digits(a * b) <= 2 and max(1.0, a, a * b) <= hi / lo * min(1.0, a, a * b)
+    ]
+
+
+def _monotone_domain(consistent: Triad, position: str, delta_prev: float, delta: float) -> bool:
+    """MSC/SMSC: every entry off 1 by _MIN_LOG_ENTRY in log space, and the ladder
+    side (delta above or below 1) still the one that lifts the consistency ratio."""
+    if any(abs(math.log(e)) < _MIN_LOG_ENTRY for e in consistent.entries()):
+        return False
+    return ((consistent.entry(position) > 1.0) == (position == "13")) == (delta > 1.0)
+
+
+def _shrink(spec: _AxiomSpec, witness: Witness, evaluate: Evaluator, cfg: AuditConfig) -> Witness:
+    """The witness with simpler row triads and the same violated relation.
+
+    Greedy, in ``row`` order: a sampled triad entry by entry, a consistent
+    triad (URS's reference, MSC's base, CON's consistent base) whole.  A
+    candidate is kept when it stays in its probe domain and ``violation`` on
+    the changed row returns a witness with the same relation; at most
+    _SHRINK_REPLAYS replays are made.
+    """
+    lo, hi = cfg.entry_range
+    fields = {**witness.triads, **witness.params}
+    replays = 0
+    for name in spec.row:
+        if not isinstance(fields[name], Triad):
+            continue
+        for position in (None,) if is_consistent(fields[name]) else _POSITIONS:
+            for candidate in _simpler_triads(fields[name], position, lo, hi):
+                row = [candidate if n == name else fields[n] for n in spec.row]
+                if not spec.in_domain(*row):
+                    continue
+                if replays == _SHRINK_REPLAYS:
+                    return witness
+                replays += 1
+                shrunk = spec.violation(evaluate, cfg.tolerance, *row)
+                if shrunk is not None and shrunk.relation == witness.relation:
+                    fields[name], witness = candidate, shrunk
+                    break
+    return witness
 
 
 # ---------------------------------------------------------------------------
@@ -461,12 +591,15 @@ class _AxiomSpec:
     passes that one-value row to the same ``violation``.  ``pinned`` maps an
     index id to rows with a violation known in closed form: they are tried
     before any sampling, so the fail verdict does not depend on the budget.
+    ``in_domain(*row)`` holds on a shrunk one-value row that keeps the probe
+    domain's conditions beyond its triads' entry range (see _shrink).
     """
 
     violation: Callable[..., Witness | None]
     probes: Callable[[AuditConfig], _Probes]
     row: tuple[str, ...]
     pinned: Mapping[str, tuple[tuple, ...]] = field(default_factory=dict)
+    in_domain: Callable[..., bool] = lambda *row: True
 
 
 # The probe design: fixed grids that the checks walk at every config, echoed
@@ -499,6 +632,7 @@ _SPECS: dict[str, _AxiomSpec] = {
         partial(_monotone_violation, False),
         partial(_monotone_probes, "MSC"),
         ("consistent", "position", "delta_prev", "delta"),
+        in_domain=_monotone_domain,
     ),
     # CON: a sampled and a consistent triad; one entry times 1 + eps for each eps in CONTINUITY_LADDER.
     "CON": _AxiomSpec(_con_violation, _con_probes, ("input", "position", "ladder")),
@@ -531,6 +665,7 @@ _SPECS: dict[str, _AxiomSpec] = {
         partial(_monotone_violation, True),
         partial(_monotone_probes, "SMSC"),
         ("consistent", "position", "delta_prev", "delta"),
+        in_domain=_monotone_domain,
     ),
 }
 
@@ -546,7 +681,7 @@ def check_axiom(index: IndexDescriptor, axiom: str, cfg: AuditConfig | None = No
     for samples_used, row in chain(pinned, spec.probes(cfg)):
         witness = violation(evaluate, tol, *row)
         if witness is not None:
-            return AxiomVerdict(axiom, "fail", witness, samples_used, cfg.master_seed)
+            return AxiomVerdict(axiom, "fail", _shrink(spec, witness, evaluate, cfg), samples_used, cfg.master_seed)
     return AxiomVerdict(axiom, "pass", None, cfg.samples, cfg.master_seed)
 
 

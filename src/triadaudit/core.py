@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 __all__ = [
     "CONSISTENCY_TOL",
@@ -174,15 +174,29 @@ class ReciprocalMatrix:
         return Triad(self.entries[0][1], self.entries[0][2], self.entries[1][2])
 
 
+# The six bijections, each reading the permuted entries straight from the
+# triad: cell (i, j) of the result is cell (p.index(i), p.index(j)) of the
+# input matrix, an entry or its reciprocal exactly as matrix_rows gives it.
+_PERMUTERS: dict[tuple[int, ...], Callable[[Triad], Triad]] = {
+    (0, 1, 2): lambda t: Triad(t.t12, t.t13, t.t23),
+    (0, 2, 1): lambda t: Triad(t.t13, t.t12, 1.0 / t.t23),
+    (1, 0, 2): lambda t: Triad(1.0 / t.t12, t.t23, t.t13),
+    (1, 2, 0): lambda t: Triad(1.0 / t.t13, 1.0 / t.t23, t.t12),
+    (2, 0, 1): lambda t: Triad(t.t23, 1.0 / t.t12, 1.0 / t.t13),
+    (2, 1, 0): lambda t: Triad(1.0 / t.t23, 1.0 / t.t13, 1.0 / t.t12),
+}
+
+
 def permute_triad(t: Triad, perm: Sequence[int]) -> Triad:
     """Relabel the alternatives of `t`: ``perm[i]`` is the new position of alternative i (0-based)."""
-    p = tuple(map(int, perm))
-    if sorted(p) != [0, 1, 2]:
-        raise DomainError(f"perm must be a bijection on 0..2, got {perm!r}")
-    # Row/column i of the result is alternative p.index(i) of the input.
-    i, j, k = p.index(0), p.index(1), p.index(2)
-    v = t.matrix_rows()
-    return Triad(v[i][j], v[i][k], v[j][k])
+    try:
+        permuter = _PERMUTERS[perm]
+    except (KeyError, TypeError):
+        p = tuple(map(int, perm))
+        if sorted(p) != [0, 1, 2]:
+            raise DomainError(f"perm must be a bijection on 0..2, got {perm!r}") from None
+        permuter = _PERMUTERS[p]
+    return permuter(t)
 
 
 def transpose_triad(t: Triad) -> Triad:

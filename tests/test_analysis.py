@@ -19,6 +19,7 @@ from triadaudit import (
     get_index,
     independence_table,
     natural_index,
+    probe_key,
     probe_rng,
     ranking_concordance,
     sample_triad,
@@ -193,7 +194,7 @@ class TestConcordance:
         a, b = get_index("natural"), get_index("scale_dependent")
         counts = {"c": 0, "d": 0, "ta": 0, "tb": 0, "both": 0}
         for i in range(cfg.samples):
-            rng = probe_rng(cfg.master_seed, "pair", i)
+            rng = probe_rng(probe_key(cfg.master_seed, "pair"), i)
             s = sample_triad(rng, cfg.entry_range)
             t = sample_triad(rng, cfg.entry_range)
             da, db = a.evaluate(s) - a.evaluate(t), b.evaluate(s) - b.evaluate(t)

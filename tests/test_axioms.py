@@ -1,9 +1,10 @@
 """Falsification engine: samplers, checkers, witnesses, determinism."""
 
+import dataclasses
 import hashlib
 import json
 import math
-import random
+import struct
 from itertools import permutations
 
 import numpy as np
@@ -22,13 +23,15 @@ from triadaudit import (
     consistency_ratio,
     get_index,
     natural_index,
+    probe_key,
     probe_rng,
     replay_witness,
     sample_consistent_triad,
     sample_triad,
     verdict_matrix,
 )
-from triadaudit.axioms import B_GRID, CONTINUITY_LADDER, DELTA_GRID, K_GRID, _derive_seed, _SPECS
+from triadaudit import analysis, axioms
+from triadaudit.axioms import B_GRID, CONTINUITY_LADDER, DELTA_GRID, K_GRID, _MIN_LOG_ENTRY, _SPECS, Witness, _shrink
 from triadaudit.core import single_entry_perturb
 
 FAST = AuditConfig(samples=150, master_seed=42)
@@ -37,32 +40,34 @@ RANGE = (1.0 / 9.0, 9.0)
 
 class TestSamplers:
     def test_sample_triad_deterministic(self):
-        a = sample_triad(probe_rng(42, "t", 0), RANGE)
-        b = sample_triad(probe_rng(42, "t", 0), RANGE)
+        a = sample_triad(probe_rng(probe_key(42, "t"), 0), RANGE)
+        b = sample_triad(probe_rng(probe_key(42, "t"), 0), RANGE)
         assert a == b
 
     def test_sample_triad_range_containment(self):
         lo, hi = RANGE
+        key = probe_key(5, "range")
         for i in range(10_000):
-            t = sample_triad(probe_rng(5, "range", i), RANGE)
+            t = sample_triad(probe_rng(key, i), RANGE)
             assert all(lo * (1 - 1e-12) <= e <= hi * (1 + 1e-12) for e in t.entries())
 
     def test_ratio_above_one_roughly_half_the_time(self):
-        above = sum(
-            consistency_ratio(sample_triad(probe_rng(11, "sym", i), RANGE)) > 1.0 for i in range(10_000)
-        )
+        key = probe_key(11, "sym")
+        above = sum(consistency_ratio(sample_triad(probe_rng(key, i), RANGE)) > 1.0 for i in range(10_000))
         assert abs(above / 10_000 - 0.5) < 0.05
 
     def test_consistent_sampler(self):
+        key = probe_key(42, "c")
         for i in range(200):
-            t = sample_consistent_triad(probe_rng(42, "c", i), RANGE)
+            t = sample_consistent_triad(probe_rng(key, i), RANGE)
             assert abs(natural_index(t) - 1.0) <= 1e-12
-        a = sample_consistent_triad(probe_rng(9, "c", 3), RANGE)
-        b = sample_consistent_triad(probe_rng(9, "c", 3), RANGE)
+        a = sample_consistent_triad(probe_rng(probe_key(9, "c"), 3), RANGE)
+        b = sample_consistent_triad(probe_rng(probe_key(9, "c"), 3), RANGE)
         assert a == b
 
     def test_distinct_probes_differ(self):
-        assert sample_triad(probe_rng(42, "t", 0), RANGE) != sample_triad(probe_rng(42, "t", 1), RANGE)
+        key = probe_key(42, "t")
+        assert sample_triad(probe_rng(key, 0), RANGE) != sample_triad(probe_rng(key, 1), RANGE)
 
 
 class TestConfig:
@@ -290,7 +295,9 @@ class TestAudit:
         assert a == b
 
     def test_failures_persist_as_samples_grow(self):
-        # Per-probe seeding makes (pass -> fail) the only possible flip.
+        # Probe i draws from stream i of its axiom's key alone, so a larger
+        # budget repeats the smaller one's probes first: (pass -> fail) is the
+        # only possible flip, and the first failing probe (and its shrunk witness) stays.
         small = audit(get_index("scale_dependent"), ("SI", "HTA"), AuditConfig(samples=1, master_seed=42))
         large = audit(get_index("scale_dependent"), ("SI", "HTA"), AuditConfig(samples=400, master_seed=42))
         assert small.verdict("SI").status == "fail"
@@ -302,24 +309,111 @@ class TestAudit:
             assert audit(get_index("natural"), ("URS",), AuditConfig(samples=n, master_seed=42)).all_pass
 
 
-def test_probe_rng_is_order_free():
-    # Probe i's stream is independent of how many probes ran before it.
-    values = [sample_triad(probe_rng(3, "x", i), RANGE) for i in range(5)]
-    assert values[3] == sample_triad(probe_rng(3, "x", 3), RANGE)
-    assert len({tuple(v.entries()) for v in values}) == 5
+# The probe stream: probe i of a family draws from the keyed blake2b blocks of
+# (i, 0), (i, 1), ... alone.  The known-answer vector pins it on every Python
+# version; its ten draws cross from block 0 into block 1.
+KNOWN_ANSWERS = {
+    (42, "MSC", 0): (
+        "d88571e6f46a6fe2",
+        [
+            0.8526905312425287,
+            0.4996003165997279,
+            0.6039845003714273,
+            0.5872322252340257,
+            0.28344764422037394,
+            0.10723610955063101,
+            0.8215248080568097,
+            0.5167009381006664,
+            0.728045374976785,
+            0.3595942406137075,
+        ],
+        "13",
+    ),
+    (-7, "pair", 10**6): (
+        "07b3f5af76327fad",
+        [
+            0.44577787947865943,
+            0.5151987562804787,
+            0.908375395313905,
+            0.7549228406274238,
+            0.21181421739978068,
+            0.6238075794720542,
+            0.7886846741121761,
+            0.2709572567923655,
+            0.42062491599162355,
+            0.11832497944009945,
+        ],
+        "12",
+    ),
+}
+
+
+@pytest.mark.parametrize("seed, tag, i", KNOWN_ANSWERS)
+def test_probe_stream_known_answer(seed, tag, i):
+    key_hex, draws, choice = KNOWN_ANSWERS[seed, tag, i]
+    key = probe_key(seed, tag)
+    assert key.hex() == key_hex
+    rng = probe_rng(key, i)
+    assert [rng.random() for _ in range(10)] == draws
+    assert rng.choice(("12", "13", "23")) == choice
 
 
 @pytest.mark.parametrize("seed", [0, 42, -7, 2**70])
 @pytest.mark.parametrize("index", [0, 1, 10**6])
 def test_probe_rng_matches_a_seeded_random(seed, index):
-    # probe_rng seeds through the C-level Random.seed; it must build exactly
-    # the generator that random.Random(seed) builds.
-    rng = probe_rng(seed, "MSC", index)
-    reference = random.Random(_derive_seed(seed, "MSC", index))
-    assert rng.getstate() == reference.getstate()
-    assert [rng.random() for _ in range(5)] == [reference.random() for _ in range(5)]
-    assert rng.gauss(0.0, 1.0) == reference.gauss(0.0, 1.0)
-    assert probe_rng(seed, "MSC", index) is not probe_rng(seed, "MSC", index)
+    # The reference seeded stream is built here from hashlib and struct: the
+    # key is 8 bytes of the sha256 of (seed, tag); draw m of probe i is word
+    # m % 8 of the keyed blake2b of (i, m // 8), as (word >> 11) / 2**53.
+    key = probe_key(seed, "MSC")
+    assert key == hashlib.sha256(f"triadaudit:{seed}:MSC".encode("utf-8")).digest()[:8]
+    blocks = [hashlib.blake2b(struct.pack("<2Q", index, j), key=key, digest_size=64).digest() for j in range(3)]
+    floats = [(w >> 11) / 2**53 for block in blocks for w in struct.unpack("<8Q", block)]
+    rng = probe_rng(key, index)
+    assert [rng.random() for _ in range(20)] == floats[:20]
+    assert rng.choice("abc") == "abc"[int(3 * floats[20])]
+    assert probe_rng(key, index) is not probe_rng(key, index)
+
+
+def test_probe_rng_is_order_free():
+    # Probe i's stream does not depend on the probes drawn before it.
+    key = probe_key(3, "x")
+    values = [sample_triad(probe_rng(key, i), RANGE) for i in range(5)]
+    assert values[3] == sample_triad(probe_rng(key, 3), RANGE)
+    assert [sample_triad(probe_rng(key, i), RANGE) for i in (4, 2, 0, 3, 1)] == [values[i] for i in (4, 2, 0, 3, 1)]
+    assert len({tuple(v.entries()) for v in values}) == 5
+    assert probe_rng(key, 3) is not probe_rng(key, 3)
+
+
+@pytest.mark.parametrize("axiom", AXIOMS)
+def test_a_larger_budget_replays_the_smaller_one_first(axiom):
+    small = list(_SPECS[axiom].probes(AuditConfig(samples=40, master_seed=9)))
+    large = list(_SPECS[axiom].probes(AuditConfig(samples=100, master_seed=9)))
+    assert large[: len(small)] == small and len(large) > len(small)
+
+
+def test_probe_stream_draws_are_uniform_on_the_unit_interval():
+    key = probe_key(2026, "uniform")
+    positions = ("12", "13", "23")
+    hits = dict.fromkeys(positions, 0)
+    for i in range(30_000):
+        rng = probe_rng(key, i)
+        draws = [rng.random() for _ in range(9)]
+        assert all(0.0 <= u < 1.0 for u in draws)
+        hits[rng.choice(positions)] += 1
+    assert all(abs(n / 30_000 - 1 / 3) <= 0.02 for n in hits.values()), hits
+
+
+def test_tracer_patch_points_are_module_attributes():
+    # perfbench's traced run wraps these names; each must stay a module attribute that the engine calls through.
+    for module, name in [
+        (axioms, "probe_rng"),
+        (analysis, "probe_rng"),
+        (axioms, "sample_triad"),
+        (analysis, "sample_triad"),
+        (axioms, "sample_consistent_triad"),
+    ]:
+        assert callable(getattr(module, name)), (module.__name__, name)
+    assert analysis.probe_rng is axioms.probe_rng and analysis.sample_triad is axioms.sample_triad
 
 
 def test_each_probe_evaluates_each_triad_once():
@@ -394,7 +488,7 @@ DEFAULT_FAILS = {
     "cx5": {"IPA": 1, "HTA": 0},
     "cx6": {"IPA": 1, "SI": 0},
     "flat": {"URS": 1, "SMSC": 1},
-    "discretised_natural": {"SMSC": 2},
+    "discretised_natural": {"SMSC": 1},
 }
 
 
@@ -402,9 +496,9 @@ DEFAULT_FAILS = {
 # included, per (samples, master_seed).  A change that moves one witness float
 # changes the digest; diff the documents against the previous release to see which.
 VERDICT_DIGESTS = {
-    (1000, 42): "bc02a3128b36de5f714c6b11c8e2b5eb7ce8c6a4850c15ee4c008dc2d66faf5b",
-    (37, 3): "133ae16f42c4c8f0128e5e6bf5543d1ac2d68185b330d36335cc1bfa12d55482",
-    (37, 7): "02b91bd24ae87e9e9ce67684a919ae26ebbcc93b8ef73b6ca2ceb6fc07686825",
+    (1000, 42): "70f7481fbb62d7b45e940c334c527cb6f2f4facf68c29354d5a084c40b9bebb9",
+    (37, 3): "eb36ee49506c8dd00a0929c76be2814453ac7b97089d153c9d4da64b82160f85",
+    (37, 7): "73fa75250c33dc86ae346c4789c4187b733b5497852ad9f81b54ac0abecf9481",
 }
 
 
@@ -434,3 +528,85 @@ def test_small_budget_witnesses_are_pinned(catalog_matrix, seed):
     cfg = AuditConfig(samples=37, master_seed=seed)
     reports = [report for _, report in catalog_matrix(cfg).rows]
     assert _verdict_digest(reports) == VERDICT_DIGESTS[(cfg.samples, cfg.master_seed)]
+
+
+def _sampled(t, lo, hi):
+    return all(lo * (1 - 1e-12) <= e <= hi * (1 + 1e-12) for e in t.entries())
+
+
+def _consistent(t, lo, hi):
+    # Consistent triads come from three weights on (lo, hi): (w1/w2, w1/w3, w2/w3).
+    spread = max(1.0, t.t12, t.t13) / min(1.0, t.t12, t.t13)
+    return consistency_ratio(t) == pytest.approx(1.0, abs=1e-12) and spread <= hi / lo * (1 + 1e-12)
+
+
+def _in_probe_domain(witness, lo, hi) -> bool:
+    """The probe domain that each _SPECS row documents, for a witness's one-value row."""
+    t, p = witness.triads, witness.params
+    axiom = witness.axiom
+    if axiom == "URS":
+        offender = _consistent if p["kind"] == "consistent_mismatch" else _sampled
+        return _consistent(t["reference"], lo, hi) and offender(t["offender"], lo, hi)
+    if axiom in ("MSC", "SMSC"):
+        base, position = t["consistent"], p["position"]
+        lifts = (base.entry(position) > 1.0) == (position == "13")
+        off_unit = all(abs(math.log(e)) >= _MIN_LOG_ENTRY for e in base.entries())
+        return _consistent(base, lo, hi) and off_unit and lifts == (p["delta"] > 1.0)
+    if axiom == "CON":
+        return _sampled(t["input"], lo, hi) or _consistent(t["input"], lo, hi)
+    if axiom == "HTA":
+        return t["input"].t12 == 1.0 and _sampled(t["input"], lo, hi)
+    return _sampled(t["input"], lo, hi)
+
+
+def _significant_digits(x: float) -> int:
+    """Significant digits of x written at %.15g: 0.042 has 2, 120 has 2, 1e+34 has 1."""
+    return len(("%.15g" % x).split("e")[0].replace(".", "").strip("0"))
+
+
+def _row_triads(witness):
+    """The triads of the witness's row (spec.row), not the ones derived from them."""
+    return [witness.triads[name] for name in _SPECS[witness.axiom].row if name in witness.triads]
+
+
+def test_shrunk_default_witnesses_replay_inside_their_probe_domain(default_matrix):
+    cfg = default_matrix.config
+    witnesses = [(d, v.witness) for d, report in default_matrix.rows for v in report.verdicts if v.witness]
+    assert len(witnesses) == sum(len(fails) for fails in DEFAULT_FAILS.values())
+    for descriptor, witness in witnesses:
+        where = (descriptor.id, witness.axiom)
+        assert replay_witness(witness, descriptor.evaluate, cfg.tolerance), where
+        assert _in_probe_domain(witness, *cfg.entry_range), where
+        # Shrinking leaves every entry of a row triad with at most 2 significant digits.
+        for t in _row_triads(witness):
+            assert all(_significant_digits(e) <= 2 for e in t.entries()), (where, t)
+
+
+@pytest.mark.parametrize("seed", [3, 7])
+def test_shrunk_small_budget_witnesses_replay_inside_their_probe_domain(catalog_matrix, seed):
+    cfg = AuditConfig(samples=37, master_seed=seed)
+    for descriptor, report in catalog_matrix(cfg).rows:
+        for witness in report.witnesses():
+            assert replay_witness(witness, descriptor.evaluate, cfg.tolerance), (descriptor.id, witness.axiom)
+            assert _in_probe_domain(witness, *cfg.entry_range), (descriptor.id, witness.axiom)
+
+
+def test_shrinking_spends_at_most_its_replay_budget(monkeypatch):
+    # A violation that never reproduces makes the shrinker try every candidate:
+    # a consistent reference and a sampled offender whose entries have 17 digits.
+    replays = []
+    spec = dataclasses.replace(_SPECS["URS"], violation=lambda *row: replays.append(row))
+    reference = Triad(0.7123456789012345, 0.7123456789012345 * 3.123456789012345, 3.123456789012345)
+    offender = Triad(0.4123456789012345, 2.123456789012345, 5.123456789012345)
+    witness = Witness(
+        axiom="URS",
+        relation="an inconsistent triad attains the consistent reference value",
+        triads={"reference": reference, "offender": offender},
+        params={"kind": "inconsistent_match"},
+    )
+    assert _shrink(spec, witness, natural_index, AuditConfig()) is witness
+    assert 10 < len(replays) <= 64
+    replays.clear()
+    monkeypatch.setattr(axioms, "_SHRINK_REPLAYS", 5)
+    assert _shrink(spec, witness, natural_index, AuditConfig()) is witness
+    assert len(replays) == 5

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -288,6 +289,7 @@ MALFORMED_FILES = {
     "numeric_strings.json": b'{"matrix": [["1", "2", "4"], ["0.5", "1", "2"], ["0.25", "0.5", "1"]]}',
     "string.json": b'{"matrix": "abc"}',
     "scalar.json": b'{"matrix": 5, "labels": ["a"]}',
+    "null_row.json": b'{"matrix": [[1, 2, 4], null, [0.25, 0.5, 1]]}',
     "latin1.csv": b"1,3,\xff2\n",
     "big_int.json": b'{"matrix": [[1, 1' + b"0" * 400 + b"], [1, 1]]}",
     "deep.json": b"[" * 100_000,
@@ -297,12 +299,19 @@ MALFORMED_FILES = {
 }
 
 
+# JSON "matrix" values that are not a list of rows.
+NOT_A_LIST_OF_ROWS = ("string.json", "scalar.json", "null_row.json")
+
+
 @pytest.mark.parametrize("name", MALFORMED_FILES)
 def test_malformed_matrix_file_exits_two_with_one_line(tmp_path, name):
     path = tmp_path / name
     path.write_bytes(MALFORMED_FILES[name])
     for json_flag in ((), ("--json",)):
-        assert_one_line_error(*run_cli("compute", "--matrix", str(path), *json_flag), name)
+        code, out, err = run_cli("compute", "--matrix", str(path), *json_flag)
+        assert_one_line_error(code, out, err, name)
+        if name in NOT_A_LIST_OF_ROWS:
+            assert err == f"error: {path}: matrix must be a list of rows\n"
 
 
 def test_compute_takes_no_sampling_flags(matrix_s):
@@ -402,3 +411,12 @@ def test_cli_import_does_not_load_numpy():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     code = "import sys, triadaudit.cli; sys.exit('numpy' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_package_version_is_the_reports_tool_version():
+    # pyproject.toml is read with a regex: tomllib is not in Python 3.10.
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text("utf-8")
+    versions = re.findall(r'^version = "([^"]+)"$', pyproject, re.M)
+    assert versions == [triadaudit.__version__]
+    code, out, _ = run_cli("audit", "natural", "--axioms", "URS", "--samples", "5", "--json")
+    assert code == 0 and json.loads(out)["tool_version"] == triadaudit.__version__
