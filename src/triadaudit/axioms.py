@@ -41,6 +41,7 @@ from typing import Callable, Iterator, Mapping
 
 from .core import (
     Triad,
+    _with_entry,
     consistency_ratio,
     is_consistent,
     permute_triad,
@@ -155,16 +156,10 @@ def _band(tol: float, a: float, b: float = 0.0) -> float:
     return tol * max(1.0, abs(a), abs(b))
 
 
-def _derive_seed(master_seed: int, *tags) -> int:
-    material = ":".join(("triadaudit", str(int(master_seed)), *map(str, tags)))
-    digest = hashlib.sha256(material.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big")
-
-
 def probe_key(master_seed: int, tag: str) -> bytes:
     """Key of one family of probe streams (one axiom's probes, or one concordance's
     pairs): 8 bytes of the sha256 of (master_seed, tag)."""
-    return _derive_seed(master_seed, tag).to_bytes(8, "big")
+    return hashlib.sha256(f"triadaudit:{int(master_seed)}:{tag}".encode()).digest()[:8]
 
 
 # Block j of probe i: the 64-byte blake2b of the counter (i, j) as two
@@ -212,11 +207,7 @@ def sample_triad(rng: _ProbeStream, entry_range: tuple[float, float]) -> Triad:
 
 
 def sample_consistent_triad(rng: _ProbeStream, entry_range: tuple[float, float]) -> Triad:
-    """Consistent triad from three log-uniform weights: (w1/w2, w1/w3, w2/w3).
-
-    What triad_from_weights returns, without re-checking weights that are
-    exponentials of a bounded log.
-    """
+    """Consistent triad from three log-uniform weights: (w1/w2, w1/w3, w2/w3)."""
     lo = math.log(entry_range[0])
     span = math.log(entry_range[1]) - lo
     draw = rng.random
@@ -366,15 +357,6 @@ def _monotone_violation(
     return None
 
 
-def _with_entry(t: Triad, position: str, value: float) -> Triad:
-    """``t`` with the entry at ``position`` replaced by ``value``."""
-    if position == "12":
-        return Triad(value, t.t13, t.t23)
-    if position == "13":
-        return Triad(t.t12, value, t.t23)
-    return Triad(t.t12, t.t13, value)
-
-
 def _con_violation(
     evaluate: Evaluator, tol: float, input: Triad, position: str, ladder: tuple[float, ...]
 ) -> Witness | None:
@@ -444,12 +426,15 @@ def _hta_probes(cfg: AuditConfig) -> _Probes:
 
 
 def _urs_probes(cfg: AuditConfig) -> _Probes:
+    """Probe 0's consistent triad is the reference; it is not compared with itself."""
     key = probe_key(cfg.master_seed, "URS")
-    reference = sample_consistent_triad(probe_rng(key, 0), cfg.entry_range)
     for i in range(cfg.samples):
         rng = probe_rng(key, i)
         consistent = sample_consistent_triad(rng, cfg.entry_range)
-        yield i + 1, (reference, consistent, "consistent_mismatch")
+        if i:
+            yield i + 1, (reference, consistent, "consistent_mismatch")
+        else:
+            reference = consistent
         offender = sample_triad(rng, cfg.entry_range)
         yield i + 1, (reference, offender, "inconsistent_match")
 
@@ -582,7 +567,8 @@ class _AxiomSpec:
 
     A row is a tuple of the fields ``row`` names, in that order; a grid or
     ladder row repeats its last field once per value, so one row is one probe
-    (URS and CON make two rows per probe, one per triad drawn).
+    (URS and CON make two rows per probe, one per triad drawn; URS's probe 0
+    makes one, as its consistent triad is the reference).
     ``violation(evaluate, tol, *row)`` evaluates each distinct triad of the
     row once and returns the first violating value's witness, or None.
     ``probes(cfg)`` yields ``(samples_used, row)`` pairs from the seeded
@@ -617,7 +603,7 @@ _PERMUTATIONS = tuple(permutations(range(3)))
 # Probe domains.  "Sampled": three entries log-uniform on entry_range.
 # "Consistent": (w1/w2, w1/w3, w2/w3) from three weights log-uniform on entry_range.
 _SPECS: dict[str, _AxiomSpec] = {
-    # URS: one consistent and one sampled offender per probe, against probe 0's consistent reference.
+    # URS: each probe's sampled offender and each later probe's consistent triad, against probe 0's consistent one.
     "URS": _AxiomSpec(_urs_violation, _urs_probes, ("reference", "offender", "kind")),
     # IPA: a sampled triad under each of the six permutations of the alternatives.
     "IPA": _AxiomSpec(

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .analysis import INDEPENDENCE_AXIOMS, independence_table, ranking_concordance
 from .axioms import AuditConfig, AuditReport, UnknownAxiomError, audit
-from .core import DomainError, ReciprocalMatrix
+from .core import DomainError, Triad
 from .indices import AXIOMS, INDEX_IDS, UnknownIndexError, get_index
 from .reporting import build_report, dumps_canonical
 
@@ -29,12 +29,47 @@ class CliError(Exception):
     """Input or usage error; maps to exit code 2."""
 
 
-def parse_matrix_file(path: str | Path, complete_lower: bool = False) -> tuple[ReciprocalMatrix, list[str] | None]:
-    """Read a matrix file: JSON with a "matrix" key, or CSV rows.
+# Validation band for hand-entered matrices: |a_ij * a_ji - 1| <= tol.
+_RECIPROCITY_TOL = 1e-6
 
-    A single CSV row "t12,t13,t23" is interpreted as a triad.  Returns the
-    validated matrix and the optional alternative labels.  Every way the file
-    can be unreadable or malformed raises CliError naming the file.
+
+def _positive(v: float, i: int, j: int) -> float:
+    if not math.isfinite(v) or v <= 0.0:
+        raise DomainError(f"entry ({i + 1},{j + 1}) must be a finite positive real, got {v!r}")
+    return v
+
+
+def _completed(t12: float, t13: float, t23: float) -> list[list[float]]:
+    """The 3x3 matrix with this strict upper triangle, its other cells rebuilt by reciprocity."""
+    t12, t13, t23 = _positive(t12, 0, 1), _positive(t13, 0, 2), _positive(t23, 1, 2)
+    return [[1.0, t12, t13], [1.0 / t12, 1.0, t23], [1.0 / t13, 1.0 / t23, 1.0]]
+
+
+def _matrix_triad(rows: list[list[float]]) -> Triad:
+    """The triad of a 3x3 positive reciprocal matrix, every cell checked."""
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            _positive(v, i, j)
+    for i in range(3):
+        if abs(rows[i][i] - 1.0) > _RECIPROCITY_TOL:
+            raise DomainError(f"diagonal entry ({i + 1},{i + 1}) must be 1, got {rows[i][i]!r}")
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        if abs(rows[i][j] * rows[j][i] - 1.0) > _RECIPROCITY_TOL:
+            raise DomainError(
+                f"entries ({i + 1},{j + 1}) and ({j + 1},{i + 1}) are not reciprocal: "
+                f"{rows[i][j]!r} * {rows[j][i]!r} != 1"
+            )
+    return Triad(rows[0][1], rows[0][2], rows[1][2])
+
+
+def parse_matrix_file(path: str | Path, complete_lower: bool = False) -> tuple[Triad, list[str] | None]:
+    """Read a triad file: a 3x3 matrix as JSON with a "matrix" key or as CSV rows, or one CSV row "t12,t13,t23".
+
+    With ``complete_lower`` (always, for the one row) the diagonal and the
+    sub-diagonal are rebuilt from the strict upper triangle, which tolerates
+    hand-entered files that round reciprocals (or leave them 0).  Returns the
+    triad and the optional alternative labels.  Every way the file can be
+    unreadable, malformed or not a triad raises CliError naming the file.
     """
     path = Path(path)
     try:
@@ -54,23 +89,28 @@ def parse_matrix_file(path: str | Path, complete_lower: bool = False) -> tuple[R
                     raise CliError(f'"labels" in {path} must be a list of strings')
                 if len(labels) != len(rows):
                     raise CliError(f'"labels" in {path} must have one entry per row')
+            rows = [[float(cell) for cell in row] for row in rows]
         else:
             rows = [[float(cell) for cell in line.split(",")] for line in text.splitlines() if line.strip()]
             labels = None
             if len(rows) == 1 and len(rows[0]) == 3:
-                t12, t13, t23 = rows[0]
-                rows = [[1.0, t12, t13], [0.0, 1.0, t23], [0.0, 0.0, 1.0]]
-                complete_lower = True
+                rows = _completed(*rows[0])
         if not rows:
             raise CliError(f"{path} contains no matrix rows")
-        matrix = ReciprocalMatrix.from_rows(rows, complete_lower=complete_lower)
+        if len(rows) != 3 or any(len(row) != 3 for row in rows):
+            lengths = {len(row) for row in rows}
+            shape = f"{len(rows)}x{lengths.pop()} matrix" if len(lengths) == 1 else "ragged matrix"
+            raise CliError(f"triads only: {path} holds a {shape}; expected 3x3 or one CSV row t12,t13,t23")
+        if complete_lower:
+            rows = _completed(rows[0][1], rows[0][2], rows[1][2])
+        triad = _matrix_triad(rows)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
     # Malformed text, JSON nested past the parser's depth, an integer beyond
     # float64, a non-numeric cell or a matrix that is not positive reciprocal.
     except (ValueError, TypeError, OverflowError, RecursionError) as exc:
         raise CliError(f"{path}: {exc}") from exc
-    return matrix, labels
+    return triad, labels
 
 
 def _config_from(args) -> AuditConfig:
@@ -111,10 +151,7 @@ def _witness_text(witness_dict: dict) -> str:
 
 
 def _cmd_compute(args) -> int:
-    matrix, labels = parse_matrix_file(args.matrix, complete_lower=args.complete_lower)
-    if matrix.n != 3:
-        raise CliError(f"triads only: index commands need a 3x3 matrix, got order {matrix.n}")
-    triad = matrix.triad()
+    triad, labels = parse_matrix_file(args.matrix, complete_lower=args.complete_lower)
     ids = tuple(args.index) if args.index else INDEX_IDS
     # Valid entries can still push a ratio or product of entries past float64.
     try:

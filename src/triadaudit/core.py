@@ -1,4 +1,4 @@
-"""Triads, reciprocal matrices and the elementary ratio-preserving transforms.
+"""Triads and the elementary ratio-preserving transforms.
 
 A triad is a 3x3 positive reciprocal matrix, stored as its three
 above-diagonal entries (t12, t13, t23).  The lower triangle is implied by
@@ -15,11 +15,8 @@ from typing import Callable, Sequence
 
 __all__ = [
     "CONSISTENCY_TOL",
-    "RECIPROCITY_TOL",
     "DomainError",
     "Triad",
-    "ReciprocalMatrix",
-    "triad_from_weights",
     "consistency_ratio",
     "is_consistent",
     "permute_triad",
@@ -31,8 +28,6 @@ __all__ = [
 
 # Relative band used to decide "consistent" in floating point.
 CONSISTENCY_TOL = 1e-9
-# Validation band for hand-entered matrices: |a_ij * a_ji - 1| <= tol.
-RECIPROCITY_TOL = 1e-6
 
 
 _INF = math.inf
@@ -98,14 +93,6 @@ class Triad:
         return {"t12": self.t12, "t13": self.t13, "t23": self.t23}
 
 
-def triad_from_weights(w1: float, w2: float, w3: float) -> Triad:
-    """Consistent triad of the weight vector (w1, w2, w3): (w1/w2, w1/w3, w2/w3)."""
-    w1 = _require_positive_finite("w1", w1)
-    w2 = _require_positive_finite("w2", w2)
-    w3 = _require_positive_finite("w3", w3)
-    return Triad(w1 / w2, w1 / w3, w2 / w3)
-
-
 def consistency_ratio(t: Triad) -> float:
     """x = t13 / (t12 * t23); equals 1 exactly when the triad is consistent."""
     return t.t13 / (t.t12 * t.t23)
@@ -114,64 +101,6 @@ def consistency_ratio(t: Triad) -> float:
 def is_consistent(t: Triad, tol: float = CONSISTENCY_TOL) -> bool:
     x = consistency_ratio(t)
     return abs(x - 1.0) <= tol * max(1.0, x)
-
-
-@dataclass(frozen=True)
-class ReciprocalMatrix:
-    """General n x n positive reciprocal matrix (unit diagonal, a_ji = 1/a_ij)."""
-
-    entries: tuple[tuple[float, ...], ...]
-
-    def __post_init__(self):
-        rows = tuple(tuple(float(v) for v in row) for row in self.entries)
-        object.__setattr__(self, "entries", rows)
-        n = len(rows)
-        if n < 2 or any(len(row) != n for row in rows):
-            raise DomainError(f"matrix must be square of order >= 2, got {n} rows")
-        for i, row in enumerate(rows):
-            for j, v in enumerate(row):
-                if not math.isfinite(v) or v <= 0.0:
-                    raise DomainError(f"entry ({i + 1},{j + 1}) must be a finite positive real, got {v!r}")
-        for i in range(n):
-            if abs(rows[i][i] - 1.0) > RECIPROCITY_TOL:
-                raise DomainError(f"diagonal entry ({i + 1},{i + 1}) must be 1, got {rows[i][i]!r}")
-            for j in range(i + 1, n):
-                if abs(rows[i][j] * rows[j][i] - 1.0) > RECIPROCITY_TOL:
-                    raise DomainError(
-                        f"entries ({i + 1},{j + 1}) and ({j + 1},{i + 1}) are not reciprocal: "
-                        f"{rows[i][j]!r} * {rows[j][i]!r} != 1"
-                    )
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[float]], complete_lower: bool = False) -> "ReciprocalMatrix":
-        """Validate `rows` as a reciprocal matrix.
-
-        With ``complete_lower`` the diagonal and the sub-diagonal cells of the
-        input are ignored and rebuilt from the strict upper triangle, which
-        tolerates hand-entered files that round reciprocals (or leave them 0).
-        """
-        data = [list(map(float, row)) for row in rows]
-        n = len(data)
-        if n < 2 or any(len(row) != n for row in data):
-            raise DomainError(f"matrix must be square of order >= 2, got {n} rows")
-        if complete_lower:
-            for i in range(n):
-                data[i][i] = 1.0
-                for j in range(i + 1, n):
-                    v = data[i][j]
-                    if not math.isfinite(v) or v <= 0.0:
-                        raise DomainError(f"entry ({i + 1},{j + 1}) must be a finite positive real, got {v!r}")
-                    data[j][i] = 1.0 / v
-        return cls(tuple(tuple(row) for row in data))
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-    def triad(self) -> Triad:
-        if self.n != 3:
-            raise DomainError(f"triads only: matrix has order {self.n}, expected 3")
-        return Triad(self.entries[0][1], self.entries[0][2], self.entries[1][2])
 
 
 # The six bijections, each reading the permuted entries straight from the
@@ -234,9 +163,13 @@ def single_entry_perturb(t: Triad, position: str, delta: float) -> Triad:
     entry = t.entry(position)
     if entry == 1.0:
         raise DomainError(f"entry at position {position} equals 1; the perturbed entry must differ from 1")
-    powered = entry**delta
+    return _with_entry(t, position, entry**delta)
+
+
+def _with_entry(t: Triad, position: str, value: float) -> Triad:
+    """``t`` with the entry at ``position`` ('12', '13' or '23') replaced by ``value``."""
     if position == "12":
-        return Triad(powered, t.t13, t.t23)
+        return Triad(value, t.t13, t.t23)
     if position == "13":
-        return Triad(t.t12, powered, t.t23)
-    return Triad(t.t12, t.t13, powered)
+        return Triad(t.t12, value, t.t23)
+    return Triad(t.t12, t.t13, value)

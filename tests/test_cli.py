@@ -15,8 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import triadaudit
+from conftest import triads
 from triadaudit import AXIOMS, INDEX_IDS, Triad
-from triadaudit.cli import main, parse_matrix_file
+from triadaudit.cli import CliError, main, parse_matrix_file
 from triadaudit.reporting import report_schema
 
 
@@ -46,35 +47,81 @@ def matrix_s_module(tmp_path_factory):
 
 class TestMatrixFiles:
     def test_json_matrix(self, matrix_s):
-        matrix, labels = parse_matrix_file(matrix_s)
-        assert matrix.triad() == Triad(1, 3, 2)
+        triad, labels = parse_matrix_file(matrix_s)
+        assert triad == Triad(1, 3, 2)
         assert labels is None
 
     def test_json_labels(self, tmp_path):
         path = tmp_path / "m.json"
-        path.write_text(json.dumps({"matrix": [[1, 2], [0.5, 1]], "labels": ["a", "b"]}))
-        matrix, labels = parse_matrix_file(path)
-        assert labels == ["a", "b"]
-        assert matrix.n == 2
+        path.write_text(json.dumps({"matrix": [[1, 2, 4], [0.5, 1, 2], [0.25, 0.5, 1]], "labels": ["a", "b", "c"]}))
+        triad, labels = parse_matrix_file(path)
+        assert labels == ["a", "b", "c"]
+        assert triad == Triad(2, 4, 2)
 
     def test_csv_matrix(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("1,1,3\n1,1,2\n0.3333333333,0.5,1\n")
-        matrix, _ = parse_matrix_file(path)
-        assert matrix.triad() == Triad(1, 3, 2)
+        triad, _ = parse_matrix_file(path)
+        assert triad == Triad(1, 3, 2)
 
     def test_csv_triad_row(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("1,3,2\n")
-        matrix, _ = parse_matrix_file(path)
-        assert matrix.triad() == Triad(1, 3, 2)
+        triad, labels = parse_matrix_file(path)
+        assert triad == Triad(1, 3, 2)
+        assert labels is None
 
     def test_complete_lower_fills_reciprocals(self, tmp_path):
         path = tmp_path / "u.csv"
         path.write_text("1,4,8\n0,1,2\n0,0,1\n")
-        matrix, _ = parse_matrix_file(path, complete_lower=True)
-        assert matrix.entries[1][0] == 0.25
-        assert matrix.entries[2][0] == 0.125
+        triad, _ = parse_matrix_file(path, complete_lower=True)
+        assert triad == Triad(4, 8, 2)
+        with pytest.raises(CliError, match=r"entry \(2,1\) must be a finite positive real, got 0\.0"):
+            parse_matrix_file(path)
+
+    def test_rounding_in_lower_triangle_tolerated(self, tmp_path):
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps({"matrix": [[1, 1, 3], [1, 1, 2], [0.3333333, 0.5, 1]]}))
+        triad, _ = parse_matrix_file(path)
+        assert triad == Triad(1, 3, 2)
+
+    def test_reciprocity_violation_rejected(self, tmp_path):
+        path = tmp_path / "n.json"
+        path.write_text(json.dumps({"matrix": [[1, 2, 4], [2, 1, 2], [0.25, 0.5, 1]]}))
+        with pytest.raises(CliError, match="reciprocal"):
+            parse_matrix_file(path)
+
+    def test_complete_lower_ignores_sub_diagonal(self, tmp_path):
+        # The diagonal and the cells below it may be anything, even non-numbers.
+        path = tmp_path / "g.csv"
+        path.write_text("7,4,8\nnan,-1,2\ninf,0,5\n")
+        triad, _ = parse_matrix_file(path, complete_lower=True)
+        assert triad == Triad(4, 8, 2)
+
+    @pytest.mark.parametrize(
+        "name, doc",
+        [
+            # Its labels do not make the 2x2 file readable: parse_matrix_file itself rejects it.
+            pytest.param("two.json", {"matrix": [[1, 2], [0.5, 1]], "labels": ["a", "b"]}, id="2x2"),
+            pytest.param("four.json", {"matrix": [[1.0] * 4] * 4}, id="4x4"),
+            pytest.param("ragged.json", {"matrix": [[1, 2, 4], [0.5, 1], [0.25, 0.5, 1]]}, id="ragged"),
+        ],
+    )
+    def test_triad_requires_order_three(self, tmp_path, name, doc):
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CliError, match="^triads only: "):
+            parse_matrix_file(path)
+        for flags in ((), ("--json",), ("--complete-lower",)):
+            code, out, err = run_cli("compute", "--matrix", str(path), *flags)
+            assert_one_line_error(code, out, err, str(path))
+            assert "triads only" in err
+
+    @given(triads())
+    def test_triad_matrix_round_trip(self, fuzz_dir, t):
+        path = fuzz_dir / "round_trip.json"
+        path.write_text(json.dumps({"matrix": t.matrix_rows()}))
+        assert parse_matrix_file(path) == (t, None)
 
 
 class TestCompute:

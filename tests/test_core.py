@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from conftest import consistent_triads, scale_factors, triads
 from triadaudit import (
     DomainError,
-    ReciprocalMatrix,
     Triad,
     consistency_ratio,
     is_consistent,
@@ -20,7 +19,6 @@ from triadaudit import (
     scale_transform,
     single_entry_perturb,
     transpose_triad,
-    triad_from_weights,
 )
 
 
@@ -35,13 +33,14 @@ def rel_close(a, b, tol=1e-12):
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
 
 
-def apply_permutation(m: ReciprocalMatrix, perm) -> ReciprocalMatrix:
-    """Reference relabelling: entry (i, j) of the result is a[inv(i)][inv(j)],
-    where ``perm[i]`` is the new position of alternative i (0-based)."""
-    inv = [0] * m.n
+def apply_permutation(rows, perm):
+    """Reference relabelling of a 3x3 matrix given as rows: entry (i, j) of the
+    result is rows[inv(i)][inv(j)], where ``perm[i]`` is the new position of
+    alternative i (0-based)."""
+    inv = [0] * 3
     for old, new in enumerate(perm):
         inv[new] = old
-    return ReciprocalMatrix(tuple(tuple(m.entries[inv[i]][inv[j]] for j in range(m.n)) for i in range(m.n)))
+    return tuple(tuple(rows[inv[i]][inv[j]] for j in range(3)) for i in range(3))
 
 
 class TestMakeTriad:
@@ -61,9 +60,6 @@ class TestMakeTriad:
     def test_non_finite_or_negative_rejected(self, bad):
         with pytest.raises(DomainError):
             Triad(1, bad, 2)
-
-    def test_weights_construction(self):
-        assert triad_from_weights(6, 3, 1) == Triad(2, 6, 3)
 
     @pytest.mark.parametrize("field", ["t12", "t13", "t23"])
     @pytest.mark.parametrize("bad", [0.0, -math.inf, math.nan, -2.0])
@@ -133,7 +129,8 @@ class TestPermutation:
     @pytest.mark.parametrize("perm", PERMUTATIONS)
     def test_triad_view_matches_matrix_relabelling(self, perm):
         t = Triad(1.5, 7.0, 0.3)
-        assert permute_triad(t, perm) == apply_permutation(ReciprocalMatrix(t.matrix_rows()), perm).triad()
+        rows = apply_permutation(t.matrix_rows(), perm)
+        assert permute_triad(t, perm) == Triad(rows[0][1], rows[0][2], rows[1][2])
 
     def test_non_bijection_rejected(self):
         with pytest.raises(DomainError, match="bijection"):
@@ -203,25 +200,3 @@ class TestScaleTransform:
     def test_ratio_invariant(self, t, k):
         assert rel_close(consistency_ratio(scale_transform(t, k)), consistency_ratio(t))
 
-
-class TestReciprocalMatrix:
-    def test_rounding_in_lower_triangle_tolerated(self):
-        m = ReciprocalMatrix.from_rows([[1, 1, 3], [1, 1, 2], [0.3333333, 0.5, 1]])
-        assert m.triad() == Triad(1, 3, 2)
-
-    def test_reciprocity_violation_rejected(self):
-        with pytest.raises(DomainError, match="reciprocal"):
-            ReciprocalMatrix.from_rows([[1, 2], [2, 1]])
-
-    def test_complete_lower_ignores_sub_diagonal(self):
-        m = ReciprocalMatrix.from_rows([[1, 4], [0, 1]], complete_lower=True)
-        assert m.entries[1][0] == 0.25
-
-    def test_triad_requires_order_three(self):
-        m = ReciprocalMatrix.from_rows([[1, 2], [0.5, 1]])
-        with pytest.raises(DomainError, match="triads only"):
-            m.triad()
-
-    @given(triads())
-    def test_triad_matrix_round_trip(self, t):
-        assert ReciprocalMatrix(t.matrix_rows()).triad() == t
