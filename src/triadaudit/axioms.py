@@ -296,9 +296,15 @@ def _invariance_violation(
 
 
 def _mrp_violation(evaluate: Evaluator, tol: float, input: Triad, *bs: float) -> Witness | None:
-    """I(input^b) must not fall below I(input) for b >= 1 nor rise above it for b <= 1, for each b in order."""
+    """I(input^b) must not fall below I(input) for b >= 1 nor rise above it for b <= 1, for each b in order.
+
+    b = 1 is skipped: x ** 1.0 == x exactly, so the powered triad is the input
+    and neither strict inequality can hold against its own value, NaN included.
+    """
     base = evaluate(input)
     for b in bs:
+        if b == 1.0:
+            continue
         powered = power_transform(input, b)
         after = evaluate(powered)
         band = _band(tol, base, after)
@@ -360,11 +366,30 @@ def _monotone_violation(
 def _con_violation(
     evaluate: Evaluator, tol: float, input: Triad, position: str, ladder: tuple[float, ...]
 ) -> Witness | None:
+    """I(input with the entry at ``position`` times 1 + eps) must approach I(input)
+    as eps walks down ``ladder``: the row fails iff
+    ``changes[-1] > max(band, _CON_JUMP_FRACTION * max(changes))``.
+
+    Pass test: since max(changes) >= changes[0], ``changes[-1] <= max(band,
+    _CON_JUMP_FRACTION * changes[0])`` proves the pass on the first and last
+    rungs alone.  NaN keeps this exact: a NaN last change fails both tests; a
+    NaN first change reduces both to ``changes[-1] <= band``, as ``max`` keeps
+    a leading NaN and ``max(band, nan)`` is band; a NaN middle change leaves
+    max(changes) >= changes[0].  A row the test does not settle evaluates its
+    middle rungs too, so a fail witness reports the whole ladder.
+    """
     base_value = evaluate(input)
     entry = input.entry(position)
-    changes = [abs(evaluate(_with_entry(input, position, entry * (1.0 + eps))) - base_value) for eps in ladder]
-    threshold = max(_band(tol, base_value), _CON_JUMP_FRACTION * max(changes))
-    if changes[-1] <= threshold:
+
+    def change(eps: float) -> float:
+        return abs(evaluate(_with_entry(input, position, entry * (1.0 + eps))) - base_value)
+
+    first, last = change(ladder[0]), change(ladder[-1])
+    band = _band(tol, base_value)
+    if last <= max(band, _CON_JUMP_FRACTION * first):
+        return None
+    changes = [first, *map(change, ladder[1:-1]), last]
+    if last <= max(band, _CON_JUMP_FRACTION * max(changes)):
         return None
     return Witness(
         axiom="CON",

@@ -39,9 +39,16 @@ def _positive(v: float, i: int, j: int) -> float:
     return v
 
 
+def _invertible(v: float, i: int, j: int) -> float:
+    """An upper entry whose reciprocal, the rebuilt cell (j, i), is also finite."""
+    if not math.isfinite(1.0 / _positive(v, i, j)):
+        raise DomainError(f"entry ({i + 1},{j + 1}) must have a finite reciprocal, got {v!r}")
+    return v
+
+
 def _completed(t12: float, t13: float, t23: float) -> list[list[float]]:
     """The 3x3 matrix with this strict upper triangle, its other cells rebuilt by reciprocity."""
-    t12, t13, t23 = _positive(t12, 0, 1), _positive(t13, 0, 2), _positive(t23, 1, 2)
+    t12, t13, t23 = _invertible(t12, 0, 1), _invertible(t13, 0, 2), _invertible(t23, 1, 2)
     return [[1.0, t12, t13], [1.0 / t12, 1.0, t23], [1.0 / t13, 1.0 / t23, 1.0]]
 
 

@@ -31,8 +31,20 @@ from triadaudit import (
     verdict_matrix,
 )
 from triadaudit import analysis, axioms
-from triadaudit.axioms import B_GRID, CONTINUITY_LADDER, DELTA_GRID, K_GRID, _MIN_LOG_ENTRY, _SPECS, Witness, _shrink
-from triadaudit.core import single_entry_perturb
+from triadaudit.axioms import (
+    B_GRID,
+    CONTINUITY_LADDER,
+    DELTA_GRID,
+    K_GRID,
+    _CON_JUMP_FRACTION,
+    _MIN_LOG_ENTRY,
+    _SPECS,
+    Witness,
+    _band,
+    _con_violation,
+    _shrink,
+)
+from triadaudit.core import _with_entry, single_entry_perturb
 
 FAST = AuditConfig(samples=150, master_seed=42)
 RANGE = (1.0 / 9.0, 9.0)
@@ -418,8 +430,9 @@ def test_tracer_patch_points_are_module_attributes():
 
 def test_each_probe_evaluates_each_triad_once():
     # One engine row per probe: a grid probe evaluates its input once plus one
-    # transform per grid value, a ladder its base once plus one triad per rung.
-    # URS's probe 0 has one row: its consistent triad is the reference.
+    # transform per grid value (MRP skips b = 1), a ladder its base once plus
+    # one triad per rung.  A passing CON row settles on its first and last
+    # rungs.  URS's probe 0 has one row: its consistent triad is the reference.
     calls = []
 
     def evaluate(t):
@@ -441,14 +454,105 @@ def test_each_probe_evaluates_each_triad_once():
     assert counts == {
         "URS": 198,
         "IPA": 350,
-        "MRP": 400,
+        "MRP": 350,
         "MSC": 200,
-        "CON": 900,
+        "CON": 300,
         "IIP": 100,
         "HTA": 100,
         "SI": 350,
         "SMSC": 200,
     }
+
+
+def test_a_failing_con_row_evaluates_each_rung_once():
+    # cx3's first failing CON row: the base, the first and last rungs, then the six middle rungs.
+    cx3, cfg = get_index("cx3"), AuditConfig()
+    row = next(row for _, row in _SPECS["CON"].probes(cfg) if _con_violation(cx3.evaluate, cfg.tolerance, *row))
+    calls = []
+
+    def evaluate(t):
+        calls.append(t)
+        return cx3.evaluate(t)
+
+    assert _con_violation(evaluate, cfg.tolerance, *row) is not None
+    assert len(calls) == len(set(calls)) == 9
+
+
+def _full_ladder_con(evaluate, tol, input, position, ladder):
+    """The CON relation with every rung evaluated before the row is decided."""
+    base_value = evaluate(input)
+    entry = input.entry(position)
+    changes = [abs(evaluate(_with_entry(input, position, entry * (1.0 + eps))) - base_value) for eps in ladder]
+    if changes[-1] <= max(_band(tol, base_value), _CON_JUMP_FRACTION * max(changes)):
+        return None
+    return Witness(
+        axiom="CON",
+        relation="index change does not vanish as the perturbation shrinks",
+        triads={"input": input},
+        params={"position": position, "ladder": tuple(ladder)},
+        observed={
+            "base": base_value,
+            "change_first": changes[0],
+            "change_last": changes[-1],
+            "change_max": max(changes),
+        },
+    )
+
+
+def _witness_doc(witness):
+    # json text, so that NaN observations compare equal.
+    return witness and json.dumps(witness.to_dict(), sort_keys=True)
+
+
+CON_CONFIGS = [
+    AuditConfig(),
+    AuditConfig(tolerance=1e-3),
+    AuditConfig(entry_range=(1e-6, 1e6)),
+    AuditConfig(samples=300, master_seed=7),
+]
+
+
+@pytest.mark.parametrize("cfg", CON_CONFIGS, ids=["default", "tol_1e-3", "range_1e6", "seed_7"])
+def test_con_pass_test_agrees_with_the_full_ladder(cfg):
+    rows = [row for _, row in _SPECS["CON"].probes(cfg)]
+    for descriptor in CATALOG:
+        for row in rows:
+            expected = _full_ladder_con(descriptor.evaluate, cfg.tolerance, *row)
+            got = _con_violation(descriptor.evaluate, cfg.tolerance, *row)
+            assert _witness_doc(got) == _witness_doc(expected), (descriptor.id, row)
+
+
+NAN = float("nan")
+# Index values on the eight CON rungs, finest last, and whether the row
+# passes; the base is worth 0, so the band is the tolerance, 1e-9.
+RUNG_VALUES = {
+    "continuous": ([10.0**-k for k in range(1, 9)], True),
+    # A NaN first change leaves only the band: the row passes iff the last change is within it.
+    "nan_first_within_band": ([NAN, *(10.0**-k for k in range(4, 11))], True),
+    "nan_first_above_band": ([NAN, *(10.0**-k for k in range(2, 9))], False),
+    "nan_middle_then_vanishing": ([0.1, 0.01, NAN, *(10.0**-k for k in range(4, 9))], True),
+    "nan_middle_step": ([1.0, 1.0, NAN, *[1.0] * 5], False),
+    "nan_last": ([*(10.0**-k for k in range(1, 8)), NAN], False),
+    "step_at_the_base": ([1.0] * 8, False),
+    "step_between_rungs": ([1.0] * 4 + [0.0] * 4, True),
+    # The first and last rungs do not prove the pass; the peak in the middle does.
+    "middle_peak": ([1e-3, *[1.0] * 6, 5e-4], True),
+}
+
+
+@pytest.mark.parametrize("name", RUNG_VALUES)
+def test_con_pass_test_agrees_with_the_full_ladder_on_nan_and_steps(name):
+    values, passes = RUNG_VALUES[name]
+    base, position = Triad(2.0, 3.0, 5.0), "13"
+    rungs = {_with_entry(base, position, base.t13 * (1.0 + eps)): v for eps, v in zip(CONTINUITY_LADDER, values)}
+
+    def evaluate(t):
+        return rungs.get(t, 0.0)
+
+    expected = _full_ladder_con(evaluate, 1e-9, base, position, CONTINUITY_LADDER)
+    got = _con_violation(evaluate, 1e-9, base, position, CONTINUITY_LADDER)
+    assert _witness_doc(got) == _witness_doc(expected)
+    assert (got is None) == passes
 
 
 def test_band_is_relative():
@@ -494,12 +598,14 @@ DEFAULT_FAILS = {
 
 
 # sha256 of the canonical JSON of every verdict of the 12 indices, witness
-# included, per (samples, master_seed).  A change that moves one witness float
+# included, per config.  A change that moves one witness float
 # changes the digest; diff the documents against the previous release to see which.
 VERDICT_DIGESTS = {
-    (1000, 42): "70f7481fbb62d7b45e940c334c527cb6f2f4facf68c29354d5a084c40b9bebb9",
-    (37, 3): "eb36ee49506c8dd00a0929c76be2814453ac7b97089d153c9d4da64b82160f85",
-    (37, 7): "73fa75250c33dc86ae346c4789c4187b733b5497852ad9f81b54ac0abecf9481",
+    AuditConfig(): "70f7481fbb62d7b45e940c334c527cb6f2f4facf68c29354d5a084c40b9bebb9",
+    AuditConfig(samples=37, master_seed=3): "eb36ee49506c8dd00a0929c76be2814453ac7b97089d153c9d4da64b82160f85",
+    AuditConfig(samples=37, master_seed=7): "73fa75250c33dc86ae346c4789c4187b733b5497852ad9f81b54ac0abecf9481",
+    # A wide band: CON's pass test then holds by its band arm, not its jump arm.
+    AuditConfig(samples=300, tolerance=1e-3): "316fb6926cca970a80be72d6bcb556166acb9309c3b3fa618e225b670e0384f3",
 }
 
 
@@ -521,14 +627,20 @@ def test_default_verdict_matrix_is_pinned(default_matrix):
         pinned = {a: ("fail", fails[a]) if a in fails else ("pass", cfg.samples) for a in AXIOMS}
         assert observed == pinned, report.index_id
         assert report.matches_expected, report.index_id
-    assert _verdict_digest(reports) == VERDICT_DIGESTS[(cfg.samples, cfg.master_seed)]
+    assert _verdict_digest(reports) == VERDICT_DIGESTS[cfg]
 
 
 @pytest.mark.parametrize("seed", [3, 7])
 def test_small_budget_witnesses_are_pinned(catalog_matrix, seed):
     cfg = AuditConfig(samples=37, master_seed=seed)
     reports = [report for _, report in catalog_matrix(cfg).rows]
-    assert _verdict_digest(reports) == VERDICT_DIGESTS[(cfg.samples, cfg.master_seed)]
+    assert _verdict_digest(reports) == VERDICT_DIGESTS[cfg]
+
+
+def test_wide_band_verdicts_are_pinned(catalog_matrix):
+    cfg = AuditConfig(samples=300, tolerance=1e-3)
+    reports = [report for _, report in catalog_matrix(cfg).rows]
+    assert _verdict_digest(reports) == VERDICT_DIGESTS[cfg]
 
 
 def _sampled(t, lo, hi):

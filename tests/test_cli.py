@@ -1,5 +1,6 @@
 """End-to-end command line behaviour: exit codes, file formats, reports."""
 
+import hashlib
 import io
 import json
 import os
@@ -273,6 +274,29 @@ class TestConcordance:
         assert first == second
 
 
+# sha256 of three --json documents at the default seed.  A change that moves
+# one byte of a report changes its digest; only a release may re-pin them.
+JSON_DIGESTS = {
+    ("compute", "--matrix", "row.csv", "--json"): "1722267536b6582872351cdb3773b3a5cf09c8e19223f8e50df87c28eff33a2f",
+    # cx3 fails CON on probe 1, so this document carries a CON witness.
+    ("audit", "cx3", "--axioms", "CON,MRP", "--samples", "300", "--json"): (
+        "fcc4c37e2f33cbbf746ecf3cc9185d414e7996191146614cd49e49c768b5731d"
+    ),
+    ("independence", "--samples", "200", "--json"): "643f43e67fc33decb016c9e1d6cec516bca85e4b7574c9c6410f75f7b93778e4",
+}
+
+
+@pytest.mark.parametrize("argv", JSON_DIGESTS, ids=lambda argv: argv[0])
+def test_json_documents_are_pinned(tmp_path, monkeypatch, argv):
+    # The compute document echoes the matrix path, so the file is read by a relative name.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("PCM_SEED", raising=False)
+    (tmp_path / "row.csv").write_text("2,7,0.5\n")
+    code, out, _ = run_cli(*argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == JSON_DIGESTS[argv]
+
+
 class TestSeedResolution:
     def test_env_seed_used(self, monkeypatch):
         monkeypatch.setenv("PCM_SEED", "123")
@@ -343,6 +367,8 @@ MALFORMED_FILES = {
     # Valid entries whose ratios leave float64: a division by zero, then an infinite index value.
     "overflow.csv": b"1e300,1,1e300\n",
     "infinite.csv": b"1e150,1e-10,1e150\n",
+    # A subnormal upper entry whose reciprocal overflows: the error names the entry the file holds.
+    "subnormal.csv": b"5e-320,5e-320,1\n",
 }
 
 
@@ -359,6 +385,8 @@ def test_malformed_matrix_file_exits_two_with_one_line(tmp_path, name):
         assert_one_line_error(code, out, err, name)
         if name in NOT_A_LIST_OF_ROWS:
             assert err == f"error: {path}: matrix must be a list of rows\n"
+        if name == "subnormal.csv":
+            assert err == f"error: {path}: entry (1,2) must have a finite reciprocal, got 5e-320\n"
 
 
 def test_compute_takes_no_sampling_flags(matrix_s):
