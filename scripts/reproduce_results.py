@@ -5,7 +5,7 @@ Reproduces, at desk scale: the pinned index values, the six-axiom
 independence table, the three implication rules over the catalog, the
 headline ranking concordances and the characterization verdicts.  The
 table, the rules and the characterizations all read one 12x9 verdict matrix,
-so each (index, axiom) cell is checked once.
+with each axiom's probes drawn once for all 12 indices.
 """
 
 import argparse

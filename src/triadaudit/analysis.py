@@ -17,7 +17,8 @@ import math
 from dataclasses import dataclass, fields
 from typing import Mapping
 
-from .axioms import AuditConfig, AuditReport, Witness, audit, probe_key, probe_rng, sample_triad
+from .axioms import AuditConfig, AuditReport, Witness, _requested_axioms, _sweep, probe_key, probe_rng, sample_triad
+from .axioms import audit  # noqa: F401  (perfbench's tracer wraps analysis.audit)
 from .indices import AXIOMS, CATALOG, IndexDescriptor, get_index
 
 __all__ = [
@@ -60,9 +61,21 @@ class VerdictMatrix:
 
 
 def verdict_matrix(indices, axioms, cfg: AuditConfig | None = None) -> VerdictMatrix:
-    """Audit every index on `axioms` once, for the structural results to read."""
+    """Audit every index on `axioms` once, for the structural results to read.
+
+    Axiom by axiom, each probe is drawn once for all indices (see
+    axioms._sweep); row k is the report that audit(indices[k], axioms, cfg)
+    returns.
+    """
     cfg = cfg if cfg is not None else AuditConfig()
-    return VerdictMatrix(cfg, tuple((descriptor, audit(descriptor, axioms, cfg)) for descriptor in indices))
+    indices = tuple(indices)
+    ordered = _requested_axioms(axioms)
+    columns = [_sweep(indices, axiom, cfg) for axiom in ordered]
+    rows = tuple(
+        (d, AuditReport(d.id, cfg, verdicts, {a: d.expected_profile[a] for a in ordered}))
+        for d, verdicts in zip(indices, zip(*columns))
+    )
+    return VerdictMatrix(cfg, rows)
 
 
 def _matrix(source: AuditConfig | VerdictMatrix | None, indices, axioms) -> VerdictMatrix:

@@ -36,7 +36,7 @@ import struct
 import sys
 from dataclasses import dataclass, field, fields
 from functools import partial
-from itertools import chain, count, permutations
+from itertools import count, permutations
 from typing import Callable, Iterator, Mapping
 
 from .core import (
@@ -681,19 +681,55 @@ _SPECS: dict[str, _AxiomSpec] = {
 }
 
 
-def check_axiom(index: IndexDescriptor, axiom: str, cfg: AuditConfig | None = None) -> AxiomVerdict:
-    """Search for a violation of `axiom` by `index`; deterministic in (index.id, axiom, cfg)."""
-    cfg = cfg if cfg is not None else AuditConfig()
+def _sweep(indices: tuple[IndexDescriptor, ...], axiom: str, cfg: AuditConfig) -> list[AxiomVerdict]:
+    """The verdict of `axiom` for each of `indices`, by position.
+
+    Each index first tries its own pinned rows (samples_used 0).  The seeded
+    probes are then drawn once for all indices: each row goes to every index
+    still open, and an index closes at its first witness, which is shrunk.
+    Drawing stops once no index is open; the indices left open pass.  So each
+    index sees the rows a sweep of it alone would see, and no row is kept.
+    """
     spec = _SPECS.get(axiom)
     if spec is None:
         raise UnknownAxiomError(f"unknown axiom {axiom!r}; valid axioms: {', '.join(AXIOMS)}")
-    evaluate, violation, tol = index.evaluate, spec.violation, cfg.tolerance
-    pinned = ((0, row) for row in spec.pinned.get(index.id, ()))
-    for samples_used, row in chain(pinned, spec.probes(cfg)):
-        witness = violation(evaluate, tol, *row)
-        if witness is not None:
-            return AxiomVerdict(axiom, "fail", _shrink(spec, witness, evaluate, cfg), samples_used, cfg.master_seed)
-    return AxiomVerdict(axiom, "pass", None, cfg.samples, cfg.master_seed)
+    violation, tol = spec.violation, cfg.tolerance
+    evaluates = [index.evaluate for index in indices]
+    verdicts: list[AxiomVerdict | None] = [None] * len(indices)
+
+    def close(k: int, witness: Witness, samples_used: int) -> None:
+        shrunk = _shrink(spec, witness, evaluates[k], cfg)
+        verdicts[k] = AxiomVerdict(axiom, "fail", shrunk, samples_used, cfg.master_seed)
+
+    open_ = []
+    for k, index in enumerate(indices):
+        for row in spec.pinned.get(index.id, ()):
+            witness = violation(evaluates[k], tol, *row)
+            if witness is not None:
+                close(k, witness, 0)
+                break
+        else:
+            open_.append(k)
+    if open_:
+        for samples_used, row in spec.probes(cfg):
+            # A close rebinds open_; the row still goes to every index it started with.
+            for k in open_:
+                witness = violation(evaluates[k], tol, *row)
+                if witness is not None:
+                    close(k, witness, samples_used)
+                    open_ = [j for j in open_ if j != k]
+            if not open_:
+                break
+    passed = AxiomVerdict(axiom, "pass", None, cfg.samples, cfg.master_seed)
+    return [verdict or passed for verdict in verdicts]
+
+
+def check_axiom(index: IndexDescriptor, axiom: str, cfg: AuditConfig | None = None) -> AxiomVerdict:
+    """Search for a violation of `axiom` by `index`; deterministic in (index.id, axiom, cfg).
+
+    The one-cell view of _sweep.
+    """
+    return _sweep((index,), axiom, cfg if cfg is not None else AuditConfig())[0]
 
 
 @dataclass(frozen=True)
@@ -734,16 +770,22 @@ class AuditReport:
         }
 
 
-def audit(index: IndexDescriptor, axioms, cfg: AuditConfig | None = None) -> AuditReport:
-    """Run check_axiom for every requested axiom, in canonical axiom order."""
-    cfg = cfg if cfg is not None else AuditConfig()
+def _requested_axioms(axioms) -> tuple[str, ...]:
+    """The requested axioms in canonical order, checked before anything is evaluated:
+    ValueError if there are none, UnknownAxiomError naming any that is not one of the nine."""
     requested = set(axioms)
     if not requested:
         raise ValueError("audit requires a non-empty set of axioms")
     unknown = requested - set(AXIOMS)
     if unknown:
         raise UnknownAxiomError(f"unknown axioms {sorted(unknown)}; valid axioms: {', '.join(AXIOMS)}")
-    ordered = tuple(a for a in AXIOMS if a in requested)
+    return tuple(a for a in AXIOMS if a in requested)
+
+
+def audit(index: IndexDescriptor, axioms, cfg: AuditConfig | None = None) -> AuditReport:
+    """Run check_axiom for every requested axiom, in canonical axiom order."""
+    cfg = cfg if cfg is not None else AuditConfig()
+    ordered = _requested_axioms(axioms)
     verdicts = tuple(check_axiom(index, a, cfg) for a in ordered)
     expected = {a: index.expected_profile[a] for a in ordered}
     return AuditReport(index_id=index.id, config=cfg, verdicts=verdicts, expected=expected)

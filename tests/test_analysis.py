@@ -1,12 +1,14 @@
 """Independence table, implication rules, concordance, characterization."""
 
 import math
+import random
 
 import pytest
 
 import triadaudit.axioms
 from triadaudit import (
     AXIOMS,
+    CATALOG,
     AuditConfig,
     IMPLICATION_RULES,
     ImplicationRule,
@@ -262,15 +264,17 @@ def test_tau_b_counts_match_scipy_convention():
 
 
 class TestVerdictMatrix:
-    # The matrices whose digests test_axioms.py pins; the config path audits
-    # the same cells again.
+    # The matrices whose digests test_axioms.py pins; the config path sweeps
+    # the same cells again, drawing each axiom's probes once per sweep: 705
+    # draws over its 23 axiom columns, where drawing them again for every cell
+    # made 1596.
     @pytest.mark.parametrize("seed", [3, 7])
     def test_matrix_view_equals_config_path(self, catalog_matrix, monkeypatch, seed):
         cfg = AuditConfig(samples=37, master_seed=seed)
         matrix = catalog_matrix(cfg)
-        calls = []
-        check = triadaudit.axioms.check_axiom
-        monkeypatch.setattr(triadaudit.axioms, "check_axiom", lambda *args: calls.append(args) or check(*args))
+        draws = []
+        probe_rng = triadaudit.axioms.probe_rng
+        monkeypatch.setattr(triadaudit.axioms, "probe_rng", lambda *args: draws.append(args) or probe_rng(*args))
 
         def results(source):
             return (
@@ -280,14 +284,33 @@ class TestVerdictMatrix:
             )
 
         viewed = results(matrix)
-        assert calls == []
+        assert draws == []
         audited = results(cfg)
-        assert len(calls) == 36 + 9 + 2 * 4
+        assert len(draws) == 705
         table, _, characterizations = viewed
         assert table.to_dict() == audited[0].to_dict()
         assert characterizations[0].status == "order-equivalent"
         # Dataclass equality compares every witness too.
         assert viewed == audited
+
+    @pytest.mark.parametrize("seed", [1, 5, 11])
+    def test_rows_equal_per_index_audits(self, seed):
+        cfg = AuditConfig(samples=25, master_seed=seed)
+        rng = random.Random(seed)
+        subset = rng.sample(CATALOG, 6)
+        natural, cx4 = get_index("natural"), get_index("cx4")
+        impostor = IndexDescriptor("natural", "consistency ratio", consistency_ratio, natural.expected_profile)
+        cases = [
+            (subset, AXIOMS),
+            ((cx4, natural, cx4), AXIOMS),
+            ((natural, impostor, cx4), AXIOMS),
+            (CATALOG, tuple(rng.sample(AXIOMS, 4))),
+        ]
+        for descriptors, axioms in cases:
+            expected = tuple((d, audit(d, axioms, cfg)) for d in descriptors)
+            # Dataclass equality compares every witness too.
+            assert verdict_matrix(descriptors, axioms, cfg).rows == expected
+            assert verdict_matrix((d for d in descriptors), axioms, cfg).rows == expected
 
     def test_user_descriptor_with_a_catalog_id_gets_its_own_row(self):
         natural = get_index("natural")

@@ -44,7 +44,7 @@ from triadaudit.axioms import (
     _con_violation,
     _shrink,
 )
-from triadaudit.core import _with_entry, single_entry_perturb
+from triadaudit.core import _with_entry, single_entry_perturb, transpose_triad
 
 FAST = AuditConfig(samples=150, master_seed=42)
 RANGE = (1.0 / 9.0, 9.0)
@@ -321,6 +321,48 @@ class TestAudit:
             assert audit(get_index("natural"), ("URS",), AuditConfig(samples=n, master_seed=42)).all_pass
 
 
+def _untouchable():
+    def evaluate(t):
+        raise AssertionError("evaluated before the axiom set was checked")
+
+    return IndexDescriptor("untouchable", "raises on evaluation", evaluate, {a: "pass" for a in AXIOMS})
+
+
+_AUDIT_ENTRY_POINTS = {
+    "audit": audit,
+    "verdict_matrix": lambda index, axioms, cfg: verdict_matrix([index], axioms, cfg),
+}
+
+
+class TestAxiomSetContract:
+    # audit and verdict_matrix check the axiom set alike, before any evaluation.
+    @pytest.mark.parametrize("entry", _AUDIT_ENTRY_POINTS)
+    @pytest.mark.parametrize("axioms", [(), [], set(), iter(())])
+    def test_empty_axiom_set_raises_value_error(self, entry, axioms):
+        with pytest.raises(ValueError, match="non-empty set of axioms"):
+            _AUDIT_ENTRY_POINTS[entry](_untouchable(), axioms, FAST)
+
+    @pytest.mark.parametrize("entry", _AUDIT_ENTRY_POINTS)
+    def test_unknown_axiom_raises_unknown_axiom_error(self, entry):
+        message = "unknown axioms ['NOPE', 'urs']; valid axioms: URS, IPA, MRP, MSC, CON, IIP, HTA, SI, SMSC"
+        with pytest.raises(UnknownAxiomError) as info:
+            _AUDIT_ENTRY_POINTS[entry](_untouchable(), ("SI", "urs", "NOPE"), FAST)
+        assert str(info.value) == message
+
+    def test_check_axiom_names_its_unknown_axiom(self):
+        with pytest.raises(UnknownAxiomError) as info:
+            check_axiom(_untouchable(), "NOPE", FAST)
+        assert str(info.value) == "unknown axiom 'NOPE'; valid axioms: URS, IPA, MRP, MSC, CON, IIP, HTA, SI, SMSC"
+
+    def test_no_indices_make_no_rows(self):
+        assert verdict_matrix([], AXIOMS, FAST).rows == ()
+        assert verdict_matrix(iter(()), ("SI",), FAST).rows == ()
+        with pytest.raises(ValueError):
+            verdict_matrix([], (), FAST)
+        with pytest.raises(UnknownAxiomError):
+            verdict_matrix([], ("NOPE",), FAST)
+
+
 # The probe stream: probe i of a family draws from the keyed blake2b blocks of
 # (i, 0), (i, 1), ... alone.  The known-answer vector pins it on every Python
 # version; its ten draws cross from block 0 into block 1.
@@ -423,9 +465,39 @@ def test_tracer_patch_points_are_module_attributes():
         (axioms, "sample_triad"),
         (analysis, "sample_triad"),
         (axioms, "sample_consistent_triad"),
+        (axioms, "check_axiom"),
+        (axioms, "audit"),
+        (analysis, "audit"),
     ]:
         assert callable(getattr(module, name)), (module.__name__, name)
     assert analysis.probe_rng is axioms.probe_rng and analysis.sample_triad is axioms.sample_triad
+
+
+# Evaluations of natural's passing cells at samples=50, one entry per axiom.
+EVALS_PER_PASSING_CELL = {
+    "URS": 198,
+    "IPA": 350,
+    "MRP": 350,
+    "MSC": 200,
+    "CON": 300,
+    "IIP": 100,
+    "HTA": 100,
+    "SI": 350,
+    "SMSC": 200,
+}
+
+
+def _counting_natural(calls):
+    def evaluate(t):
+        calls.append(t)
+        return natural_index(t)
+
+    return IndexDescriptor(
+        id="counting_natural",
+        label="natural, counting its evaluations",
+        evaluate=evaluate,
+        expected_profile={a: "pass" for a in AXIOMS},
+    )
 
 
 def test_each_probe_evaluates_each_triad_once():
@@ -434,34 +506,44 @@ def test_each_probe_evaluates_each_triad_once():
     # one triad per rung.  A passing CON row settles on its first and last
     # rungs.  URS's probe 0 has one row: its consistent triad is the reference.
     calls = []
-
-    def evaluate(t):
-        calls.append(t)
-        return natural_index(t)
-
-    counting = IndexDescriptor(
-        id="counting_natural",
-        label="natural, counting its evaluations",
-        evaluate=evaluate,
-        expected_profile={a: "pass" for a in AXIOMS},
-    )
+    counting = _counting_natural(calls)
     cfg = AuditConfig(samples=50)
     counts = {}
     for axiom in AXIOMS:
         calls.clear()
         assert check_axiom(counting, axiom, cfg).status == "pass"
         counts[axiom] = len(calls)
-    assert counts == {
-        "URS": 198,
-        "IPA": 350,
-        "MRP": 350,
-        "MSC": 200,
-        "CON": 300,
-        "IIP": 100,
-        "HTA": 100,
-        "SI": 350,
-        "SMSC": 200,
-    }
+    assert counts == EVALS_PER_PASSING_CELL
+
+
+def test_a_matrix_row_evaluates_like_its_own_check():
+    # Among 11 catalog indices that close early or late, the counting row sees
+    # each probe's row once, as it does alone.
+    calls = []
+    counting = _counting_natural(calls)
+    indices = (*CATALOG[1:7], counting, *CATALOG[7:])
+    assert len(indices) == 12
+    cfg = AuditConfig(samples=50)
+    counts = {}
+    for axiom in AXIOMS:
+        calls.clear()
+        matrix = verdict_matrix(indices, (axiom,), cfg)
+        assert matrix.report(counting, (axiom,)).all_pass
+        counts[axiom] = len(calls)
+    assert counts == EVALS_PER_PASSING_CELL
+
+
+def test_a_pinned_fail_is_never_evaluated_on_a_sampled_row():
+    # cx4 fails IIP on its pinned row (1, 3, 2), whose entries do not shrink;
+    # the IIP probes drawn for the other 11 indices never reach it.
+    seen = []
+    cx4 = get_index("cx4")
+    recording = dataclasses.replace(cx4, evaluate=lambda t: seen.append(t) or cx4.evaluate(t))
+    indices = tuple(recording if d.id == "cx4" else d for d in CATALOG)
+    verdict = verdict_matrix(indices, ("IIP",), AuditConfig(samples=50)).report(recording, ("IIP",)).verdict("IIP")
+    assert (verdict.status, verdict.samples_used) == ("fail", 0)
+    pinned = Triad(1.0, 3.0, 2.0)
+    assert seen == [pinned, transpose_triad(pinned)]
 
 
 def test_a_failing_con_row_evaluates_each_rung_once():
@@ -640,6 +722,17 @@ def test_small_budget_witnesses_are_pinned(catalog_matrix, seed):
 def test_wide_band_verdicts_are_pinned(catalog_matrix):
     cfg = AuditConfig(samples=300, tolerance=1e-3)
     reports = [report for _, report in catalog_matrix(cfg).rows]
+    assert _verdict_digest(reports) == VERDICT_DIGESTS[cfg]
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [AuditConfig(samples=37, master_seed=3), AuditConfig(samples=37, master_seed=7), AuditConfig(samples=300, tolerance=1e-3)],
+    ids=["37-3", "37-7", "300-wide-band"],
+)
+def test_per_index_audits_reproduce_the_pinned_digests(cfg):
+    # catalog_matrix sweeps each axiom once for all 12 indices; audit checks one cell at a time.
+    reports = [audit(descriptor, AXIOMS, cfg) for descriptor in CATALOG]
     assert _verdict_digest(reports) == VERDICT_DIGESTS[cfg]
 
 
