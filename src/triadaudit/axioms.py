@@ -7,9 +7,14 @@ this configuration", never a proof; a "fail" verdict carries a
 self-contained witness that replays without the RNG, shrunk to simple entries
 first.  Probe i of an axiom draws from its own counter-based stream: the
 axiom's key, 8 bytes of the sha256 of (master_seed, axiom), is derived once
-per check, and block j of the stream is the keyed blake2b hash of (i, j).
-So results do not depend on evaluation order, and growing the sample count
-can only turn a pass into a fail.
+per check, and block j of the stream is the keyed blake2b hash of (i, j),
+eight draws.  So results do not depend on evaluation order, and growing the
+sample count can only turn a pass into a fail.  probe_rng decodes block 0
+once, and each probe family builds its triads from those eight draws by
+position; MSC and SMSC, whose consistent base is redrawn until its entries
+are off 1, read the stream in order through random().  The public samplers
+sample_triad and sample_consistent_triad read random() too and build the
+same triads from the same draws.
 
 Axiom identifiers:
 
@@ -168,19 +173,53 @@ _COUNTER = struct.Struct("<2Q")
 _WORDS = struct.Struct("<8Q")
 
 
-def _draws(key: bytes, i: int) -> Iterator[float]:
-    for j in count():
-        for word in _WORDS.unpack(hashlib.blake2b(_COUNTER.pack(i, j), key=key, digest_size=64).digest()):
-            yield (word >> 11) * 2.0**-53
+def _block(key: bytes, i: int, j: int) -> list[float]:
+    """Draws 8j to 8j + 7 of probe i: block j, each word as (word >> 11) * 2**-53."""
+    digest = hashlib.blake2b(_COUNTER.pack(i, j), key=key, digest_size=64).digest()
+    # Spelled out: on CPython 3.11 a list display is faster than a comprehension.
+    w0, w1, w2, w3, w4, w5, w6, w7 = _WORDS.unpack(digest)
+    return [
+        (w0 >> 11) * 2.0**-53,
+        (w1 >> 11) * 2.0**-53,
+        (w2 >> 11) * 2.0**-53,
+        (w3 >> 11) * 2.0**-53,
+        (w4 >> 11) * 2.0**-53,
+        (w5 >> 11) * 2.0**-53,
+        (w6 >> 11) * 2.0**-53,
+        (w7 >> 11) * 2.0**-53,
+    ]
+
+
+def _draws(key: bytes, i: int, first: list[float]) -> Iterator[float]:
+    """Every draw of probe i in order: block 0 as already decoded, then blocks 1, 2, ... as reached."""
+    yield from first
+    for j in count(1):
+        yield from _block(key, i, j)
 
 
 class _ProbeStream:
-    """The uniform draws of one probe: ``random()`` in [0, 1) and ``choice(seq)``."""
+    """The uniform draws of one probe.
 
-    __slots__ = ("random",)
+    ``u`` is the list of draws 0-7 (block 0, decoded once), which the probe
+    families read by position.  ``random()`` returns the draws in order from
+    draw 0 whatever was read from ``u``, and decodes later blocks only when it
+    reaches them; ``choice(seq)`` takes one draw.
+    """
+
+    __slots__ = ("u", "_key", "_i", "_next")
 
     def __init__(self, key: bytes, i: int):
-        self.random = _draws(key, i).__next__
+        self.u = _block(key, i, 0)
+        self._key, self._i, self._next = key, i, None
+
+    @property
+    def random(self) -> Callable[[], float]:
+        # The generator starts on first use, as most probes read only ``u``.
+        # It holds the list, not the stream, so reference counting frees a
+        # stream as soon as its probe is built.
+        if self._next is None:
+            self._next = _draws(self._key, self._i, self.u).__next__
+        return self._next
 
     def choice(self, seq):
         return seq[int(len(seq) * self.random())]
@@ -192,33 +231,48 @@ def probe_rng(key: bytes, i: int) -> _ProbeStream:
     Draw m of the stream is word m % 8 of block m // 8, as the float
     ``(word >> 11) * 2**-53``; ``choice`` over n items takes item
     ``int(n * draw)``.  The stream is a pure function of (key, i), so no probe
-    depends on the probes drawn before it.
+    depends on the probes drawn before it.  Block 0 is decoded at once into
+    the list ``u``, draws 0-7.
     """
     return _ProbeStream(key, i)
 
 
-def sample_triad(rng: _ProbeStream, entry_range: tuple[float, float]) -> Triad:
-    """Three entries drawn independently, log-uniform on entry_range."""
+def _log_span(entry_range: tuple[float, float]) -> tuple[float, float]:
+    """(lo, span) such that a draw u in [0, 1) maps to the log-uniform entry exp(lo + span * u).
+
+    lo + span * u is exactly what random.Random.uniform(lo, hi) computes for hi = log(entry_range[1]).
+    """
     lo = math.log(entry_range[0])
-    span = math.log(entry_range[1]) - lo
-    # lo + span * random() is exactly what rng.uniform(lo, hi) computes.
-    draw = rng.random
-    return Triad(math.exp(lo + span * draw()), math.exp(lo + span * draw()), math.exp(lo + span * draw()))
+    return lo, math.log(entry_range[1]) - lo
 
 
-def sample_consistent_triad(rng: _ProbeStream, entry_range: tuple[float, float]) -> Triad:
-    """Consistent triad from three log-uniform weights: (w1/w2, w1/w3, w2/w3)."""
-    lo = math.log(entry_range[0])
-    span = math.log(entry_range[1]) - lo
-    draw = rng.random
-    w1, w2, w3 = math.exp(lo + span * draw()), math.exp(lo + span * draw()), math.exp(lo + span * draw())
+def _sampled(lo: float, span: float, u1: float, u2: float, u3: float) -> Triad:
+    """The triad of three log-uniform entries, from draws u1, u2, u3."""
+    return Triad(math.exp(lo + span * u1), math.exp(lo + span * u2), math.exp(lo + span * u3))
+
+
+def _consistent(lo: float, span: float, u1: float, u2: float, u3: float) -> Triad:
+    """The consistent triad (w1/w2, w1/w3, w2/w3) of three log-uniform weights, from draws u1, u2, u3."""
+    w1, w2, w3 = math.exp(lo + span * u1), math.exp(lo + span * u2), math.exp(lo + span * u3)
     return Triad(w1 / w2, w1 / w3, w2 / w3)
 
 
-def _sample_consistent_off_unit(rng: _ProbeStream, entry_range: tuple[float, float]) -> Triad:
-    """Consistent triad with every entry at least _MIN_LOG_ENTRY away from 1."""
+def sample_triad(rng: _ProbeStream, entry_range: tuple[float, float]) -> Triad:
+    """Three entries from the next three draws of ``rng``, each log-uniform on entry_range."""
+    draw = rng.random
+    return _sampled(*_log_span(entry_range), draw(), draw(), draw())
+
+
+def sample_consistent_triad(rng: _ProbeStream, entry_range: tuple[float, float]) -> Triad:
+    """Consistent triad from three log-uniform weights, the next three draws of ``rng``: (w1/w2, w1/w3, w2/w3)."""
+    draw = rng.random
+    return _consistent(*_log_span(entry_range), draw(), draw(), draw())
+
+
+def _consistent_off_unit(draw: Callable[[], float], lo: float, span: float) -> Triad:
+    """The first consistent triad, three draws at a time, with every entry at least _MIN_LOG_ENTRY away from 1."""
     for _ in range(100_000):
-        t = sample_consistent_triad(rng, entry_range)
+        t = _consistent(lo, span, draw(), draw(), draw())
         if all(abs(math.log(e)) >= _MIN_LOG_ENTRY for e in t.entries()):
             return t
     raise RuntimeError("failed to sample a consistent triad with entries away from 1")
@@ -435,37 +489,44 @@ _Probes = Iterator[tuple[int, tuple]]
 
 
 def _grid_probes(axiom: str, values: tuple, cfg: AuditConfig) -> _Probes:
-    """One sampled triad per probe, followed by every parameter value in `values` (IIP has none)."""
+    """One sampled triad per probe (draws 0-2), followed by every parameter value in `values` (IIP has none)."""
+    lo, span = _log_span(cfg.entry_range)
     key = probe_key(cfg.master_seed, axiom)
     for i in range(cfg.samples):
-        yield i + 1, (sample_triad(probe_rng(key, i), cfg.entry_range), *values)
+        u = probe_rng(key, i).u
+        yield i + 1, (_sampled(lo, span, u[0], u[1], u[2]), *values)
 
 
 def _hta_probes(cfg: AuditConfig) -> _Probes:
-    lo = math.log(cfg.entry_range[0])
-    span = math.log(cfg.entry_range[1]) - lo
+    """(1; a; b) with a and b from draws 0 and 1."""
+    lo, span = _log_span(cfg.entry_range)
     key = probe_key(cfg.master_seed, "HTA")
     for i in range(cfg.samples):
-        draw = probe_rng(key, i).random
-        yield i + 1, (Triad(1.0, math.exp(lo + span * draw()), math.exp(lo + span * draw())),)
+        u = probe_rng(key, i).u
+        yield i + 1, (Triad(1.0, math.exp(lo + span * u[0]), math.exp(lo + span * u[1])),)
 
 
 def _urs_probes(cfg: AuditConfig) -> _Probes:
-    """Probe 0's consistent triad is the reference; it is not compared with itself."""
+    """A consistent triad (draws 0-2) and a sampled offender (draws 3-5) per probe.
+    Probe 0's consistent triad is the reference; it is not compared with itself."""
+    lo, span = _log_span(cfg.entry_range)
     key = probe_key(cfg.master_seed, "URS")
     for i in range(cfg.samples):
-        rng = probe_rng(key, i)
-        consistent = sample_consistent_triad(rng, cfg.entry_range)
+        u = probe_rng(key, i).u
+        consistent = _consistent(lo, span, u[0], u[1], u[2])
         if i:
             yield i + 1, (reference, consistent, "consistent_mismatch")
         else:
             reference = consistent
-        offender = sample_triad(rng, cfg.entry_range)
-        yield i + 1, (reference, offender, "inconsistent_match")
+        yield i + 1, (reference, _sampled(lo, span, u[3], u[4], u[5]), "inconsistent_match")
 
 
 def _monotone_probes(axiom: str, cfg: AuditConfig) -> _Probes:
     """MSC/SMSC: one row per probe, a whole intensification ladder from a consistent triad.
+
+    The base takes three draws per try, so a probe reads its stream in order
+    through ``random()``, past block 0 when the base needs three or more tries;
+    the position is the draw after the base.
 
     Only the side whose perturbations land on the canonical side (consistency
     ratio >= 1) is probed: the side that the independence and characterization
@@ -473,21 +534,24 @@ def _monotone_probes(axiom: str, cfg: AuditConfig) -> _Probes:
     On a consistent base that side follows from signs alone: the ratio
     t13 / (t12 * t23) rises above 1 when t13 is raised or t12 or t23 lowered.
     """
+    lo, span = _log_span(cfg.entry_range)
     key = probe_key(cfg.master_seed, axiom)
     for i in range(cfg.samples):
-        rng = probe_rng(key, i)
-        base = _sample_consistent_off_unit(rng, cfg.entry_range)
-        position = rng.choice(_POSITIONS)
+        draw = probe_rng(key, i).random
+        base = _consistent_off_unit(draw, lo, span)
+        position = _POSITIONS[int(3 * draw())]
         deltas = _DELTAS_ABOVE if (base.entry(position) > 1.0) == (position == "13") else _DELTAS_BELOW
         yield i + 1, (base, position, 1.0, *deltas)
 
 
 def _con_probes(cfg: AuditConfig) -> _Probes:
+    """A sampled (draws 0-2) and a consistent (draws 3-5) base per probe, sharing the position that draw 6 chooses."""
+    lo, span = _log_span(cfg.entry_range)
     key = probe_key(cfg.master_seed, "CON")
     for i in range(cfg.samples):
-        rng = probe_rng(key, i)
-        bases = (sample_triad(rng, cfg.entry_range), sample_consistent_triad(rng, cfg.entry_range))
-        position = rng.choice(_POSITIONS)
+        u = probe_rng(key, i).u
+        bases = (_sampled(lo, span, u[0], u[1], u[2]), _consistent(lo, span, u[3], u[4], u[5]))
+        position = _POSITIONS[int(3 * u[6])]
         for base in bases:
             yield i + 1, (base, position, CONTINUITY_LADDER)
 
@@ -623,14 +687,16 @@ _PROBE_DESIGN = {"b_grid": B_GRID, "delta_grid": DELTA_GRID, "k_grid": K_GRID, "
 # The two MSC/SMSC ladder sides, each walked away from delta = 1.
 _DELTAS_ABOVE = tuple(d for d in DELTA_GRID if d > 1.0)
 _DELTAS_BELOW = tuple(d for d in reversed(DELTA_GRID) if d < 1.0)
-_PERMUTATIONS = tuple(permutations(range(3)))
+# The identity is left out, as MRP skips b = 1: its permuted triad equals the
+# input, so its row cannot break invariance for a finite value.
+_PERMUTATIONS = tuple(permutations(range(3)))[1:]
 
 # Probe domains.  "Sampled": three entries log-uniform on entry_range.
 # "Consistent": (w1/w2, w1/w3, w2/w3) from three weights log-uniform on entry_range.
 _SPECS: dict[str, _AxiomSpec] = {
     # URS: each probe's sampled offender and each later probe's consistent triad, against probe 0's consistent one.
     "URS": _AxiomSpec(_urs_violation, _urs_probes, ("reference", "offender", "kind")),
-    # IPA: a sampled triad under each of the six permutations of the alternatives.
+    # IPA: a sampled triad under each of the five permutations of the alternatives other than the identity.
     "IPA": _AxiomSpec(
         partial(_invariance_violation, "IPA", "permuted", permute_triad, "perm"),
         partial(_grid_probes, "IPA", _PERMUTATIONS),

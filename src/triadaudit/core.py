@@ -44,19 +44,26 @@ def _require_positive_finite(name: str, value: float) -> float:
     return value
 
 
+# Stores a field of a frozen instance, as the generated dataclass __init__ does.
+_set_field = object.__setattr__
+
+
 @dataclass(frozen=True)
 class Triad:
-    """The three above-diagonal entries of a 3x3 reciprocal matrix."""
+    """The three above-diagonal entries of a 3x3 reciprocal matrix.
+
+    Each entry is stored as a float in (0, inf); any other value is converted
+    with ``float`` or rejected with a DomainError that names its field.
+    """
 
     t12: float
     t13: float
     t23: float
 
-    def __post_init__(self):
-        # Fast path: the entries are already the floats that the general
-        # path below would store.  Anything else is converted or rejected there.
-        t12, t13, t23 = self.t12, self.t13, self.t23
-        if (
+    def __init__(self, t12: float, t13: float, t23: float):
+        # Fast path: three floats in (0, inf) are stored as they are.  Anything
+        # else is converted or rejected, field by field, in the general path.
+        if not (
             type(t12) is float
             and type(t13) is float
             and type(t23) is float
@@ -64,9 +71,12 @@ class Triad:
             and 0.0 < t13 < _INF
             and 0.0 < t23 < _INF
         ):
-            return
-        for name in ("t12", "t13", "t23"):
-            object.__setattr__(self, name, _require_positive_finite(name, getattr(self, name)))
+            t12 = _require_positive_finite("t12", t12)
+            t13 = _require_positive_finite("t13", t13)
+            t23 = _require_positive_finite("t23", t23)
+        _set_field(self, "t12", t12)
+        _set_field(self, "t13", t13)
+        _set_field(self, "t23", t23)
 
     def entries(self) -> tuple[float, float, float]:
         return (self.t12, self.t13, self.t23)

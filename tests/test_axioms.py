@@ -165,9 +165,10 @@ class TestProbeDomains:
         assert len(rows) == self.CFG.samples
         assert all(t.t12 == 1.0 for (t,) in rows)
 
-    def test_ipa_rows_carry_the_six_bijections(self):
+    def test_ipa_rows_carry_the_five_non_identity_bijections(self):
+        # The identity is skipped: its permuted triad is the input itself.
         for _, *perms in self.rows("IPA"):
-            assert sorted(perms) == list(permutations(range(3)))
+            assert sorted(perms) == [p for p in permutations(range(3)) if p != (0, 1, 2)]
 
     @pytest.mark.parametrize("axiom", ["MSC", "SMSC"])
     def test_every_rung_lifts_the_consistency_ratio_further(self, axiom):
@@ -457,6 +458,20 @@ def test_probe_stream_draws_are_uniform_on_the_unit_interval():
     assert all(abs(n / 30_000 - 1 / 3) <= 0.02 for n in hits.values()), hits
 
 
+def test_probe_stream_list_is_its_first_eight_draws():
+    # The probe families read u by position; random() still starts at draw 0
+    # after indexing and walks on into block 1 without changing u.
+    key = probe_key(11, "contract")
+    for i in (0, 1, 7, 2**64 - 1):
+        rng = probe_rng(key, i)
+        first = list(rng.u)
+        assert len(first) == 8
+        draws = [rng.random() for _ in range(12)]
+        assert draws[:8] == first and rng.u == first
+        unread = probe_rng(key, i).random
+        assert [unread() for _ in range(12)] == draws
+
+
 def test_tracer_patch_points_are_module_attributes():
     # perfbench's traced run wraps these names; each must stay a module attribute that the engine calls through.
     for module, name in [
@@ -476,7 +491,7 @@ def test_tracer_patch_points_are_module_attributes():
 # Evaluations of natural's passing cells at samples=50, one entry per axiom.
 EVALS_PER_PASSING_CELL = {
     "URS": 198,
-    "IPA": 350,
+    "IPA": 300,
     "MRP": 350,
     "MSC": 200,
     "CON": 300,
@@ -502,7 +517,7 @@ def _counting_natural(calls):
 
 def test_each_probe_evaluates_each_triad_once():
     # One engine row per probe: a grid probe evaluates its input once plus one
-    # transform per grid value (MRP skips b = 1), a ladder its base once plus
+    # transform per grid value (MRP skips b = 1, IPA the identity), a ladder its base once plus
     # one triad per rung.  A passing CON row settles on its first and last
     # rungs.  URS's probe 0 has one row: its consistent triad is the reference.
     calls = []
@@ -531,6 +546,131 @@ def test_a_matrix_row_evaluates_like_its_own_check():
         assert matrix.report(counting, (axiom,)).all_pass
         counts[axiom] = len(calls)
     assert counts == EVALS_PER_PASSING_CELL
+
+
+def test_a_nan_valued_index_still_fails_ipa():
+    # Skipping the identity permutation cannot hide a NaN value: NaN equals no
+    # value, so the first non-identity permutation of the first probe fails.
+    nan_valued = IndexDescriptor(
+        id="nan_valued",
+        label="NaN on every triad",
+        evaluate=lambda t: math.nan,
+        expected_profile={a: "fail" for a in AXIOMS},
+    )
+    verdict = check_axiom(nan_valued, "IPA", FAST)
+    assert (verdict.status, verdict.samples_used) == ("fail", 1)
+    assert verdict.witness.params == {"perm": (0, 2, 1)}
+    assert replay_witness(verdict.witness, nan_valued.evaluate)
+
+
+def _recording(evaluate, seen):
+    return IndexDescriptor(
+        id="recording",
+        label="records every triad it evaluates",
+        evaluate=lambda t: seen.append(t) or evaluate(t),
+        expected_profile={a: "pass" for a in AXIOMS},
+    )
+
+
+def test_a_patched_triad_init_sees_every_build(monkeypatch):
+    # perfbench counts triads by wrapping Triad.__init__: every triad that a
+    # sweep or a concordance hands to an index must have passed through it.
+    built = []
+    init = Triad.__init__
+    monkeypatch.setattr(Triad, "__init__", lambda self, *a, **kw: init(self, *a, **kw) or built.append(self))
+    seen = []
+    recording = _recording(natural_index, seen)
+    cfg = AuditConfig(samples=20)
+    for axiom in ("IPA", "MRP", "IIP", "HTA", "SI"):
+        built.clear()
+        seen.clear()
+        assert check_axiom(recording, axiom, cfg).status == "pass"
+        # A passing grid sweep builds exactly the triads it evaluates.
+        assert [id(t) for t in built] == [id(t) for t in seen], axiom
+    built.clear()
+    seen.clear()
+    verdict_matrix((recording, get_index("cx2")), AXIOMS, cfg)
+    analysis.ranking_concordance(recording, get_index("koczkodaj"), cfg)
+    ids = {id(t) for t in built}
+    assert seen and all(id(t) in ids for t in seen)
+
+
+# Engine rows rebuilt from the public samplers, reading each probe's stream
+# in order through random() and choice(): the reference for the probe
+# families, which read block 0 by position.
+REFERENCE_CONFIGS = [AuditConfig(samples=200, entry_range=r) for r in [(1.0 / 9.0, 9.0), (0.5, 2.0), (1e-6, 1e6)]]
+_GRIDS = {
+    "IPA": tuple(p for p in permutations(range(3)) if p != (0, 1, 2)),
+    "MRP": B_GRID,
+    "IIP": (),
+    "SI": K_GRID,
+}
+
+
+def _reference_base(rng, entry_range):
+    """MSC/SMSC's base: consistent triads three draws at a time until every entry is off 1; and its tries."""
+    tries = 1
+    while True:
+        base = sample_consistent_triad(rng, entry_range)
+        if all(abs(math.log(e)) >= _MIN_LOG_ENTRY for e in base.entries()):
+            return base, tries
+        tries += 1
+
+
+def _reference_rows(axiom, cfg):
+    key, er, rows = probe_key(cfg.master_seed, axiom), cfg.entry_range, []
+    for i in range(cfg.samples):
+        rng = probe_rng(key, i)
+        if axiom in _GRIDS:
+            rows.append((sample_triad(rng, er), *_GRIDS[axiom]))
+        elif axiom == "HTA":
+            # (1; a; b) takes a and b from the first two of three draws.
+            t = sample_triad(rng, er)
+            rows.append((Triad(1.0, t.t12, t.t13),))
+        elif axiom == "URS":
+            consistent, offender = sample_consistent_triad(rng, er), sample_triad(rng, er)
+            if i == 0:
+                reference = consistent
+            else:
+                rows.append((reference, consistent, "consistent_mismatch"))
+            rows.append((reference, offender, "inconsistent_match"))
+        elif axiom == "CON":
+            bases = (sample_triad(rng, er), sample_consistent_triad(rng, er))
+            position = rng.choice(("12", "13", "23"))
+            rows.extend((base, position, CONTINUITY_LADDER) for base in bases)
+        else:
+            base, _ = _reference_base(rng, er)
+            position = rng.choice(("12", "13", "23"))
+            lifts = (base.entry(position) > 1.0) == (position == "13")
+            side = [d for d in DELTA_GRID if d > 1.0] if lifts else [d for d in reversed(DELTA_GRID) if d < 1.0]
+            rows.append((base, position, 1.0, *side))
+    return rows
+
+
+@pytest.mark.parametrize("cfg", REFERENCE_CONFIGS, ids=["ninths", "halves", "range_1e6"])
+@pytest.mark.parametrize("axiom", AXIOMS)
+def test_engine_rows_equal_the_public_sampler_rows(axiom, cfg):
+    assert [row for _, row in _SPECS[axiom].probes(cfg)] == _reference_rows(axiom, cfg)
+
+
+@pytest.mark.parametrize("cfg", REFERENCE_CONFIGS, ids=["ninths", "halves", "range_1e6"])
+def test_concordance_pairs_equal_the_public_sampler_pairs(cfg):
+    seen = []
+    analysis.ranking_concordance(_recording(natural_index, seen), get_index("natural"), cfg)
+    key, expected = probe_key(cfg.master_seed, "pair"), []
+    for i in range(cfg.samples):
+        rng = probe_rng(key, i)
+        expected += [sample_triad(rng, cfg.entry_range), sample_triad(rng, cfg.entry_range)]
+    assert seen == expected
+
+
+def test_a_pinned_msc_probe_reads_past_block_zero():
+    # MSC probe 26 at seed 42 on (0.5, 2) rejects five bases with an entry
+    # near 1: its position is draw 18, in block 2.
+    cfg = REFERENCE_CONFIGS[1]
+    _, tries = _reference_base(probe_rng(probe_key(cfg.master_seed, "MSC"), 26), cfg.entry_range)
+    assert tries == 6
+    assert [row for _, row in _SPECS["MSC"].probes(cfg)][26] == _reference_rows("MSC", cfg)[26]
 
 
 def test_a_pinned_fail_is_never_evaluated_on_a_sampled_row():

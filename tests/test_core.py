@@ -1,5 +1,6 @@
 """Domain types and the elementary ratio-preserving transforms."""
 
+import dataclasses
 import json
 import math
 
@@ -73,6 +74,32 @@ class TestMakeTriad:
         t = Triad(value, value, value)
         for v in t.entries():
             assert type(v) is float and v == float(value)
+
+    @pytest.mark.parametrize(
+        "bad, error, message",
+        [
+            (0, DomainError, "t13 must be a finite positive real, got 0.0"),
+            (-1, DomainError, "t13 must be a finite positive real, got -1.0"),
+            (math.nan, DomainError, "t13 must be a finite positive real, got nan"),
+            (math.inf, DomainError, "t13 must be a finite positive real, got inf"),
+            ("x", ValueError, "could not convert string to float: 'x'"),
+        ],
+    )
+    def test_rejection_messages(self, bad, error, message):
+        with pytest.raises(error) as info:
+            Triad(1, bad, 2)
+        assert type(info.value) is error and str(info.value) == message
+
+    def test_frozen_value_semantics(self):
+        t = Triad(1, 3, 2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            t.t12 = 2.0
+        assert t == Triad(1.0, 3.0, 2.0) == Triad(t12=1.0, t13=3, t23=2.0)
+        assert hash(t) == hash(Triad(1.0, 3.0, 2.0)) and len({t, Triad(1.0, 3.0, 2.0)}) == 1
+        assert t != Triad(1.0, 3.0, 2.5) and t != (1.0, 3.0, 2.0)
+        assert repr(t) == "Triad(t12=1.0, t13=3.0, t23=2.0)"
+        assert dataclasses.replace(t, t23=4) == Triad(1.0, 3.0, 4.0)
+        assert [f.name for f in dataclasses.fields(Triad)] == ["t12", "t13", "t23"]
 
     def test_integer_entries_serialise_as_floats(self):
         assert json.dumps(Triad(1, 3, 2).as_dict()) == '{"t12": 1.0, "t13": 3.0, "t23": 2.0}'
