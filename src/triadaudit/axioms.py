@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 import operator
 import struct
 import sys
@@ -99,8 +100,9 @@ class UnknownAxiomError(LookupError):
 class AuditConfig:
     """Probe count, seed, entry range and equality band; the grids are the fixed probe design below.
 
-    ``samples`` and ``master_seed`` take any integer type but ``bool`` and are stored as ``int``.
-    ``tolerance`` is a relative equality band: a equals b when
+    ``samples`` and ``master_seed`` take any integer type but ``bool`` and are stored as ``int``;
+    ``entry_range`` takes two real numbers and ``tolerance`` one, none of them ``bool``, stored as
+    a tuple of two floats and a float.  ``tolerance`` is a relative equality band: a equals b when
     |a - b| <= tolerance * max(1, |a|, |b|).
     """
 
@@ -117,7 +119,11 @@ class AuditConfig:
             object.__setattr__(self, name, operator.index(value))
         if self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
-        lo, hi = self.entry_range
+        bounds = tuple(map(_real, self.entry_range)) if isinstance(self.entry_range, (tuple, list)) else ()
+        if len(bounds) != 2 or None in bounds:
+            raise ValueError(f"entry_range must be two real numbers (lower, upper), got {self.entry_range!r}")
+        object.__setattr__(self, "entry_range", bounds)
+        lo, hi = bounds
         if not (0.0 < lo < hi) or not math.isfinite(hi):
             raise ValueError(f"entry_range must be positive with lower < upper, got {self.entry_range}")
         # MSC/SMSC redraw consistent triads until every entry is at least
@@ -127,8 +133,12 @@ class AuditConfig:
             raise ValueError(
                 f"entry_range is too narrow: log(upper/lower) must be >= {4 * _MIN_LOG_ENTRY:g}, got {self.entry_range}"
             )
-        if not (self.tolerance > 0.0):
-            raise ValueError(f"tolerance must be > 0, got {self.tolerance}")
+        tolerance = _real(self.tolerance)
+        if tolerance is None:
+            raise ValueError(f"tolerance must be a real number, got {self.tolerance!r}")
+        object.__setattr__(self, "tolerance", tolerance)
+        if not (0.0 < tolerance < math.inf):
+            raise ValueError(f"tolerance must be finite and > 0, got {self.tolerance}")
         if _log_extent(self.entry_range) > _LOG_FLOAT_MAX:
             raise ValueError(
                 f"entry_range is too wide for the grids: its probes leave float64's range, got {self.entry_range}"
@@ -137,6 +147,16 @@ class AuditConfig:
     def as_dict(self) -> dict:
         doc = {**{f.name: getattr(self, f.name) for f in fields(self)}, **_PROBE_DESIGN}
         return {name: list(v) if isinstance(v, tuple) else v for name, v in doc.items()}
+
+
+def _real(value: object) -> float | None:
+    """``value`` as a float if it is a real number other than a bool, else None."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return None
+    try:
+        return float(value)
+    except OverflowError:  # an int beyond float64
+        return math.inf if value > 0 else -math.inf
 
 
 def _log_extent(entry_range: tuple[float, float]) -> float:
@@ -270,11 +290,19 @@ def sample_consistent_triad(rng: _ProbeStream, entry_range: tuple[float, float])
 
 
 def _consistent_off_unit(draw: Callable[[], float], lo: float, span: float) -> Triad:
-    """The first consistent triad, three draws at a time, with every entry at least _MIN_LOG_ENTRY away from 1."""
+    """The first consistent triad, three draws at a time, with every entry at least _MIN_LOG_ENTRY away from 1.
+
+    Each try computes the entries as _consistent does, and only the accepted one becomes a Triad.
+    """
     for _ in range(100_000):
-        t = _consistent(lo, span, draw(), draw(), draw())
-        if all(abs(math.log(e)) >= _MIN_LOG_ENTRY for e in t.entries()):
-            return t
+        w1, w2, w3 = math.exp(lo + span * draw()), math.exp(lo + span * draw()), math.exp(lo + span * draw())
+        t12, t13, t23 = w1 / w2, w1 / w3, w2 / w3
+        if (
+            abs(math.log(t12)) >= _MIN_LOG_ENTRY
+            and abs(math.log(t13)) >= _MIN_LOG_ENTRY
+            and abs(math.log(t23)) >= _MIN_LOG_ENTRY
+        ):
+            return Triad(t12, t13, t23)
     raise RuntimeError("failed to sample a consistent triad with entries away from 1")
 
 
@@ -315,28 +343,39 @@ class AxiomVerdict:
 
 
 # ---------------------------------------------------------------------------
-# violations: one relation per axiom, shared by the search and witness replay
+# violations: one relation per axiom, shared by the search and witness replay.
+# Each takes a row as its spec's ``expand`` returns it, derived triads built.
+# The expand steps run once per row and append in plain loops: on CPython
+# 3.11 a comprehension is a call of its own.
 # ---------------------------------------------------------------------------
+
+
+def _invariance_expand(
+    transform: Callable[..., Triad], param: str | None, input: Triad, *values: object
+) -> tuple[Triad, list[tuple[object, Triad]]]:
+    """(input, others): (value, transform of ``input`` by value) for each value in
+    order; IIP and HTA take no parameter and no values, so they transform once."""
+    if param is None:
+        return input, [(None, transform(input))]
+    others = []
+    for value in values:
+        others.append((value, transform(input, value)))
+    return input, others
 
 
 def _invariance_violation(
     axiom: str,
     name: str,
-    transform: Callable[..., Triad],
     param: str | None,
     evaluate: Evaluator,
     tol: float,
     input: Triad,
-    *values: object,
+    others: list[tuple[object, Triad]],
 ) -> Witness | None:
-    """SI, HTA, IIP and IPA: I(input) must equal I(transform(input, value)) within the band.
-
-    ``param`` names the transform's parameter, whose ``values`` are tried in
-    order; IIP and HTA take none and no values, so they transform once.
-    """
+    """SI, HTA, IIP and IPA: I(input) must equal I(other) within the band for each
+    (value, other) pair in order; ``param`` names the value in a witness."""
     a = evaluate(input)
-    for value in values or (None,):
-        other = transform(input) if param is None else transform(input, value)
+    for value, other in others:
         b = evaluate(other)
         if not _close(a, b, tol):
             return Witness(
@@ -349,17 +388,23 @@ def _invariance_violation(
     return None
 
 
-def _mrp_violation(evaluate: Evaluator, tol: float, input: Triad, *bs: float) -> Witness | None:
-    """I(input^b) must not fall below I(input) for b >= 1 nor rise above it for b <= 1, for each b in order.
-
-    b = 1 is skipped: x ** 1.0 == x exactly, so the powered triad is the input
-    and neither strict inequality can hold against its own value, NaN included.
-    """
-    base = evaluate(input)
+def _mrp_expand(input: Triad, *bs: float) -> tuple[Triad, list[tuple[float, Triad]]]:
+    """(input, powers): (b, input^b) for each b in order but b = 1, which is left
+    out: x ** 1.0 == x exactly, so that power is the input and neither strict
+    inequality can hold against its own value, NaN included."""
+    powers = []
     for b in bs:
-        if b == 1.0:
-            continue
-        powered = power_transform(input, b)
+        if b != 1.0:
+            powers.append((b, power_transform(input, b)))
+    return input, powers
+
+
+def _mrp_violation(
+    evaluate: Evaluator, tol: float, input: Triad, powers: list[tuple[float, Triad]]
+) -> Witness | None:
+    """I(input^b) must not fall below I(input) for b >= 1 nor rise above it for b <= 1, for each (b, input^b) in order."""
+    base = evaluate(input)
+    for b, powered in powers:
         after = evaluate(powered)
         band = _band(tol, base, after)
         if b >= 1.0 and after < base - band:
@@ -378,24 +423,40 @@ def _mrp_violation(evaluate: Evaluator, tol: float, input: Triad, *bs: float) ->
     return None
 
 
-def _monotone_violation(
-    strict: bool, evaluate: Evaluator, tol: float, consistent: Triad, position: str, delta_prev: float, *deltas: float
-) -> Witness | None:
-    """Walk an MSC/SMSC intensification ladder from delta_prev through deltas.
+def _monotone_expand(
+    consistent: Triad, position: str, delta_prev: float, *deltas: float
+) -> tuple[Triad, str, float, Triad | None, list[tuple[float, Triad]]]:
+    """(consistent, position, delta_prev, previous, rungs): the rung at delta_prev
+    (None for delta_prev = 1, the unperturbed consistent triad) and (delta, rung)
+    for each delta.  single_entry_perturb checks the base and the position on
+    the first rung; the later rungs raise the same entry to their own power."""
+    previous = None if delta_prev == 1.0 else single_entry_perturb(consistent, position, delta_prev)
+    rungs = [(deltas[0], single_entry_perturb(consistent, position, deltas[0]))]
+    entry = consistent.entry(position)
+    for delta in deltas[1:]:
+        rungs.append((delta, _with_entry(consistent, position, entry**delta)))
+    return consistent, position, delta_prev, previous, rungs
 
-    delta_prev = 1 denotes the unperturbed consistent triad.  Returns a
-    witness for the first rung at which the index drops below the consistent
-    value, decreases from the previous rung, or (strict only) fails to
-    increase beyond the band.
+
+def _monotone_violation(
+    strict: bool,
+    evaluate: Evaluator,
+    tol: float,
+    consistent: Triad,
+    position: str,
+    delta_prev: float,
+    previous: Triad | None,
+    rungs: list[tuple[float, Triad]],
+) -> Witness | None:
+    """Walk an MSC/SMSC intensification ladder from delta_prev through the rungs.
+
+    Returns a witness for the first rung at which the index drops below the
+    consistent value, decreases from the previous rung, or (strict only)
+    fails to increase beyond the band.
     """
     base_value = evaluate(consistent)
-    prev_value = base_value if delta_prev == 1.0 else evaluate(single_entry_perturb(consistent, position, delta_prev))
-    # single_entry_perturb checks the base and the position on the first
-    # rung; the later rungs raise the same entry to their own power.
-    perturbed, entry = single_entry_perturb(consistent, position, deltas[0]), consistent.entry(position)
-    for rung, delta in enumerate(deltas):
-        if rung:
-            perturbed = _with_entry(consistent, position, entry**delta)
+    prev_value = base_value if previous is None else evaluate(previous)
+    for delta, perturbed in rungs:
         cur_value = evaluate(perturbed)
         step_band = _band(tol, prev_value, cur_value)
         if cur_value < base_value - _band(tol, base_value, cur_value):
@@ -417,8 +478,27 @@ def _monotone_violation(
     return None
 
 
+def _con_rung(input: Triad, position: str, eps: float) -> Triad:
+    """``input`` with the entry at ``position`` times 1 + eps."""
+    return _with_entry(input, position, input.entry(position) * (1.0 + eps))
+
+
+def _con_expand(
+    input: Triad, position: str, ladder: tuple[float, ...]
+) -> tuple[Triad, str, tuple[float, ...], Triad, Triad]:
+    """(input, position, ladder, first, last): the rungs at the first and last eps.
+    The middle rungs are built by _con_violation, only for rows that need them."""
+    return input, position, ladder, _con_rung(input, position, ladder[0]), _con_rung(input, position, ladder[-1])
+
+
 def _con_violation(
-    evaluate: Evaluator, tol: float, input: Triad, position: str, ladder: tuple[float, ...]
+    evaluate: Evaluator,
+    tol: float,
+    input: Triad,
+    position: str,
+    ladder: tuple[float, ...],
+    first_rung: Triad,
+    last_rung: Triad,
 ) -> Witness | None:
     """I(input with the entry at ``position`` times 1 + eps) must approach I(input)
     as eps walks down ``ladder``: the row fails iff
@@ -433,16 +513,12 @@ def _con_violation(
     middle rungs too, so a fail witness reports the whole ladder.
     """
     base_value = evaluate(input)
-    entry = input.entry(position)
-
-    def change(eps: float) -> float:
-        return abs(evaluate(_with_entry(input, position, entry * (1.0 + eps))) - base_value)
-
-    first, last = change(ladder[0]), change(ladder[-1])
+    first, last = abs(evaluate(first_rung) - base_value), abs(evaluate(last_rung) - base_value)
     band = _band(tol, base_value)
     if last <= max(band, _CON_JUMP_FRACTION * first):
         return None
-    changes = [first, *map(change, ladder[1:-1]), last]
+    middle = [abs(evaluate(_con_rung(input, position, eps)) - base_value) for eps in ladder[1:-1]]
+    changes = [first, *middle, last]
     if last <= max(band, _CON_JUMP_FRACTION * max(changes)):
         return None
     return Witness(
@@ -638,7 +714,7 @@ def _shrink(spec: _AxiomSpec, witness: Witness, evaluate: Evaluator, cfg: AuditC
                 if replays == _SHRINK_REPLAYS:
                     return witness
                 replays += 1
-                shrunk = spec.violation(evaluate, cfg.tolerance, *row)
+                shrunk = spec.violation(evaluate, cfg.tolerance, *spec.expand(*row))
                 if shrunk is not None and shrunk.relation == witness.relation:
                     fields[name], witness = candidate, shrunk
                     break
@@ -658,12 +734,18 @@ class _AxiomSpec:
     ladder row repeats its last field once per value, so one row is one probe
     (URS and CON make two rows per probe, one per triad drawn; URS's probe 0
     makes one, as its consistent triad is the reference).
-    ``violation(evaluate, tol, *row)`` evaluates each distinct triad of the
-    row once and returns the first violating value's witness, or None.
+    ``expand(*row)`` builds the triads that the row compares (IPA's
+    permutations, MRP's powers but b = 1, SI's scalings, the IIP transpose,
+    the HTA collapse, the MSC/SMSC rungs, CON's first and last rungs; URS has
+    none) and returns them with the row's fields.  ``violation(evaluate, tol,
+    *expanded)`` only evaluates and compares: it evaluates each distinct
+    triad once and returns the first violating value's witness, or None.  A
+    sweep expands each row once for all the indices it goes to, so a matrix
+    sweep builds a row's derived triads once, not once per index.
     ``probes(cfg)`` yields ``(samples_used, row)`` pairs from the seeded
     probes.  A witness stores the fields of its one-value row by name in its
-    ``triads`` or ``params``; replay reads them back in ``row`` order and
-    passes that one-value row to the same ``violation``.  ``pinned`` maps an
+    ``triads`` or ``params``; replay and shrinking read them back in ``row``
+    order and pass that one-value row, expanded, to the same ``violation``.  ``pinned`` maps an
     index id to rows with a violation known in closed form: they are tried
     before any sampling, so the fail verdict does not depend on the budget.
     ``in_domain(*row)`` holds on a shrunk one-value row that keeps the probe
@@ -673,6 +755,7 @@ class _AxiomSpec:
     violation: Callable[..., Witness | None]
     probes: Callable[[AuditConfig], _Probes]
     row: tuple[str, ...]
+    expand: Callable[..., tuple] = lambda *row: row
     pinned: Mapping[str, tuple[tuple, ...]] = field(default_factory=dict)
     in_domain: Callable[..., bool] = lambda *row: True
 
@@ -698,40 +781,45 @@ _SPECS: dict[str, _AxiomSpec] = {
     "URS": _AxiomSpec(_urs_violation, _urs_probes, ("reference", "offender", "kind")),
     # IPA: a sampled triad under each of the five permutations of the alternatives other than the identity.
     "IPA": _AxiomSpec(
-        partial(_invariance_violation, "IPA", "permuted", permute_triad, "perm"),
+        partial(_invariance_violation, "IPA", "permuted", "perm"),
         partial(_grid_probes, "IPA", _PERMUTATIONS),
         ("input", "perm"),
+        partial(_invariance_expand, permute_triad, "perm"),
     ),
     # MRP: a sampled triad raised to each power b in B_GRID, on both sides of 1.
-    "MRP": _AxiomSpec(_mrp_violation, partial(_grid_probes, "MRP", B_GRID), ("input", "b")),
+    "MRP": _AxiomSpec(_mrp_violation, partial(_grid_probes, "MRP", B_GRID), ("input", "b"), _mrp_expand),
     # MSC: a consistent triad, |log entry| >= _MIN_LOG_ENTRY; one entry walks the DELTA_GRID side lifting the ratio.
     "MSC": _AxiomSpec(
         partial(_monotone_violation, False),
         partial(_monotone_probes, "MSC"),
         ("consistent", "position", "delta_prev", "delta"),
+        _monotone_expand,
         in_domain=_monotone_domain,
     ),
     # CON: a sampled and a consistent triad; one entry times 1 + eps for each eps in CONTINUITY_LADDER.
-    "CON": _AxiomSpec(_con_violation, _con_probes, ("input", "position", "ladder")),
+    "CON": _AxiomSpec(_con_violation, _con_probes, ("input", "position", "ladder"), _con_expand),
     # IIP: a sampled triad against its transpose.
     "IIP": _AxiomSpec(
-        partial(_invariance_violation, "IIP", "transposed", transpose_triad, None),
+        partial(_invariance_violation, "IIP", "transposed", None),
         partial(_grid_probes, "IIP", ()),
         ("input",),
+        partial(_invariance_expand, transpose_triad, None),
         pinned={"cx4": ((Triad(1.0, 3.0, 2.0),),)},
     ),
     # HTA: (1; a; b) with a and b log-uniform on entry_range, against (1; a/b; 1).
     "HTA": _AxiomSpec(
-        partial(_invariance_violation, "HTA", "collapsed", lambda t: Triad(1.0, t.t13 / t.t23, 1.0), None),
+        partial(_invariance_violation, "HTA", "collapsed", None),
         _hta_probes,
         ("input",),
+        partial(_invariance_expand, lambda t: Triad(1.0, t.t13 / t.t23, 1.0), None),
         pinned={"cx5": ((Triad(1.0, 8.0, 4.0),),)},
     ),
     # SI: a sampled triad scaled by each factor k in K_GRID, on both sides of 1.
     "SI": _AxiomSpec(
-        partial(_invariance_violation, "SI", "scaled", scale_transform, "k"),
+        partial(_invariance_violation, "SI", "scaled", "k"),
         partial(_grid_probes, "SI", K_GRID),
         ("input", "k"),
+        partial(_invariance_expand, scale_transform, "k"),
         pinned={
             "cx6": ((Triad(1.0, 8.0, 4.0), 2.0),),
             "scale_dependent": ((Triad(1.0, 3.0, 2.0), 2.0),),
@@ -742,6 +830,7 @@ _SPECS: dict[str, _AxiomSpec] = {
         partial(_monotone_violation, True),
         partial(_monotone_probes, "SMSC"),
         ("consistent", "position", "delta_prev", "delta"),
+        _monotone_expand,
         in_domain=_monotone_domain,
     ),
 }
@@ -751,15 +840,16 @@ def _sweep(indices: tuple[IndexDescriptor, ...], axiom: str, cfg: AuditConfig) -
     """The verdict of `axiom` for each of `indices`, by position.
 
     Each index first tries its own pinned rows (samples_used 0).  The seeded
-    probes are then drawn once for all indices: each row goes to every index
-    still open, and an index closes at its first witness, which is shrunk.
-    Drawing stops once no index is open; the indices left open pass.  So each
-    index sees the rows a sweep of it alone would see, and no row is kept.
+    probes are then drawn and expanded once for all indices: each expanded
+    row, its derived triads built, goes to every index still open, and an
+    index closes at its first witness, which is shrunk.  Drawing stops once
+    no index is open; the indices left open pass.  So each index sees the
+    triads a sweep of it alone would see, in the same order, and no row is kept.
     """
     spec = _SPECS.get(axiom)
     if spec is None:
         raise UnknownAxiomError(f"unknown axiom {axiom!r}; valid axioms: {', '.join(AXIOMS)}")
-    violation, tol = spec.violation, cfg.tolerance
+    violation, expand, tol = spec.violation, spec.expand, cfg.tolerance
     evaluates = [index.evaluate for index in indices]
     verdicts: list[AxiomVerdict | None] = [None] * len(indices)
 
@@ -770,7 +860,7 @@ def _sweep(indices: tuple[IndexDescriptor, ...], axiom: str, cfg: AuditConfig) -
     open_ = []
     for k, index in enumerate(indices):
         for row in spec.pinned.get(index.id, ()):
-            witness = violation(evaluates[k], tol, *row)
+            witness = violation(evaluates[k], tol, *expand(*row))
             if witness is not None:
                 close(k, witness, 0)
                 break
@@ -778,9 +868,10 @@ def _sweep(indices: tuple[IndexDescriptor, ...], axiom: str, cfg: AuditConfig) -
             open_.append(k)
     if open_:
         for samples_used, row in spec.probes(cfg):
+            expanded = expand(*row)
             # A close rebinds open_; the row still goes to every index it started with.
             for k in open_:
-                witness = violation(evaluates[k], tol, *row)
+                witness = violation(evaluates[k], tol, *expanded)
                 if witness is not None:
                     close(k, witness, samples_used)
                     open_ = [j for j in open_ if j != k]
@@ -863,4 +954,4 @@ def replay_witness(witness: Witness, evaluate: Evaluator, tolerance: float = Aud
     if spec is None:
         raise UnknownAxiomError(f"unknown axiom {witness.axiom!r} in witness")
     fields = {**witness.triads, **witness.params}
-    return spec.violation(evaluate, tolerance, *[fields[name] for name in spec.row]) is not None
+    return spec.violation(evaluate, tolerance, *spec.expand(*[fields[name] for name in spec.row])) is not None

@@ -41,10 +41,16 @@ from triadaudit.axioms import (
     _SPECS,
     Witness,
     _band,
-    _con_violation,
     _shrink,
 )
-from triadaudit.core import _with_entry, single_entry_perturb, transpose_triad
+from triadaudit.core import (
+    _with_entry,
+    permute_triad,
+    power_transform,
+    scale_transform,
+    single_entry_perturb,
+    transpose_triad,
+)
 
 FAST = AuditConfig(samples=150, master_seed=42)
 RANGE = (1.0 / 9.0, 9.0)
@@ -102,11 +108,32 @@ class TestConfig:
             {"samples": True},
             {"master_seed": 1.5},
             {"master_seed": True},
+            {"entry_range": (0.5, 2.0, 3.0)},
+            {"entry_range": (0.5,)},
+            {"entry_range": 9.0},
+            {"entry_range": "ab"},
+            {"entry_range": (True, 9.0)},
+            {"entry_range": ("0.5", 2.0)},
+            {"entry_range": (0.5, math.inf)},
+            {"entry_range": (math.nan, 2.0)},
+            {"tolerance": True},
+            {"tolerance": "1e-9"},
+            {"tolerance": None},
+            {"tolerance": math.inf},
+            {"tolerance": math.nan},
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             AuditConfig(**kwargs)
+
+    def test_real_fields_are_stored_as_floats(self):
+        cfg = AuditConfig(entry_range=[1, np.float32(9.0)], tolerance=np.float64(1e-9))
+        assert cfg.entry_range == (1.0, 9.0) and all(type(v) is float for v in cfg.entry_range)
+        assert type(cfg.tolerance) is float
+        assert cfg.as_dict()["entry_range"] == [1.0, 9.0]
+        # A list range is stored as a tuple, so the frozen config stays hashable.
+        assert hash(AuditConfig(entry_range=[0.5, 2.0])) == hash(AuditConfig(entry_range=(0.5, 2.0)))
 
     def test_probe_design_is_not_configurable(self):
         # The grids are constants of the engine; reports still echo them under "config".
@@ -664,6 +691,65 @@ def test_concordance_pairs_equal_the_public_sampler_pairs(cfg):
     assert seen == expected
 
 
+def _entry_times(t, position, factor):
+    """``t`` with the entry at ``position`` times ``factor``, other entries as they are."""
+    return Triad(*(e * factor if p == position else e for p, e in zip(("12", "13", "23"), t.entries())))
+
+
+def _reference_expansion(axiom, row):
+    """The triads that one row compares, from the public transforms and the axioms' statements."""
+    if axiom == "URS":
+        # URS compares drawn triads only.
+        return row
+    if axiom in ("IPA", "SI"):
+        t, *values = row
+        transform = permute_triad if axiom == "IPA" else scale_transform
+        return (t, [(v, transform(t, v)) for v in values])
+    if axiom == "MRP":
+        t, *bs = row
+        return (t, [(b, power_transform(t, b)) for b in bs if b != 1.0])
+    if axiom == "IIP":
+        return (row[0], [(None, transpose_triad(row[0]))])
+    if axiom == "HTA":
+        # (1; a; b) against (1; a/b; 1).
+        t = row[0]
+        return (t, [(None, Triad(1.0, t.t13 / t.t23, 1.0))])
+    if axiom == "CON":
+        t, position, ladder = row
+        first, last = (_entry_times(t, position, 1.0 + eps) for eps in (ladder[0], ladder[-1]))
+        return (t, position, ladder, first, last)
+    base, position, delta_prev, *deltas = row
+    assert delta_prev == 1.0
+    return (base, position, delta_prev, None, [(d, single_entry_perturb(base, position, d)) for d in deltas])
+
+
+@pytest.mark.parametrize("cfg", REFERENCE_CONFIGS, ids=["ninths", "halves", "range_1e6"])
+@pytest.mark.parametrize("axiom", AXIOMS)
+def test_row_expansion_equals_the_public_transforms(axiom, cfg):
+    rows = _reference_rows(axiom, cfg)[:50]
+    assert [_SPECS[axiom].expand(*row) for row in rows] == [_reference_expansion(axiom, row) for row in rows]
+
+
+@pytest.mark.parametrize("axiom", AXIOMS)
+def test_a_matrix_sweep_builds_each_row_once(monkeypatch, axiom):
+    # Each drawn row is expanded once for all the indices still open, so 12
+    # passing copies of one index build the triads that one copy builds alone.
+    built = []
+    init = Triad.__init__
+    monkeypatch.setattr(Triad, "__init__", lambda self, *a, **kw: init(self, *a, **kw) or built.append(1))
+    calls = []
+    counting = _counting_natural(calls)
+    cfg = AuditConfig(samples=50)
+    assert check_axiom(counting, axiom, cfg).status == "pass"
+    alone = len(built)
+    built.clear()
+    calls.clear()
+    matrix = verdict_matrix((counting,) * 12, (axiom,), cfg)
+    assert all(report.all_pass for _, report in matrix.rows)
+    assert len(built) == alone
+    assert len(calls) == 12 * EVALS_PER_PASSING_CELL[axiom]
+
+
 def test_a_pinned_msc_probe_reads_past_block_zero():
     # MSC probe 26 at seed 42 on (0.5, 2) rejects five bases with an entry
     # near 1: its position is draw 18, in block 2.
@@ -686,17 +772,22 @@ def test_a_pinned_fail_is_never_evaluated_on_a_sampled_row():
     assert seen == [pinned, transpose_triad(pinned)]
 
 
+def _con_row_violation(evaluate, tol, *row):
+    """CON's relation on one row, expanded as a sweep expands it."""
+    return _SPECS["CON"].violation(evaluate, tol, *_SPECS["CON"].expand(*row))
+
+
 def test_a_failing_con_row_evaluates_each_rung_once():
     # cx3's first failing CON row: the base, the first and last rungs, then the six middle rungs.
     cx3, cfg = get_index("cx3"), AuditConfig()
-    row = next(row for _, row in _SPECS["CON"].probes(cfg) if _con_violation(cx3.evaluate, cfg.tolerance, *row))
+    row = next(row for _, row in _SPECS["CON"].probes(cfg) if _con_row_violation(cx3.evaluate, cfg.tolerance, *row))
     calls = []
 
     def evaluate(t):
         calls.append(t)
         return cx3.evaluate(t)
 
-    assert _con_violation(evaluate, cfg.tolerance, *row) is not None
+    assert _con_row_violation(evaluate, cfg.tolerance, *row) is not None
     assert len(calls) == len(set(calls)) == 9
 
 
@@ -740,7 +831,7 @@ def test_con_pass_test_agrees_with_the_full_ladder(cfg):
     for descriptor in CATALOG:
         for row in rows:
             expected = _full_ladder_con(descriptor.evaluate, cfg.tolerance, *row)
-            got = _con_violation(descriptor.evaluate, cfg.tolerance, *row)
+            got = _con_row_violation(descriptor.evaluate, cfg.tolerance, *row)
             assert _witness_doc(got) == _witness_doc(expected), (descriptor.id, row)
 
 
@@ -772,7 +863,7 @@ def test_con_pass_test_agrees_with_the_full_ladder_on_nan_and_steps(name):
         return rungs.get(t, 0.0)
 
     expected = _full_ladder_con(evaluate, 1e-9, base, position, CONTINUITY_LADDER)
-    got = _con_violation(evaluate, 1e-9, base, position, CONTINUITY_LADDER)
+    got = _con_row_violation(evaluate, 1e-9, base, position, CONTINUITY_LADDER)
     assert _witness_doc(got) == _witness_doc(expected)
     assert (got is None) == passes
 
