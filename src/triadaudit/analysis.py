@@ -17,8 +17,8 @@ import math
 from dataclasses import dataclass, fields
 from typing import Mapping
 
-from .axioms import AuditConfig, AuditReport, Witness, _log_span, _requested_axioms, _sampled, _sweep, probe_key, probe_rng
-from .axioms import audit, sample_triad  # noqa: F401  (perfbench's tracer wraps analysis.audit and analysis.sample_triad)
+from .axioms import AuditConfig, AuditReport, Witness, _block0, _log_span, _requested_axioms, _sampled, _sweep, probe_key
+from .axioms import audit, probe_rng, sample_triad  # noqa: F401  (perfbench's tracer wraps these names here)
 from .indices import AXIOMS, CATALOG, IndexDescriptor, get_index
 
 __all__ = [
@@ -243,20 +243,19 @@ def ranking_concordance(
 ) -> ConcordanceStats:
     """Classify cfg.samples sampled triad pairs by the sign pattern of both indices.
 
-    Pair i draws from probe_rng(probe_key(master_seed, "pair"), i) alone, so
-    swapping the two indices evaluates the exact same pairs with the tie
-    columns swapped: s from draws 0-2 and t from draws 3-5, as two
-    sample_triad calls on the stream would draw them.
+    Pair i draws from stream i of the key probe_key(master_seed, "pair")
+    alone, so swapping the two indices evaluates the exact same pairs with
+    the tie columns swapped: s from draws 0-2 and t from draws 3-5 of block 0,
+    read through the keyed block-0 loop, as two sample_triad calls on
+    probe_rng(key, i) would draw them.
     """
     cfg = cfg if cfg is not None else AuditConfig()
     counts = dict.fromkeys(("concordant", "discordant", "ties_a_only", "ties_b_only", "ties_both"), 0)
     witness = None
     lo, span = _log_span(cfg.entry_range)
-    key = probe_key(cfg.master_seed, "pair")
-    for i in range(cfg.samples):
-        u = probe_rng(key, i).u
-        s = _sampled(lo, span, u[0], u[1], u[2])
-        t = _sampled(lo, span, u[3], u[4], u[5])
+    for u0, u1, u2, u3, u4, u5 in _block0(probe_key(cfg.master_seed, "pair"), range(cfg.samples), 6):
+        s = _sampled(lo, span, u0, u1, u2)
+        t = _sampled(lo, span, u3, u4, u5)
         a_s, a_t = a.evaluate(s), a.evaluate(t)
         b_s, b_t = b.evaluate(s), b.evaluate(t)
         tie_a = math.isclose(a_s, a_t, rel_tol=cfg.tolerance, abs_tol=cfg.tolerance)

@@ -9,12 +9,15 @@ first.  Probe i of an axiom draws from its own counter-based stream: the
 axiom's key, 8 bytes of the sha256 of (master_seed, axiom), is derived once
 per check, and block j of the stream is the keyed blake2b hash of (i, j),
 eight draws.  So results do not depend on evaluation order, and growing the
-sample count can only turn a pass into a fail.  probe_rng decodes block 0
-once, and each probe family builds its triads from those eight draws by
-position; MSC and SMSC, whose consistent base is redrawn until its entries
-are off 1, read the stream in order through random().  The public samplers
-sample_triad and sample_consistent_triad read random() too and build the
-same triads from the same draws.
+sample count can only turn a pass into a fail.  Each probe family reads
+block 0 through one keyed loop, _block0, which builds the keyed hash state
+once per family, copies it for each probe and decodes only the draws the
+family reads; it builds its triads from them by position.  MSC and SMSC
+redraw their consistent base until its entries are off 1: a probe whose
+first try is rejected replays its stream from draw 0 through
+probe_rng(key, i).random(), which decodes later blocks as it reaches them.
+The public samplers sample_triad and sample_consistent_triad read random()
+too and build the same triads from the same draws.
 
 Axiom identifiers:
 
@@ -43,7 +46,7 @@ import sys
 from dataclasses import dataclass, field, fields
 from functools import partial
 from itertools import count, permutations
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .core import (
     Triad,
@@ -192,22 +195,55 @@ def probe_key(master_seed: int, tag: str) -> bytes:
 _COUNTER = struct.Struct("<2Q")
 _WORDS = struct.Struct("<8Q")
 
+# _DECODE[n - 1] turns the first n words of a block into draws, each word w as
+# (w >> 11) * 2**-53.  Spelled out per n: on CPython 3.11 a comprehension over
+# the words costs 0.2-0.3 us more per probe than a call of this table.
+_DECODE = (
+    lambda w0: ((w0 >> 11) * 2.0**-53,),
+    lambda w0, w1: ((w0 >> 11) * 2.0**-53, (w1 >> 11) * 2.0**-53),
+    lambda w0, w1, w2: ((w0 >> 11) * 2.0**-53, (w1 >> 11) * 2.0**-53, (w2 >> 11) * 2.0**-53),
+    lambda w0, w1, w2, w3: (
+        (w0 >> 11) * 2.0**-53, (w1 >> 11) * 2.0**-53, (w2 >> 11) * 2.0**-53, (w3 >> 11) * 2.0**-53,
+    ),
+    lambda w0, w1, w2, w3, w4: (
+        (w0 >> 11) * 2.0**-53, (w1 >> 11) * 2.0**-53, (w2 >> 11) * 2.0**-53, (w3 >> 11) * 2.0**-53,
+        (w4 >> 11) * 2.0**-53,
+    ),
+    lambda w0, w1, w2, w3, w4, w5: (
+        (w0 >> 11) * 2.0**-53, (w1 >> 11) * 2.0**-53, (w2 >> 11) * 2.0**-53, (w3 >> 11) * 2.0**-53,
+        (w4 >> 11) * 2.0**-53, (w5 >> 11) * 2.0**-53,
+    ),
+    lambda w0, w1, w2, w3, w4, w5, w6: (
+        (w0 >> 11) * 2.0**-53, (w1 >> 11) * 2.0**-53, (w2 >> 11) * 2.0**-53, (w3 >> 11) * 2.0**-53,
+        (w4 >> 11) * 2.0**-53, (w5 >> 11) * 2.0**-53, (w6 >> 11) * 2.0**-53,
+    ),
+    lambda w0, w1, w2, w3, w4, w5, w6, w7: (
+        (w0 >> 11) * 2.0**-53, (w1 >> 11) * 2.0**-53, (w2 >> 11) * 2.0**-53, (w3 >> 11) * 2.0**-53,
+        (w4 >> 11) * 2.0**-53, (w5 >> 11) * 2.0**-53, (w6 >> 11) * 2.0**-53, (w7 >> 11) * 2.0**-53,
+    ),
+)
+
 
 def _block(key: bytes, i: int, j: int) -> list[float]:
-    """Draws 8j to 8j + 7 of probe i: block j, each word as (word >> 11) * 2**-53."""
+    """Draws 8j to 8j + 7 of probe i: block j, decoded."""
     digest = hashlib.blake2b(_COUNTER.pack(i, j), key=key, digest_size=64).digest()
-    # Spelled out: on CPython 3.11 a list display is faster than a comprehension.
-    w0, w1, w2, w3, w4, w5, w6, w7 = _WORDS.unpack(digest)
-    return [
-        (w0 >> 11) * 2.0**-53,
-        (w1 >> 11) * 2.0**-53,
-        (w2 >> 11) * 2.0**-53,
-        (w3 >> 11) * 2.0**-53,
-        (w4 >> 11) * 2.0**-53,
-        (w5 >> 11) * 2.0**-53,
-        (w6 >> 11) * 2.0**-53,
-        (w7 >> 11) * 2.0**-53,
-    ]
+    return [*_DECODE[7](*_WORDS.unpack(digest))]
+
+
+def _block0(key: bytes, probes: Iterable[int], width: int) -> Iterator[tuple[float, ...]]:
+    """Draws 0 to width - 1 (1 <= width <= 8) of each probe i in ``probes`` of the
+    family keyed by ``key``, in order: ``probe_rng(key, i).u[:width]`` as a tuple.
+
+    The probe families read block 0 here.  The keyed hash state is built once
+    and copied for each probe, and only the first ``width`` words are unpacked
+    and decoded.
+    """
+    state = hashlib.blake2b(key=key, digest_size=64)
+    pack, unpack, decode = _COUNTER.pack, struct.Struct(f"<{width}Q").unpack_from, _DECODE[width - 1]
+    for i in probes:
+        h = state.copy()
+        h.update(pack(i, 0))
+        yield decode(*unpack(h.digest()))
 
 
 def _draws(key: bytes, i: int, first: list[float]) -> Iterator[float]:
@@ -220,10 +256,10 @@ def _draws(key: bytes, i: int, first: list[float]) -> Iterator[float]:
 class _ProbeStream:
     """The uniform draws of one probe.
 
-    ``u`` is the list of draws 0-7 (block 0, decoded once), which the probe
-    families read by position.  ``random()`` returns the draws in order from
-    draw 0 whatever was read from ``u``, and decodes later blocks only when it
-    reaches them; ``choice(seq)`` takes one draw.
+    ``u`` is the list of draws 0-7 (block 0, decoded once).  ``random()``
+    returns the draws in order from draw 0 whatever was read from ``u``, and
+    decodes later blocks only when it reaches them; ``choice(seq)`` takes one
+    draw.
     """
 
     __slots__ = ("u", "_key", "_i", "_next")
@@ -289,20 +325,28 @@ def sample_consistent_triad(rng: _ProbeStream, entry_range: tuple[float, float])
     return _consistent(*_log_span(entry_range), draw(), draw(), draw())
 
 
-def _consistent_off_unit(draw: Callable[[], float], lo: float, span: float) -> Triad:
-    """The first consistent triad, three draws at a time, with every entry at least _MIN_LOG_ENTRY away from 1.
+def _off_unit(lo: float, span: float, u1: float, u2: float, u3: float) -> Triad | None:
+    """The consistent triad of draws u1, u2, u3 if every entry is at least _MIN_LOG_ENTRY away from 1, else None.
 
-    Each try computes the entries as _consistent does, and only the accepted one becomes a Triad.
+    The entries are computed as _consistent computes them, and only an accepted try becomes a Triad.
     """
+    w1, w2, w3 = math.exp(lo + span * u1), math.exp(lo + span * u2), math.exp(lo + span * u3)
+    t12, t13, t23 = w1 / w2, w1 / w3, w2 / w3
+    if (
+        abs(math.log(t12)) >= _MIN_LOG_ENTRY
+        and abs(math.log(t13)) >= _MIN_LOG_ENTRY
+        and abs(math.log(t23)) >= _MIN_LOG_ENTRY
+    ):
+        return Triad(t12, t13, t23)
+    return None
+
+
+def _consistent_off_unit(draw: Callable[[], float], lo: float, span: float) -> Triad:
+    """The first consistent triad, three draws at a time, with every entry at least _MIN_LOG_ENTRY away from 1."""
     for _ in range(100_000):
-        w1, w2, w3 = math.exp(lo + span * draw()), math.exp(lo + span * draw()), math.exp(lo + span * draw())
-        t12, t13, t23 = w1 / w2, w1 / w3, w2 / w3
-        if (
-            abs(math.log(t12)) >= _MIN_LOG_ENTRY
-            and abs(math.log(t13)) >= _MIN_LOG_ENTRY
-            and abs(math.log(t23)) >= _MIN_LOG_ENTRY
-        ):
-            return Triad(t12, t13, t23)
+        base = _off_unit(lo, span, draw(), draw(), draw())
+        if base is not None:
+            return base
     raise RuntimeError("failed to sample a consistent triad with entries away from 1")
 
 
@@ -558,7 +602,9 @@ def _urs_violation(evaluate: Evaluator, tol: float, reference: Triad, offender: 
 
 
 # ---------------------------------------------------------------------------
-# probes: (samples_used, row) pairs, probe i drawing only from probe_rng(key, i)
+# probes: (samples_used, row) pairs, probe i drawing only from stream i of its
+# family's key: block 0 from _block0, and later blocks, for an MSC/SMSC base
+# redraw only, from probe_rng(key, i)
 # ---------------------------------------------------------------------------
 
 _Probes = Iterator[tuple[int, tuple]]
@@ -567,42 +613,41 @@ _Probes = Iterator[tuple[int, tuple]]
 def _grid_probes(axiom: str, values: tuple, cfg: AuditConfig) -> _Probes:
     """One sampled triad per probe (draws 0-2), followed by every parameter value in `values` (IIP has none)."""
     lo, span = _log_span(cfg.entry_range)
-    key = probe_key(cfg.master_seed, axiom)
-    for i in range(cfg.samples):
-        u = probe_rng(key, i).u
-        yield i + 1, (_sampled(lo, span, u[0], u[1], u[2]), *values)
+    draws = _block0(probe_key(cfg.master_seed, axiom), range(cfg.samples), 3)
+    for used, (u0, u1, u2) in enumerate(draws, 1):
+        yield used, (_sampled(lo, span, u0, u1, u2), *values)
 
 
 def _hta_probes(cfg: AuditConfig) -> _Probes:
     """(1; a; b) with a and b from draws 0 and 1."""
     lo, span = _log_span(cfg.entry_range)
-    key = probe_key(cfg.master_seed, "HTA")
-    for i in range(cfg.samples):
-        u = probe_rng(key, i).u
-        yield i + 1, (Triad(1.0, math.exp(lo + span * u[0]), math.exp(lo + span * u[1])),)
+    draws = _block0(probe_key(cfg.master_seed, "HTA"), range(cfg.samples), 2)
+    for used, (u0, u1) in enumerate(draws, 1):
+        yield used, (Triad(1.0, math.exp(lo + span * u0), math.exp(lo + span * u1)),)
 
 
 def _urs_probes(cfg: AuditConfig) -> _Probes:
     """A consistent triad (draws 0-2) and a sampled offender (draws 3-5) per probe.
     Probe 0's consistent triad is the reference; it is not compared with itself."""
     lo, span = _log_span(cfg.entry_range)
-    key = probe_key(cfg.master_seed, "URS")
-    for i in range(cfg.samples):
-        u = probe_rng(key, i).u
-        consistent = _consistent(lo, span, u[0], u[1], u[2])
-        if i:
-            yield i + 1, (reference, consistent, "consistent_mismatch")
+    draws = _block0(probe_key(cfg.master_seed, "URS"), range(cfg.samples), 6)
+    for used, (u0, u1, u2, u3, u4, u5) in enumerate(draws, 1):
+        consistent = _consistent(lo, span, u0, u1, u2)
+        if used > 1:
+            yield used, (reference, consistent, "consistent_mismatch")
         else:
             reference = consistent
-        yield i + 1, (reference, _sampled(lo, span, u[3], u[4], u[5]), "inconsistent_match")
+        yield used, (reference, _sampled(lo, span, u3, u4, u5), "inconsistent_match")
 
 
 def _monotone_probes(axiom: str, cfg: AuditConfig) -> _Probes:
     """MSC/SMSC: one row per probe, a whole intensification ladder from a consistent triad.
 
-    The base takes three draws per try, so a probe reads its stream in order
-    through ``random()``, past block 0 when the base needs three or more tries;
-    the position is the draw after the base.
+    The base takes three draws per try and the position is the draw after the
+    base.  A probe whose first try is accepted reads draws 0-3 from block 0;
+    one whose first try is rejected replays its stream from draw 0 through
+    ``probe_rng(key, i).random``, past block 0 when the base needs three or
+    more tries.
 
     Only the side whose perturbations land on the canonical side (consistency
     ratio >= 1) is probed: the side that the independence and characterization
@@ -612,10 +657,13 @@ def _monotone_probes(axiom: str, cfg: AuditConfig) -> _Probes:
     """
     lo, span = _log_span(cfg.entry_range)
     key = probe_key(cfg.master_seed, axiom)
-    for i in range(cfg.samples):
-        draw = probe_rng(key, i).random
-        base = _consistent_off_unit(draw, lo, span)
-        position = _POSITIONS[int(3 * draw())]
+    for i, (u0, u1, u2, u3) in enumerate(_block0(key, range(cfg.samples), 4)):
+        base = _off_unit(lo, span, u0, u1, u2)
+        if base is None:
+            draw = probe_rng(key, i).random
+            base = _consistent_off_unit(draw, lo, span)
+            u3 = draw()
+        position = _POSITIONS[int(3 * u3)]
         deltas = _DELTAS_ABOVE if (base.entry(position) > 1.0) == (position == "13") else _DELTAS_BELOW
         yield i + 1, (base, position, 1.0, *deltas)
 
@@ -623,13 +671,12 @@ def _monotone_probes(axiom: str, cfg: AuditConfig) -> _Probes:
 def _con_probes(cfg: AuditConfig) -> _Probes:
     """A sampled (draws 0-2) and a consistent (draws 3-5) base per probe, sharing the position that draw 6 chooses."""
     lo, span = _log_span(cfg.entry_range)
-    key = probe_key(cfg.master_seed, "CON")
-    for i in range(cfg.samples):
-        u = probe_rng(key, i).u
-        bases = (_sampled(lo, span, u[0], u[1], u[2]), _consistent(lo, span, u[3], u[4], u[5]))
-        position = _POSITIONS[int(3 * u[6])]
+    draws = _block0(probe_key(cfg.master_seed, "CON"), range(cfg.samples), 7)
+    for used, (u0, u1, u2, u3, u4, u5, u6) in enumerate(draws, 1):
+        bases = (_sampled(lo, span, u0, u1, u2), _consistent(lo, span, u3, u4, u5))
+        position = _POSITIONS[int(3 * u6)]
         for base in bases:
-            yield i + 1, (base, position, CONTINUITY_LADDER)
+            yield used, (base, position, CONTINUITY_LADDER)
 
 
 # ---------------------------------------------------------------------------

@@ -267,14 +267,23 @@ class TestVerdictMatrix:
     # The matrices whose digests test_axioms.py pins; the config path sweeps
     # the same cells again, drawing each axiom's probes once per sweep: 705
     # draws over its 23 axiom columns, where drawing them again for every cell
-    # made 1596.
+    # made 1596.  A probe is drawn when the block-0 loop yields it; an MSC or
+    # SMSC probe whose first base try is rejected replays that probe through
+    # probe_rng, so each replay must be of a probe the loop drew.
     @pytest.mark.parametrize("seed", [3, 7])
     def test_matrix_view_equals_config_path(self, catalog_matrix, monkeypatch, seed):
         cfg = AuditConfig(samples=37, master_seed=seed)
         matrix = catalog_matrix(cfg)
-        draws = []
-        probe_rng = triadaudit.axioms.probe_rng
-        monkeypatch.setattr(triadaudit.axioms, "probe_rng", lambda *args: draws.append(args) or probe_rng(*args))
+        draws, replays = [], []
+        block0, probe_rng = triadaudit.axioms._block0, triadaudit.axioms.probe_rng
+
+        def counting_block0(key, probes, width):
+            for i, first in zip(probes, block0(key, probes, width)):
+                draws.append((key, i))
+                yield first
+
+        monkeypatch.setattr(triadaudit.axioms, "_block0", counting_block0)
+        monkeypatch.setattr(triadaudit.axioms, "probe_rng", lambda *args: replays.append(args) or probe_rng(*args))
 
         def results(source):
             return (
@@ -284,9 +293,10 @@ class TestVerdictMatrix:
             )
 
         viewed = results(matrix)
-        assert draws == []
+        assert draws == [] and replays == []
         audited = results(cfg)
         assert len(draws) == 705
+        assert set(replays) <= set(draws)
         table, _, characterizations = viewed
         assert table.to_dict() == audited[0].to_dict()
         assert characterizations[0].status == "order-equivalent"
