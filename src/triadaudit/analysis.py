@@ -19,7 +19,7 @@ from typing import Mapping
 
 from .axioms import AuditConfig, AuditReport, Witness, _block0, _log_span, _requested_axioms, _sampled, _sweep, probe_key
 from .axioms import audit, probe_rng, sample_triad  # noqa: F401  (perfbench's tracer wraps these names here)
-from .indices import AXIOMS, CATALOG, IndexDescriptor, get_index
+from .indices import CATALOG, IndexDescriptor, get_index
 
 __all__ = [
     "INDEPENDENCE_AXIOMS",
@@ -52,12 +52,12 @@ class VerdictMatrix:
 
     def report(self, index: IndexDescriptor, axioms) -> AuditReport:
         """The report that audit(index, axioms, self.config) returns, read from the matrix."""
+        ordered = _requested_axioms(axioms)
         row = next((report for descriptor, report in self.rows if descriptor == index), None)
         if row is None:
             raise LookupError(f"index {index.id!r} is not a row of this verdict matrix")
-        wanted = set(axioms)
-        verdicts = tuple(row.verdict(a) for a in AXIOMS if a in wanted)
-        return AuditReport(row.index_id, self.config, verdicts, {v.axiom: row.expected[v.axiom] for v in verdicts})
+        verdicts = tuple(row.verdict(a) for a in ordered)
+        return AuditReport(row.index_id, self.config, verdicts, {a: row.expected[a] for a in ordered})
 
 
 def verdict_matrix(indices, axioms, cfg: AuditConfig | None = None) -> VerdictMatrix:
@@ -246,8 +246,8 @@ def ranking_concordance(
     Pair i draws from stream i of the key probe_key(master_seed, "pair")
     alone, so swapping the two indices evaluates the exact same pairs with
     the tie columns swapped: s from draws 0-2 and t from draws 3-5 of block 0,
-    read through the keyed block-0 loop, as two sample_triad calls on
-    probe_rng(key, i) would draw them.
+    read through the keyed block-0 loop, as two sample_triad calls on the
+    draw function probe_rng(key, i) would draw them.
     """
     cfg = cfg if cfg is not None else AuditConfig()
     counts = dict.fromkeys(("concordant", "discordant", "ties_a_only", "ties_b_only", "ties_both"), 0)

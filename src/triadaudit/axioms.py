@@ -14,10 +14,10 @@ block 0 through one keyed loop, _block0, which builds the keyed hash state
 once per family, copies it for each probe and decodes only the draws the
 family reads; it builds its triads from them by position.  MSC and SMSC
 redraw their consistent base until its entries are off 1: a probe whose
-first try is rejected replays its stream from draw 0 through
-probe_rng(key, i).random(), which decodes later blocks as it reaches them.
-The public samplers sample_triad and sample_consistent_triad read random()
-too and build the same triads from the same draws.
+first try is rejected replays its draws from draw 0 by calling the draw
+function probe_rng(key, i), which hashes each block as it reaches it.  The
+public samplers sample_triad and sample_consistent_triad take such a draw
+function and build the same triads from the same draws.
 
 Axiom identifiers:
 
@@ -195,102 +195,70 @@ def probe_key(master_seed: int, tag: str) -> bytes:
 _COUNTER = struct.Struct("<2Q")
 _WORDS = struct.Struct("<8Q")
 
-# _DECODE[n - 1] turns the first n words of a block into draws, each word w as
+# _DECODE[n] turns the first n words of a block into draws, each word w as
 # (w >> 11) * 2**-53.  Spelled out per n: on CPython 3.11 a comprehension over
-# the words costs 0.2-0.3 us more per probe than a call of this table.
-_DECODE = (
-    lambda w0: ((w0 >> 11) * 2.0**-53,),
-    lambda w0, w1: ((w0 >> 11) * 2.0**-53, (w1 >> 11) * 2.0**-53),
-    lambda w0, w1, w2: ((w0 >> 11) * 2.0**-53, (w1 >> 11) * 2.0**-53, (w2 >> 11) * 2.0**-53),
-    lambda w0, w1, w2, w3: (
+# the words costs 0.2-0.3 us more per probe than a call of this table.  The
+# probe families read widths 2, 3, 4, 6 and 7 through _block0, and _draws
+# reads whole blocks.
+_DECODE = {
+    2: lambda w0, w1: ((w0 >> 11) * 2.0**-53, (w1 >> 11) * 2.0**-53),
+    3: lambda w0, w1, w2: ((w0 >> 11) * 2.0**-53, (w1 >> 11) * 2.0**-53, (w2 >> 11) * 2.0**-53),
+    4: lambda w0, w1, w2, w3: (
         (w0 >> 11) * 2.0**-53, (w1 >> 11) * 2.0**-53, (w2 >> 11) * 2.0**-53, (w3 >> 11) * 2.0**-53,
     ),
-    lambda w0, w1, w2, w3, w4: (
-        (w0 >> 11) * 2.0**-53, (w1 >> 11) * 2.0**-53, (w2 >> 11) * 2.0**-53, (w3 >> 11) * 2.0**-53,
-        (w4 >> 11) * 2.0**-53,
-    ),
-    lambda w0, w1, w2, w3, w4, w5: (
+    6: lambda w0, w1, w2, w3, w4, w5: (
         (w0 >> 11) * 2.0**-53, (w1 >> 11) * 2.0**-53, (w2 >> 11) * 2.0**-53, (w3 >> 11) * 2.0**-53,
         (w4 >> 11) * 2.0**-53, (w5 >> 11) * 2.0**-53,
     ),
-    lambda w0, w1, w2, w3, w4, w5, w6: (
+    7: lambda w0, w1, w2, w3, w4, w5, w6: (
         (w0 >> 11) * 2.0**-53, (w1 >> 11) * 2.0**-53, (w2 >> 11) * 2.0**-53, (w3 >> 11) * 2.0**-53,
         (w4 >> 11) * 2.0**-53, (w5 >> 11) * 2.0**-53, (w6 >> 11) * 2.0**-53,
     ),
-    lambda w0, w1, w2, w3, w4, w5, w6, w7: (
+    8: lambda w0, w1, w2, w3, w4, w5, w6, w7: (
         (w0 >> 11) * 2.0**-53, (w1 >> 11) * 2.0**-53, (w2 >> 11) * 2.0**-53, (w3 >> 11) * 2.0**-53,
         (w4 >> 11) * 2.0**-53, (w5 >> 11) * 2.0**-53, (w6 >> 11) * 2.0**-53, (w7 >> 11) * 2.0**-53,
     ),
-)
-
-
-def _block(key: bytes, i: int, j: int) -> list[float]:
-    """Draws 8j to 8j + 7 of probe i: block j, decoded."""
-    digest = hashlib.blake2b(_COUNTER.pack(i, j), key=key, digest_size=64).digest()
-    return [*_DECODE[7](*_WORDS.unpack(digest))]
+}
 
 
 def _block0(key: bytes, probes: Iterable[int], width: int) -> Iterator[tuple[float, ...]]:
-    """Draws 0 to width - 1 (1 <= width <= 8) of each probe i in ``probes`` of the
-    family keyed by ``key``, in order: ``probe_rng(key, i).u[:width]`` as a tuple.
+    """Draws 0 to width - 1 (width a key of _DECODE) of each probe i in ``probes``
+    of the family keyed by ``key``, in order: the first ``width`` calls of
+    ``probe_rng(key, i)`` as a tuple.
 
     The probe families read block 0 here.  The keyed hash state is built once
     and copied for each probe, and only the first ``width`` words are unpacked
     and decoded.
     """
     state = hashlib.blake2b(key=key, digest_size=64)
-    pack, unpack, decode = _COUNTER.pack, struct.Struct(f"<{width}Q").unpack_from, _DECODE[width - 1]
+    pack, unpack, decode = _COUNTER.pack, struct.Struct(f"<{width}Q").unpack_from, _DECODE[width]
     for i in probes:
         h = state.copy()
         h.update(pack(i, 0))
         yield decode(*unpack(h.digest()))
 
 
-def _draws(key: bytes, i: int, first: list[float]) -> Iterator[float]:
-    """Every draw of probe i in order: block 0 as already decoded, then blocks 1, 2, ... as reached."""
-    yield from first
-    for j in count(1):
-        yield from _block(key, i, j)
+def _draws(key: bytes, i: int) -> Iterator[float]:
+    """Every draw of probe i in order: blocks 0, 1, 2, ..., each hashed and decoded when reached."""
+    for j in count():
+        digest = hashlib.blake2b(_COUNTER.pack(i, j), key=key, digest_size=64).digest()
+        yield from _DECODE[8](*_WORDS.unpack(digest))
 
 
-class _ProbeStream:
-    """The uniform draws of one probe.
+def probe_rng(key: bytes, i: int) -> Callable[[], float]:
+    """Draw function of probe ``i`` (0 <= i < 2**64) of the family keyed by ``key`` (see probe_key).
 
-    ``u`` is the list of draws 0-7 (block 0, decoded once).  ``random()``
-    returns the draws in order from draw 0 whatever was read from ``u``, and
-    decodes later blocks only when it reaches them; ``choice(seq)`` takes one
-    draw.
+    Call m returns draw m: word m % 8 of block m // 8, as the float
+    ``(word >> 11) * 2**-53``.  A choice over n items takes item
+    ``int(n * draw())``.  The draws are a pure function of (key, i), so no
+    probe depends on the probes drawn before it.  Nothing is hashed until the
+    first call, so ``i`` is checked here: TypeError if it is not an integer,
+    ValueError if it is outside [0, 2**64).
     """
-
-    __slots__ = ("u", "_key", "_i", "_next")
-
-    def __init__(self, key: bytes, i: int):
-        self.u = _block(key, i, 0)
-        self._key, self._i, self._next = key, i, None
-
-    @property
-    def random(self) -> Callable[[], float]:
-        # The generator starts on first use, as most probes read only ``u``.
-        # It holds the list, not the stream, so reference counting frees a
-        # stream as soon as its probe is built.
-        if self._next is None:
-            self._next = _draws(self._key, self._i, self.u).__next__
-        return self._next
-
-    def choice(self, seq):
-        return seq[int(len(seq) * self.random())]
-
-
-def probe_rng(key: bytes, i: int) -> _ProbeStream:
-    """Stream of probe ``i`` (0 <= i < 2**64) of the family keyed by ``key`` (see probe_key).
-
-    Draw m of the stream is word m % 8 of block m // 8, as the float
-    ``(word >> 11) * 2**-53``; ``choice`` over n items takes item
-    ``int(n * draw)``.  The stream is a pure function of (key, i), so no probe
-    depends on the probes drawn before it.  Block 0 is decoded at once into
-    the list ``u``, draws 0-7.
-    """
-    return _ProbeStream(key, i)
+    i = operator.index(i)
+    if not 0 <= i < 2**64:
+        raise ValueError(f"probe index must be in [0, 2**64), got {i}")
+    return _draws(key, i).__next__
 
 
 def _log_span(entry_range: tuple[float, float]) -> tuple[float, float]:
@@ -313,15 +281,13 @@ def _consistent(lo: float, span: float, u1: float, u2: float, u3: float) -> Tria
     return Triad(w1 / w2, w1 / w3, w2 / w3)
 
 
-def sample_triad(rng: _ProbeStream, entry_range: tuple[float, float]) -> Triad:
-    """Three entries from the next three draws of ``rng``, each log-uniform on entry_range."""
-    draw = rng.random
+def sample_triad(draw: Callable[[], float], entry_range: tuple[float, float]) -> Triad:
+    """Three entries from the next three calls of ``draw``, each log-uniform on entry_range."""
     return _sampled(*_log_span(entry_range), draw(), draw(), draw())
 
 
-def sample_consistent_triad(rng: _ProbeStream, entry_range: tuple[float, float]) -> Triad:
-    """Consistent triad from three log-uniform weights, the next three draws of ``rng``: (w1/w2, w1/w3, w2/w3)."""
-    draw = rng.random
+def sample_consistent_triad(draw: Callable[[], float], entry_range: tuple[float, float]) -> Triad:
+    """Consistent triad from three log-uniform weights, the next three calls of ``draw``: (w1/w2, w1/w3, w2/w3)."""
     return _consistent(*_log_span(entry_range), draw(), draw(), draw())
 
 
@@ -645,9 +611,9 @@ def _monotone_probes(axiom: str, cfg: AuditConfig) -> _Probes:
 
     The base takes three draws per try and the position is the draw after the
     base.  A probe whose first try is accepted reads draws 0-3 from block 0;
-    one whose first try is rejected replays its stream from draw 0 through
-    ``probe_rng(key, i).random``, past block 0 when the base needs three or
-    more tries.
+    one whose first try is rejected replays its draws from draw 0 through
+    the draw function ``probe_rng(key, i)``, past block 0 when the base needs
+    three or more tries.
 
     Only the side whose perturbations land on the canonical side (consistency
     ratio >= 1) is probed: the side that the independence and characterization
@@ -660,7 +626,7 @@ def _monotone_probes(axiom: str, cfg: AuditConfig) -> _Probes:
     for i, (u0, u1, u2, u3) in enumerate(_block0(key, range(cfg.samples), 4)):
         base = _off_unit(lo, span, u0, u1, u2)
         if base is None:
-            draw = probe_rng(key, i).random
+            draw = probe_rng(key, i)
             base = _consistent_off_unit(draw, lo, span)
             u3 = draw()
         position = _POSITIONS[int(3 * u3)]

@@ -93,14 +93,6 @@ class Triad:
             return self.t23
         raise DomainError(f"position must be one of '12', '13', '23', got {position!r}")
 
-    def matrix_rows(self) -> tuple[tuple[float, float, float], ...]:
-        """Materialise the full 3x3 matrix, reciprocals computed on demand."""
-        return (
-            (1.0, self.t12, self.t13),
-            (1.0 / self.t12, 1.0, self.t23),
-            (1.0 / self.t13, 1.0 / self.t23, 1.0),
-        )
-
     def as_dict(self) -> dict[str, float]:
         return {"t12": self.t12, "t13": self.t13, "t23": self.t23}
 
@@ -124,7 +116,7 @@ def is_consistent(t: Triad, tol: float = CONSISTENCY_TOL) -> bool:
 
 # The six bijections, each reading the permuted entries straight from the
 # triad: cell (i, j) of the result is cell (p.index(i), p.index(j)) of the
-# input matrix, an entry or its reciprocal exactly as matrix_rows gives it.
+# input matrix, an entry t_ij above the diagonal or its reciprocal 1 / t_ji below.
 _PERMUTERS: dict[tuple[int, ...], Callable[[Triad], Triad]] = {
     (0, 1, 2): lambda t: Triad(t.t12, t.t13, t.t23),
     (0, 2, 1): lambda t: Triad(t.t13, t.t12, 1.0 / t.t23),

@@ -12,7 +12,16 @@ import numpy as np
 
 from triadaudit.core import DomainError, Triad
 
-__all__ = ["dominant_eigenvalue", "saaty_ci_oracle"]
+__all__ = ["dominant_eigenvalue", "matrix_rows", "saaty_ci_oracle"]
+
+
+def matrix_rows(t: Triad) -> tuple[tuple[float, float, float], ...]:
+    """The full 3x3 reciprocal matrix of ``t``, reciprocals computed on demand."""
+    return (
+        (1.0, t.t12, t.t13),
+        (1.0 / t.t12, 1.0, t.t23),
+        (1.0 / t.t13, 1.0 / t.t23, 1.0),
+    )
 
 
 def dominant_eigenvalue(rows, tol: float = 1e-12, max_iter: int = 20_000) -> float:
@@ -41,5 +50,5 @@ def dominant_eigenvalue(rows, tol: float = 1e-12, max_iter: int = 20_000) -> flo
 
 def saaty_ci_oracle(t: Triad, tol: float = 1e-12) -> float:
     """(lambda_max - 3) / 2 with lambda_max from power iteration on the 3x3 matrix."""
-    lam = dominant_eigenvalue(t.matrix_rows(), tol=tol)
+    lam = dominant_eigenvalue(matrix_rows(t), tol=tol)
     return (lam - 3.0) / 2.0

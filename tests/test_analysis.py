@@ -346,3 +346,16 @@ class TestVerdictMatrix:
             characterization_check(natural, only_iip)
         with pytest.raises(LookupError):
             audit_implications(only_iip, [natural])
+
+    @pytest.mark.parametrize("axioms", [("NOPE",), (), ("urs",)])
+    def test_a_bad_axiom_set_raises_as_audit_does(self, axioms):
+        # The matrix's report is audit's, so it must not pass vacuously on
+        # axioms that audit rejects.
+        cx1, cfg = get_index("cx1"), AuditConfig(samples=20)
+        matrix = verdict_matrix((cx1,), AXIOMS, cfg)
+        with pytest.raises(Exception) as by_audit:
+            audit(cx1, axioms, cfg)
+        with pytest.raises(Exception) as by_matrix:
+            matrix.report(cx1, axioms)
+        assert by_audit.type in (ValueError, triadaudit.axioms.UnknownAxiomError)
+        assert by_matrix.type is by_audit.type

@@ -39,6 +39,7 @@ from triadaudit.axioms import (
     DELTA_GRID,
     K_GRID,
     _CON_JUMP_FRACTION,
+    _DECODE,
     _MIN_LOG_ENTRY,
     _SPECS,
     AxiomVerdict,
@@ -439,9 +440,10 @@ def test_probe_stream_known_answer(seed, tag, i):
     key_hex, draws, choice = KNOWN_ANSWERS[seed, tag, i]
     key = probe_key(seed, tag)
     assert key.hex() == key_hex
-    rng = probe_rng(key, i)
-    assert [rng.random() for _ in range(10)] == draws
-    assert rng.choice(("12", "13", "23")) == choice
+    draw = probe_rng(key, i)
+    assert [draw() for _ in range(10)] == draws
+    positions = ("12", "13", "23")
+    assert positions[int(len(positions) * draw())] == choice
 
 
 @pytest.mark.parametrize("seed", [0, 42, -7, 2**70])
@@ -454,9 +456,9 @@ def test_probe_rng_matches_a_seeded_random(seed, index):
     assert key == hashlib.sha256(f"triadaudit:{seed}:MSC".encode("utf-8")).digest()[:8]
     blocks = [hashlib.blake2b(struct.pack("<2Q", index, j), key=key, digest_size=64).digest() for j in range(3)]
     floats = [(w >> 11) / 2**53 for block in blocks for w in struct.unpack("<8Q", block)]
-    rng = probe_rng(key, index)
-    assert [rng.random() for _ in range(20)] == floats[:20]
-    assert rng.choice("abc") == "abc"[int(3 * floats[20])]
+    draw = probe_rng(key, index)
+    assert [draw() for _ in range(20)] == floats[:20]
+    assert "abc"[int(len("abc") * draw())] == "abc"[int(3 * floats[20])]
     assert probe_rng(key, index) is not probe_rng(key, index)
 
 
@@ -482,38 +484,40 @@ def test_probe_stream_draws_are_uniform_on_the_unit_interval():
     positions = ("12", "13", "23")
     hits = dict.fromkeys(positions, 0)
     for i in range(30_000):
-        rng = probe_rng(key, i)
-        draws = [rng.random() for _ in range(9)]
+        draw = probe_rng(key, i)
+        draws = [draw() for _ in range(9)]
         assert all(0.0 <= u < 1.0 for u in draws)
-        hits[rng.choice(positions)] += 1
+        hits[positions[int(len(positions) * draw())]] += 1
     assert all(abs(n / 30_000 - 1 / 3) <= 0.02 for n in hits.values()), hits
-
-
-def test_probe_stream_list_is_its_first_eight_draws():
-    # The probe families read u by position; random() still starts at draw 0
-    # after indexing and walks on into block 1 without changing u.
-    key = probe_key(11, "contract")
-    for i in (0, 1, 7, 2**64 - 1):
-        rng = probe_rng(key, i)
-        first = list(rng.u)
-        assert len(first) == 8
-        draws = [rng.random() for _ in range(12)]
-        assert draws[:8] == first and rng.u == first
-        unread = probe_rng(key, i).random
-        assert [unread() for _ in range(12)] == draws
 
 
 @pytest.mark.parametrize("seed", [0, 42, -7, 2**70])
 @pytest.mark.parametrize("tag", ["URS", "MSC", "pair"])
 def test_block_zero_loop_reads_the_probe_streams(seed, tag):
     # The probe families read block 0 through the keyed loop; its draws are
-    # the stream's, which KNOWN_ANSWERS pins, at every width it can take.
+    # the first calls of the draw function, which KNOWN_ANSWERS pins, at
+    # every width the loop decodes.
     key = probe_key(seed, tag)
     probes = [0, 1, 10**6, 2**64 - 1]
-    for width in range(1, 9):
-        drawn = list(_block0(key, probes, width))
-        assert [list(first) for first in drawn] == [probe_rng(key, i).u[:width] for i in probes]
-    assert list(_block0(key, range(3), 2)) == [tuple(probe_rng(key, i).u[:2]) for i in range(3)]
+    for width in _DECODE:
+        expected = []
+        for i in probes:
+            draw = probe_rng(key, i)
+            expected.append(tuple(draw() for _ in range(width)))
+        assert list(_block0(key, probes, width)) == expected
+
+
+def test_probe_rng_checks_the_index_at_the_call():
+    # The draw function hashes nothing until its first call, so a bad index
+    # is rejected when the function is made.
+    key = probe_key(42, "MSC")
+    for i in (-1, 2**64):
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+            probe_rng(key, i)
+    with pytest.raises(TypeError):
+        probe_rng(key, 1.5)
+    digest = hashlib.blake2b(struct.pack("<2Q", 2**64 - 1, 0), key=key, digest_size=64).digest()
+    assert probe_rng(key, 2**64 - 1)() == (struct.unpack_from("<Q", digest)[0] >> 11) / 2**53
 
 
 def test_results_survive_pickle_and_copy():
@@ -535,10 +539,10 @@ def test_results_survive_pickle_and_copy():
 
 def test_tracer_patch_points_are_module_attributes():
     # perfbench's traced run wraps these names; each must stay a module
-    # attribute.  The engine calls probe_rng only to redraw an MSC/SMSC base
-    # whose first try is rejected; the other probe families and the pairs
-    # read block 0 through the keyed block-0 loop, and the engine calls the
-    # sample_* functions not at all.
+    # attribute.  The engine calls probe_rng only to make the draw function
+    # that redraws an MSC/SMSC base whose first try is rejected; the other
+    # probe families and the pairs read block 0 through the keyed block-0
+    # loop, and the engine calls the sample_* functions not at all.
     for module, name in [
         (axioms, "probe_rng"),
         (analysis, "probe_rng"),
@@ -660,9 +664,10 @@ def test_a_patched_triad_init_sees_every_build(monkeypatch):
     assert seen and all(id(t) in ids for t in seen)
 
 
-# Engine rows rebuilt from the public samplers, reading each probe's stream
-# in order through random() and choice(): the reference for the probe
-# families, which read block 0 by position.
+# Engine rows rebuilt from the public samplers, reading each probe's draws
+# in order through its draw function, a choice over n items taking item
+# int(n * draw()): the reference for the probe families, which read block 0
+# by position.
 REFERENCE_CONFIGS = [AuditConfig(samples=200, entry_range=r) for r in [(1.0 / 9.0, 9.0), (0.5, 2.0), (1e-6, 1e6)]]
 _GRIDS = {
     "IPA": tuple(p for p in permutations(range(3)) if p != (0, 1, 2)),
@@ -672,11 +677,11 @@ _GRIDS = {
 }
 
 
-def _reference_base(rng, entry_range):
+def _reference_base(draw, entry_range):
     """MSC/SMSC's base: consistent triads three draws at a time until every entry is off 1; and its tries."""
     tries = 1
     while True:
-        base = sample_consistent_triad(rng, entry_range)
+        base = sample_consistent_triad(draw, entry_range)
         if all(abs(math.log(e)) >= _MIN_LOG_ENTRY for e in base.entries()):
             return base, tries
         tries += 1
@@ -684,28 +689,29 @@ def _reference_base(rng, entry_range):
 
 def _reference_rows(axiom, cfg):
     key, er, rows = probe_key(cfg.master_seed, axiom), cfg.entry_range, []
+    positions = ("12", "13", "23")
     for i in range(cfg.samples):
-        rng = probe_rng(key, i)
+        draw = probe_rng(key, i)
         if axiom in _GRIDS:
-            rows.append((sample_triad(rng, er), *_GRIDS[axiom]))
+            rows.append((sample_triad(draw, er), *_GRIDS[axiom]))
         elif axiom == "HTA":
             # (1; a; b) takes a and b from the first two of three draws.
-            t = sample_triad(rng, er)
+            t = sample_triad(draw, er)
             rows.append((Triad(1.0, t.t12, t.t13),))
         elif axiom == "URS":
-            consistent, offender = sample_consistent_triad(rng, er), sample_triad(rng, er)
+            consistent, offender = sample_consistent_triad(draw, er), sample_triad(draw, er)
             if i == 0:
                 reference = consistent
             else:
                 rows.append((reference, consistent, "consistent_mismatch"))
             rows.append((reference, offender, "inconsistent_match"))
         elif axiom == "CON":
-            bases = (sample_triad(rng, er), sample_consistent_triad(rng, er))
-            position = rng.choice(("12", "13", "23"))
+            bases = (sample_triad(draw, er), sample_consistent_triad(draw, er))
+            position = positions[int(len(positions) * draw())]
             rows.extend((base, position, CONTINUITY_LADDER) for base in bases)
         else:
-            base, _ = _reference_base(rng, er)
-            position = rng.choice(("12", "13", "23"))
+            base, _ = _reference_base(draw, er)
+            position = positions[int(len(positions) * draw())]
             lifts = (base.entry(position) > 1.0) == (position == "13")
             side = [d for d in DELTA_GRID if d > 1.0] if lifts else [d for d in reversed(DELTA_GRID) if d < 1.0]
             rows.append((base, position, 1.0, *side))
@@ -724,8 +730,8 @@ def test_concordance_pairs_equal_the_public_sampler_pairs(cfg):
     analysis.ranking_concordance(_recording(natural_index, seen), get_index("natural"), cfg)
     key, expected = probe_key(cfg.master_seed, "pair"), []
     for i in range(cfg.samples):
-        rng = probe_rng(key, i)
-        expected += [sample_triad(rng, cfg.entry_range), sample_triad(rng, cfg.entry_range)]
+        draw = probe_rng(key, i)
+        expected += [sample_triad(draw, cfg.entry_range), sample_triad(draw, cfg.entry_range)]
     assert seen == expected
 
 
