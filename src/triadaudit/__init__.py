@@ -1,107 +1,13 @@
 """Inconsistency indices for pairwise-comparison triads plus a seeded
 axiom-falsification engine that audits, compares and ranks them."""
 
-from .analysis import (
-    CharacterizationVerdict,
-    ConcordanceStats,
-    ImplicationRule,
-    ImplicationVerdict,
-    IndependenceTable,
-    IMPLICATION_RULES,
-    VerdictMatrix,
-    audit_implications,
-    characterization_check,
-    independence_table,
-    ranking_concordance,
-    verdict_matrix,
-)
-from .axioms import (
-    AuditConfig,
-    AuditReport,
-    AxiomVerdict,
-    UnknownAxiomError,
-    Witness,
-    audit,
-    check_axiom,
-    probe_key,
-    probe_rng,
-    replay_witness,
-    sample_consistent_triad,
-    sample_triad,
-)
-from .core import (
-    DomainError,
-    Triad,
-    consistency_ratio,
-    is_consistent,
-    permute_triad,
-    power_transform,
-    scale_transform,
-    single_entry_perturb,
-    transpose_triad,
-)
-from .indices import (
-    AXIOMS,
-    CATALOG,
-    INDEX_IDS,
-    IndexDescriptor,
-    UnknownIndexError,
-    get_index,
-    koczkodaj_index,
-    natural_index,
-    saaty_ci,
-    scale_dependent_index,
-)
+# Each public name is listed once, in the __all__ of the module that defines it.
+from . import analysis, axioms, core, indices
+from .core import *  # noqa: F401,F403
+from .indices import *  # noqa: F401,F403
+from .axioms import *  # noqa: F401,F403
+from .analysis import *  # noqa: F401,F403
 
 __version__ = "0.2.0"
 
-__all__ = [
-    "__version__",
-    # core
-    "Triad",
-    "DomainError",
-    "consistency_ratio",
-    "is_consistent",
-    "permute_triad",
-    "transpose_triad",
-    "power_transform",
-    "single_entry_perturb",
-    "scale_transform",
-    # indices
-    "AXIOMS",
-    "CATALOG",
-    "INDEX_IDS",
-    "IndexDescriptor",
-    "UnknownIndexError",
-    "get_index",
-    "natural_index",
-    "scale_dependent_index",
-    "koczkodaj_index",
-    "saaty_ci",
-    # axiom engine
-    "AuditConfig",
-    "AuditReport",
-    "AxiomVerdict",
-    "Witness",
-    "UnknownAxiomError",
-    "probe_key",
-    "probe_rng",
-    "sample_triad",
-    "sample_consistent_triad",
-    "check_axiom",
-    "audit",
-    "replay_witness",
-    # analysis
-    "IMPLICATION_RULES",
-    "ImplicationRule",
-    "ImplicationVerdict",
-    "IndependenceTable",
-    "ConcordanceStats",
-    "CharacterizationVerdict",
-    "VerdictMatrix",
-    "verdict_matrix",
-    "independence_table",
-    "audit_implications",
-    "ranking_concordance",
-    "characterization_check",
-]
+__all__ = ["__version__", *core.__all__, *indices.__all__, *axioms.__all__, *analysis.__all__]

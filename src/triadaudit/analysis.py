@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, fields
 from typing import Mapping
 
-from .axioms import AuditConfig, AuditReport, Witness, _block0, _log_span, _requested_axioms, _sampled, _sweep, probe_key
+from .axioms import AuditConfig, AuditReport, VerdictMatrix, Witness, _block0, _log_span, _sampled, probe_key, verdict_matrix
 from .axioms import audit, probe_rng, sample_triad  # noqa: F401  (perfbench's tracer wraps these names here)
 from .indices import CATALOG, IndexDescriptor, get_index
 
@@ -32,50 +32,11 @@ __all__ = [
     "IndependenceTable",
     "ConcordanceStats",
     "CharacterizationVerdict",
-    "VerdictMatrix",
-    "verdict_matrix",
     "independence_table",
     "audit_implications",
     "ranking_concordance",
     "characterization_check",
 ]
-
-
-@dataclass(frozen=True)
-class VerdictMatrix:
-    """One audit report per index at one config, from which the structural
-    results read their cells.  Rows are found by descriptor, not by id: a
-    user's descriptor may reuse a catalog id."""
-
-    config: AuditConfig
-    rows: tuple[tuple[IndexDescriptor, AuditReport], ...]
-
-    def report(self, index: IndexDescriptor, axioms) -> AuditReport:
-        """The report that audit(index, axioms, self.config) returns, read from the matrix."""
-        ordered = _requested_axioms(axioms)
-        row = next((report for descriptor, report in self.rows if descriptor == index), None)
-        if row is None:
-            raise LookupError(f"index {index.id!r} is not a row of this verdict matrix")
-        verdicts = tuple(row.verdict(a) for a in ordered)
-        return AuditReport(row.index_id, self.config, verdicts, {a: row.expected[a] for a in ordered})
-
-
-def verdict_matrix(indices, axioms, cfg: AuditConfig | None = None) -> VerdictMatrix:
-    """Audit every index on `axioms` once, for the structural results to read.
-
-    Axiom by axiom, each probe is drawn once for all indices (see
-    axioms._sweep); row k is the report that audit(indices[k], axioms, cfg)
-    returns.
-    """
-    cfg = cfg if cfg is not None else AuditConfig()
-    indices = tuple(indices)
-    ordered = _requested_axioms(axioms)
-    columns = [_sweep(indices, axiom, cfg) for axiom in ordered]
-    rows = tuple(
-        (d, AuditReport(d.id, cfg, verdicts, {a: d.expected_profile[a] for a in ordered}))
-        for d, verdicts in zip(indices, zip(*columns))
-    )
-    return VerdictMatrix(cfg, rows)
 
 
 def _matrix(source: AuditConfig | VerdictMatrix | None, indices, axioms) -> VerdictMatrix:

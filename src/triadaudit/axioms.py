@@ -73,6 +73,8 @@ __all__ = [
     "sample_consistent_triad",
     "check_axiom",
     "audit",
+    "VerdictMatrix",
+    "verdict_matrix",
     "replay_witness",
 ]
 
@@ -122,6 +124,9 @@ class AuditConfig:
             object.__setattr__(self, name, operator.index(value))
         if self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
+        # Probe i draws from stream i of its family, and a family has 2**64 streams (see probe_rng).
+        if self.samples > 2**64:
+            raise ValueError(f"samples must be <= 2**64, the number of probe streams, got {self.samples}")
         bounds = tuple(map(_real, self.entry_range)) if isinstance(self.entry_range, (tuple, list)) else ()
         if len(bounds) != 2 or None in bounds:
             raise ValueError(f"entry_range must be two real numbers (lower, upper), got {self.entry_range!r}")
@@ -291,27 +296,20 @@ def sample_consistent_triad(draw: Callable[[], float], entry_range: tuple[float,
     return _consistent(*_log_span(entry_range), draw(), draw(), draw())
 
 
-def _off_unit(lo: float, span: float, u1: float, u2: float, u3: float) -> Triad | None:
-    """The consistent triad of draws u1, u2, u3 if every entry is at least _MIN_LOG_ENTRY away from 1, else None.
-
-    The entries are computed as _consistent computes them, and only an accepted try becomes a Triad.
-    """
-    w1, w2, w3 = math.exp(lo + span * u1), math.exp(lo + span * u2), math.exp(lo + span * u3)
-    t12, t13, t23 = w1 / w2, w1 / w3, w2 / w3
-    if (
-        abs(math.log(t12)) >= _MIN_LOG_ENTRY
-        and abs(math.log(t13)) >= _MIN_LOG_ENTRY
-        and abs(math.log(t23)) >= _MIN_LOG_ENTRY
-    ):
-        return Triad(t12, t13, t23)
-    return None
+def _off_unit(t: Triad) -> bool:
+    """MSC/SMSC's base condition: every entry of ``t`` at least _MIN_LOG_ENTRY away from 1 in log space."""
+    return (
+        abs(math.log(t.t12)) >= _MIN_LOG_ENTRY
+        and abs(math.log(t.t13)) >= _MIN_LOG_ENTRY
+        and abs(math.log(t.t23)) >= _MIN_LOG_ENTRY
+    )
 
 
 def _consistent_off_unit(draw: Callable[[], float], lo: float, span: float) -> Triad:
-    """The first consistent triad, three draws at a time, with every entry at least _MIN_LOG_ENTRY away from 1."""
+    """The first consistent triad, three draws at a time, that _off_unit accepts."""
     for _ in range(100_000):
-        base = _off_unit(lo, span, draw(), draw(), draw())
-        if base is not None:
+        base = _consistent(lo, span, draw(), draw(), draw())
+        if _off_unit(base):
             return base
     raise RuntimeError("failed to sample a consistent triad with entries away from 1")
 
@@ -624,8 +622,8 @@ def _monotone_probes(axiom: str, cfg: AuditConfig) -> _Probes:
     lo, span = _log_span(cfg.entry_range)
     key = probe_key(cfg.master_seed, axiom)
     for i, (u0, u1, u2, u3) in enumerate(_block0(key, range(cfg.samples), 4)):
-        base = _off_unit(lo, span, u0, u1, u2)
-        if base is None:
+        base = _consistent(lo, span, u0, u1, u2)
+        if not _off_unit(base):
             draw = probe_rng(key, i)
             base = _consistent_off_unit(draw, lo, span)
             u3 = draw()
@@ -697,9 +695,9 @@ def _simpler_triads(t: Triad, position: str | None, lo: float, hi: float) -> lis
 
 
 def _monotone_domain(consistent: Triad, position: str, delta_prev: float, delta: float) -> bool:
-    """MSC/SMSC: every entry off 1 by _MIN_LOG_ENTRY in log space, and the ladder
-    side (delta above or below 1) still the one that lifts the consistency ratio."""
-    if any(abs(math.log(e)) < _MIN_LOG_ENTRY for e in consistent.entries()):
+    """MSC/SMSC: the base off 1 (see _off_unit), and the ladder side (delta
+    above or below 1) still the one that lifts the consistency ratio."""
+    if not _off_unit(consistent):
         return False
     return ((consistent.entry(position) > 1.0) == (position == "13")) == (delta > 1.0)
 
@@ -952,13 +950,47 @@ def _requested_axioms(axioms) -> tuple[str, ...]:
     return tuple(a for a in AXIOMS if a in requested)
 
 
+def _report(index: IndexDescriptor, cfg: AuditConfig, verdicts: tuple[AxiomVerdict, ...]) -> AuditReport:
+    """The report of ``index`` at ``cfg``: its verdicts, each with the index's expected status."""
+    return AuditReport(index.id, cfg, verdicts, {v.axiom: index.expected_profile[v.axiom] for v in verdicts})
+
+
 def audit(index: IndexDescriptor, axioms, cfg: AuditConfig | None = None) -> AuditReport:
     """Run check_axiom for every requested axiom, in canonical axiom order."""
     cfg = cfg if cfg is not None else AuditConfig()
     ordered = _requested_axioms(axioms)
-    verdicts = tuple(check_axiom(index, a, cfg) for a in ordered)
-    expected = {a: index.expected_profile[a] for a in ordered}
-    return AuditReport(index_id=index.id, config=cfg, verdicts=verdicts, expected=expected)
+    return _report(index, cfg, tuple(check_axiom(index, a, cfg) for a in ordered))
+
+
+@dataclass(frozen=True)
+class VerdictMatrix:
+    """One audit report per index at one config, from which the structural
+    results read their cells.  Rows are found by descriptor, not by id: a
+    user's descriptor may reuse a catalog id."""
+
+    config: AuditConfig
+    rows: tuple[tuple[IndexDescriptor, AuditReport], ...]
+
+    def report(self, index: IndexDescriptor, axioms) -> AuditReport:
+        """The report that audit(index, axioms, self.config) returns, read from the matrix."""
+        ordered = _requested_axioms(axioms)
+        row = next((report for descriptor, report in self.rows if descriptor == index), None)
+        if row is None:
+            raise LookupError(f"index {index.id!r} is not a row of this verdict matrix")
+        return _report(index, self.config, tuple(row.verdict(a) for a in ordered))
+
+
+def verdict_matrix(indices, axioms, cfg: AuditConfig | None = None) -> VerdictMatrix:
+    """Audit every index on `axioms` once, for the structural results to read.
+
+    Axiom by axiom, each probe is drawn once for all indices (see _sweep);
+    row k is the report that audit(indices[k], axioms, cfg) returns.
+    """
+    cfg = cfg if cfg is not None else AuditConfig()
+    indices = tuple(indices)
+    columns = [_sweep(indices, axiom, cfg) for axiom in _requested_axioms(axioms)]
+    rows = tuple((d, _report(d, cfg, verdicts)) for d, verdicts in zip(indices, zip(*columns)))
+    return VerdictMatrix(cfg, rows)
 
 
 def replay_witness(witness: Witness, evaluate: Evaluator, tolerance: float = AuditConfig.tolerance) -> bool:

@@ -29,6 +29,14 @@ class CliError(Exception):
     """Input or usage error; maps to exit code 2."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise CliError, so that main reports
+    them as one line; add_subparsers makes each subparser of this class too."""
+
+    def error(self, message: str):
+        raise CliError(message)
+
+
 # Validation band for hand-entered matrices: |a_ij * a_ji - 1| <= tol.
 _RECIPROCITY_TOL = 1e-6
 
@@ -266,7 +274,7 @@ def _add_sampling_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="triadaudit", description=__doc__)
+    parser = _Parser(prog="triadaudit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     compute = sub.add_parser("compute", help="evaluate inconsistency indices on a matrix file")
@@ -296,13 +304,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # --help, once printed
+        return int(exc.code or 0)
     except (CliError, DomainError, UnknownIndexError, UnknownAxiomError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -161,6 +161,14 @@ class TestConfig:
         assert type(cfg.samples) is int and type(cfg.master_seed) is int
         assert cfg == AuditConfig(samples=5, master_seed=-7)
 
+    def test_samples_are_capped_at_the_probe_streams(self):
+        # A family has 2**64 probe streams, one per probe index.  The configs are
+        # only built: a passing cell at samples = 2**64 would never finish.
+        assert AuditConfig(samples=2**64).samples == 2**64
+        for samples in (2**64 + 1, 10**23):
+            with pytest.raises(ValueError, match=r"samples must be <= 2\*\*64"):
+                AuditConfig(samples=samples)
+
     # MRP raises a sampled triad to max(B_GRID) = 3, so at entry_range (1/R, R)
     # its consistency ratio reaches R^-9: float64 holds it up to R = 10^34.25.
     @pytest.mark.parametrize("entry_range", [(1e-35, 1e35), (1e-50, 1e50), (1e-100, 1e100)])

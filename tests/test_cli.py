@@ -332,6 +332,35 @@ def test_unknown_command_exits_two():
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("audit", "natural", "--samples", "abc"), "error: argument --samples: invalid int value: 'abc'"),
+        (("audit",), "error: the following arguments are required: index"),
+        ((), "error: the following arguments are required: command"),
+        (("frobnicate",), "error: argument command: invalid choice: 'frobnicate'"),
+        (("independence", "--bogus"), "error: unrecognized arguments: --bogus"),
+    ],
+)
+def test_usage_errors_are_one_line_without_the_usage_block(argv, message):
+    code, out, err = run_cli(*argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(message) and err.count("\n") == 1, err
+
+
+def test_help_still_exits_zero():
+    code, out, err = run_cli("audit", "--help")
+    assert (code, err) == (0, "") and out.startswith("usage: triadaudit audit")
+
+
+def test_a_sample_count_beyond_the_probe_streams_exits_two():
+    # Rejected when the config is built.  The unknown axiom makes an accepted
+    # config fail at once instead of auditing a cell that would never finish.
+    code, out, err = run_cli("audit", "natural", "--axioms", "NOPE", "--samples", "99999999999999999999999")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: samples must be <= 2**64") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("audit", "natural", "--samples", "0"),
@@ -421,8 +450,8 @@ file_bytes = st.one_of(st.binary(max_size=48), json_text.map(str.encode), csv_te
 def assert_clean_reply(argv):
     code, _, err = run_cli(*argv)
     assert code in (0, 1, 2)
-    if err.startswith("error:"):
-        assert err.endswith("\n") and err.count("\n") == 1
+    if code == 2:
+        assert err.startswith("error:") and err.endswith("\n") and err.count("\n") == 1, err
     return code
 
 
