@@ -284,6 +284,10 @@ JSON_DIGESTS = {
         "fcc4c37e2f33cbbf746ecf3cc9185d414e7996191146614cd49e49c768b5731d"
     ),
     ("independence", "--samples", "200", "--json"): "643f43e67fc33decb016c9e1d6cec516bca85e4b7574c9c6410f75f7b93778e4",
+    # natural and cx5 disagree on pair 1, so this document carries a concordance witness.
+    ("concordance", "natural", "cx5", "--samples", "1000", "--json"): (
+        "255521897701a871e9ddca3e03e8ff8336acb5ee95bdd24e0cb385f4ce14577f"
+    ),
 }
 
 
