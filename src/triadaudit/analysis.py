@@ -17,8 +17,9 @@ import math
 from dataclasses import dataclass, fields
 from typing import Mapping
 
-from .axioms import AuditConfig, AuditReport, VerdictMatrix, Witness, _block0, _log_span, _sampled, probe_key, verdict_matrix
+from .axioms import AuditConfig, AuditReport, VerdictMatrix, Witness, _block0, _log_span, probe_key, verdict_matrix
 from .axioms import audit, probe_rng, sample_triad  # noqa: F401  (perfbench's tracer wraps these names here)
+from .core import Triad
 from .indices import CATALOG, IndexDescriptor, get_index
 
 __all__ = [
@@ -211,22 +212,25 @@ def ranking_concordance(
     draw function probe_rng(key, i) would draw them.
     """
     cfg = cfg if cfg is not None else AuditConfig()
-    counts = dict.fromkeys(("concordant", "discordant", "ties_a_only", "ties_b_only", "ties_both"), 0)
+    eval_a, eval_b, isclose, exp, tol = a.evaluate, b.evaluate, math.isclose, math.exp, cfg.tolerance
+    concordant = discordant = ties_a_only = ties_b_only = ties_both = 0
     witness = None
     lo, span = _log_span(cfg.entry_range)
     for u0, u1, u2, u3, u4, u5 in _block0(probe_key(cfg.master_seed, "pair"), range(cfg.samples), 6):
-        s = _sampled(lo, span, u0, u1, u2)
-        t = _sampled(lo, span, u3, u4, u5)
-        a_s, a_t = a.evaluate(s), a.evaluate(t)
-        b_s, b_t = b.evaluate(s), b.evaluate(t)
-        tie_a = math.isclose(a_s, a_t, rel_tol=cfg.tolerance, abs_tol=cfg.tolerance)
-        tie_b = math.isclose(b_s, b_t, rel_tol=cfg.tolerance, abs_tol=cfg.tolerance)
-        if tie_a or tie_b:
-            kind = "ties_both" if tie_a and tie_b else "ties_a_only" if tie_a else "ties_b_only"
+        s = Triad(exp(lo + span * u0), exp(lo + span * u1), exp(lo + span * u2))
+        t = Triad(exp(lo + span * u3), exp(lo + span * u4), exp(lo + span * u5))
+        a_s, a_t, b_s, b_t = eval_a(s), eval_a(t), eval_b(s), eval_b(t)
+        tie_a, tie_b = isclose(a_s, a_t, rel_tol=tol, abs_tol=tol), isclose(b_s, b_t, rel_tol=tol, abs_tol=tol)
+        if tie_a and tie_b:
+            ties_both += 1
+        elif tie_a:
+            ties_a_only += 1
+        elif tie_b:
+            ties_b_only += 1
         elif (a_s - a_t) * (b_s - b_t) > 0.0:
-            kind = "concordant"
+            concordant += 1
         else:
-            kind = "discordant"
+            discordant += 1
             if witness is None:
                 witness = Witness(
                     axiom="concordance",
@@ -235,13 +239,14 @@ def ranking_concordance(
                     params={"index_a": a.id, "index_b": b.id},
                     observed={"a_s": a_s, "a_t": a_t, "b_s": b_s, "b_t": b_t},
                 )
-        counts[kind] += 1
     # tau-b: a pair tied in both indices counts among the ties of each.
-    untied_a = cfg.samples - (counts["ties_a_only"] + counts["ties_both"])
-    untied_b = cfg.samples - (counts["ties_b_only"] + counts["ties_both"])
+    untied_a = cfg.samples - (ties_a_only + ties_both)
+    untied_b = cfg.samples - (ties_b_only + ties_both)
     denom = math.sqrt(untied_a * untied_b)
-    tau = (counts["concordant"] - counts["discordant"]) / denom if denom else 0.0
-    return ConcordanceStats(a.id, b.id, cfg.samples, **counts, kendall_tau_b=tau, discordant_witness=witness)
+    tau = (concordant - discordant) / denom if denom else 0.0
+    return ConcordanceStats(
+        a.id, b.id, cfg.samples, concordant, discordant, ties_a_only, ties_b_only, ties_both, tau, witness
+    )
 
 
 # The four axioms that pin down the natural ranking.

@@ -306,8 +306,11 @@ def _off_unit(t: Triad) -> bool:
 
 
 def _consistent_off_unit(draw: Callable[[], float], lo: float, span: float) -> Triad:
-    """The first consistent triad, three draws at a time, that _off_unit accepts."""
-    for _ in range(100_000):
+    """The first consistent triad, three draws at a time from draw 3 on, that _off_unit accepts.
+    Draws 0-2 are the first of the 100,000 tries, read from block 0 and rejected by the caller."""
+    for _ in range(3):
+        draw()
+    for _ in range(99_999):
         base = _consistent(lo, span, draw(), draw(), draw())
         if _off_unit(base):
             return base
@@ -609,9 +612,9 @@ def _monotone_probes(axiom: str, cfg: AuditConfig) -> _Probes:
 
     The base takes three draws per try and the position is the draw after the
     base.  A probe whose first try is accepted reads draws 0-3 from block 0;
-    one whose first try is rejected replays its draws from draw 0 through
-    the draw function ``probe_rng(key, i)``, past block 0 when the base needs
-    three or more tries.
+    one whose first try is rejected reads its later tries from draw 3 on
+    through the draw function ``probe_rng(key, i)``, past block 0 when the
+    base needs three or more tries.
 
     Only the side whose perturbations land on the canonical side (consistency
     ratio >= 1) is probed: the side that the independence and characterization
