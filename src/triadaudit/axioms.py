@@ -37,7 +37,6 @@ SMSC strict variant of MSC: ties count as violations
 
 from __future__ import annotations
 
-import hashlib
 import math
 import numbers
 import operator
@@ -192,6 +191,7 @@ def _band(tol: float, a: float, b: float = 0.0) -> float:
 def probe_key(master_seed: int, tag: str) -> bytes:
     """Key of one family of probe streams (one axiom's probes, or one concordance's
     pairs): 8 bytes of the sha256 of (master_seed, tag)."""
+    import hashlib  # here, not at the top: a CLI command that draws no probe does not load it
     return hashlib.sha256(f"triadaudit:{int(master_seed)}:{tag}".encode()).digest()[:8]
 
 
@@ -235,6 +235,7 @@ def _block0(key: bytes, probes: Iterable[int], width: int) -> Iterator[tuple[flo
     and copied for each probe, and only the first ``width`` words are unpacked
     and decoded.
     """
+    import hashlib
     state = hashlib.blake2b(key=key, digest_size=64)
     pack, unpack, decode = _COUNTER.pack, struct.Struct(f"<{width}Q").unpack_from, _DECODE[width]
     for i in probes:
@@ -245,6 +246,7 @@ def _block0(key: bytes, probes: Iterable[int], width: int) -> Iterator[tuple[flo
 
 def _draws(key: bytes, i: int) -> Iterator[float]:
     """Every draw of probe i in order: blocks 0, 1, 2, ..., each hashed and decoded when reached."""
+    import hashlib
     for j in count():
         digest = hashlib.blake2b(_COUNTER.pack(i, j), key=key, digest_size=64).digest()
         yield from _DECODE[8](*_WORDS.unpack(digest))

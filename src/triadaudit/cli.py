@@ -16,13 +16,21 @@ import os
 import sys
 from pathlib import Path
 
-from .analysis import INDEPENDENCE_AXIOMS, independence_table, ranking_concordance
 from .axioms import AuditConfig, AuditReport, UnknownAxiomError, audit
 from .core import DomainError, Triad
 from .indices import AXIOMS, INDEX_IDS, UnknownIndexError, get_index
 from .reporting import build_report, dumps_canonical
 
 __all__ = ["main", "parse_matrix_file", "CliError"]
+
+
+def __getattr__(name: str):
+    # analysis's own independence_table and ranking_concordance, which perfbench's
+    # tracer wraps here too; only the commands that run them import analysis.
+    if name in ("independence_table", "ranking_concordance"):
+        from . import analysis
+        return getattr(analysis, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class CliError(Exception):
@@ -224,6 +232,8 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_independence(args) -> int:
+    from .analysis import INDEPENDENCE_AXIOMS, independence_table
+
     cfg = _config_from(args)
     table = independence_table(cfg)
     if args.json:
@@ -246,6 +256,8 @@ def _cmd_independence(args) -> int:
 
 
 def _cmd_concordance(args) -> int:
+    from .analysis import ranking_concordance
+
     a = get_index(args.index_a)
     b = get_index(args.index_b)
     cfg = _config_from(args)

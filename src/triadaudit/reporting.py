@@ -8,7 +8,6 @@ with identical flags reproduces the document byte for byte.
 
 from __future__ import annotations
 
-import importlib.resources
 import json
 import math
 
@@ -69,5 +68,6 @@ def dumps_canonical(value, indent: int = 0) -> str:
 
 def report_schema() -> dict:
     """The JSON schema that every emitted report validates against."""
+    import importlib.resources  # here, not at the top: no command reads the schema
     text = importlib.resources.files("triadaudit.schemas").joinpath(SCHEMA_RESOURCE).read_text("utf-8")
     return json.loads(text)

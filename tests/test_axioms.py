@@ -32,7 +32,7 @@ from triadaudit import (
     sample_triad,
     verdict_matrix,
 )
-from triadaudit import analysis, axioms
+from triadaudit import analysis, axioms, cli
 from triadaudit.axioms import (
     B_GRID,
     CONTINUITY_LADDER,
@@ -560,9 +560,21 @@ def test_tracer_patch_points_are_module_attributes():
         (axioms, "check_axiom"),
         (axioms, "audit"),
         (analysis, "audit"),
+        (cli, "main"),
+        (cli, "dumps_canonical"),
+        (cli, "build_report"),
+        (cli, "audit"),
+        (cli, "get_index"),
+        (cli, "independence_table"),
+        (cli, "ranking_concordance"),
     ]:
         assert callable(getattr(module, name)), (module.__name__, name)
     assert analysis.probe_rng is axioms.probe_rng and analysis.sample_triad is axioms.sample_triad
+    # cli imports analysis only in the commands that run it, and reads these
+    # two names from it on demand; the tracer makes one wrapper per distinct
+    # function, so they must be analysis's own objects.
+    assert cli.independence_table is analysis.independence_table
+    assert cli.ranking_concordance is analysis.ranking_concordance
 
 
 # Evaluations of natural's passing cells at samples=50, one entry per axiom.

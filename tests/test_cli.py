@@ -513,13 +513,69 @@ def test_fuzzed_argv_gets_a_clean_reply(matrix_s_module, data):
     assert_clean_reply(data.draw(argvs(matrix_s_module)))
 
 
-def test_cli_import_does_not_load_numpy():
-    # numpy is a test-only dependency; importing it would add its start-up
-    # time and memory to every CLI call.
+def run_fresh(code, *args, flags=()):
+    """Run ``code`` in a fresh interpreter that imports triadaudit from this
+    checkout, with ``args`` as its sys.argv[1:]; its stdout."""
     src = str(Path(triadaudit.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    code = "import sys, triadaudit.cli; sys.exit('numpy' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    proc = subprocess.run([sys.executable, *flags, "-c", code, *args], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+# Runs each JSON-encoded argv of sys.argv[1:] through cli.main in turn and
+# prints, per command, its exit code, its stdout and the modules loaded so far.
+COMMANDS_IN_ONE_PROCESS = """
+import contextlib, io, json, sys
+from triadaudit import cli
+for argv in map(json.loads, sys.argv[1:]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    loaded = [m for m in ("numpy", "triadaudit.analysis", "hashlib") if m in sys.modules]
+    print(json.dumps([code, out.getvalue(), loaded]))
+"""
+
+
+def test_cli_commands_load_only_what_they_run(matrix_s, monkeypatch):
+    # numpy is a test-only dependency, and only concordance and independence
+    # use analysis; only a command that draws a probe hashes.  Loading any of
+    # them would add its start-up time to every CLI call.
+    monkeypatch.delenv("PCM_SEED", raising=False)
+    concordance = ["concordance", "natural", "cx5", "--samples", "50", "--json"]
+    argvs = [
+        ["compute", "--matrix", matrix_s, "--json"],
+        ["audit", "no_such_index", "--json"],
+        ["audit", "natural", "--samples", "0"],
+        concordance,
+    ]
+    replies = [json.loads(line) for line in run_fresh(COMMANDS_IN_ONE_PROCESS, *map(json.dumps, argvs)).splitlines()]
+    assert [code for code, _, _ in replies] == [0, 2, 2, 0]
+    assert [loaded for _, _, loaded in replies[:3]] == [[], [], []]
+    assert replies[0][1] == run_cli(*argvs[0])[1]
+    _, doc, loaded = replies[3]
+    assert loaded == ["triadaudit.analysis", "hashlib"]
+    assert doc == run_cli(*concordance)[1]
+
+
+def test_cli_import_without_site_loads_neither_resources_nor_analysis():
+    # Without site, no .pth file imports importlib.resources first; only
+    # report_schema, which no command calls, reads the package data.
+    code = "import sys, triadaudit.cli; print(sorted({'importlib.resources', 'triadaudit.analysis'} & {*sys.modules}))"
+    assert run_fresh(code, flags=("-S",)) == "[]\n"
+
+
+def test_star_import_binds_every_listed_name():
+    # import triadaudit leaves analysis unloaded; the package's module
+    # __getattr__ loads it for the star import, which must bind every name.
+    code = """
+import sys
+import triadaudit
+print('triadaudit.analysis' in sys.modules)
+from triadaudit import *
+print(sorted(n for n in triadaudit.__all__ if n not in globals()))
+"""
+    assert run_fresh(code) == "False\n[]\n"
 
 
 def test_package_version_is_the_reports_tool_version():
