@@ -359,7 +359,10 @@ class AxiomVerdict:
 # violations: one relation per axiom, shared by the search and witness replay.
 # Each takes a row as its spec's ``expand`` returns it, derived triads built.
 # The expand steps run once per row and append in plain loops: on CPython
-# 3.11 a comprehension is a call of its own.
+# 3.11 a comprehension is a call of its own.  Each comparison is settled by
+# its sign first, and _band or _close is called only where the sign already
+# points at a violation: a band is never negative, so ``x < y - band`` implies
+# ``x < y``, and equal values are always close.
 # ---------------------------------------------------------------------------
 
 
@@ -390,7 +393,7 @@ def _invariance_violation(
     a = evaluate(input)
     for value, other in others:
         b = evaluate(other)
-        if not _close(a, b, tol):
+        if a != b and not _close(a, b, tol):
             return Witness(
                 axiom=axiom,
                 relation=f"|I(input) - I({name})| > tolerance band",
@@ -419,10 +422,9 @@ def _mrp_violation(
     base = evaluate(input)
     for b, powered in powers:
         after = evaluate(powered)
-        band = _band(tol, base, after)
-        if b >= 1.0 and after < base - band:
+        if b >= 1.0 and after < base and after < base - _band(tol, base, after):
             relation = "I(powered) < I(input) - tolerance band although b >= 1"
-        elif b <= 1.0 and after > base + band:
+        elif b <= 1.0 and after > base and after > base + _band(tol, base, after):
             relation = "I(powered) > I(input) + tolerance band although b <= 1"
         else:
             continue
@@ -471,12 +473,11 @@ def _monotone_violation(
     prev_value = base_value if previous is None else evaluate(previous)
     for delta, perturbed in rungs:
         cur_value = evaluate(perturbed)
-        step_band = _band(tol, prev_value, cur_value)
-        if cur_value < base_value - _band(tol, base_value, cur_value):
+        if cur_value < base_value and cur_value < base_value - _band(tol, base_value, cur_value):
             violation, relation = "below_consistent", "I(perturbed) < I(consistent) - tolerance band"
-        elif cur_value < prev_value - step_band:
+        elif cur_value < prev_value and cur_value < prev_value - _band(tol, prev_value, cur_value):
             violation, relation = "decrease", "I at the larger intensification < I at the smaller one - tolerance band"
-        elif strict and cur_value - prev_value <= step_band:
+        elif strict and cur_value - prev_value <= _band(tol, prev_value, cur_value):
             violation, relation = "tie", "intensification step failed to increase I beyond the tolerance band"
         else:
             prev_value, delta_prev = cur_value, delta
@@ -517,22 +518,24 @@ def _con_violation(
     as eps walks down ``ladder``: the row fails iff
     ``changes[-1] > max(band, _CON_JUMP_FRACTION * max(changes))``.
 
-    Pass test: since max(changes) >= changes[0], ``changes[-1] <= max(band,
-    _CON_JUMP_FRACTION * changes[0])`` proves the pass on the first and last
-    rungs alone.  NaN keeps this exact: a NaN last change fails both tests; a
-    NaN first change reduces both to ``changes[-1] <= band``, as ``max`` keeps
-    a leading NaN and ``max(band, nan)`` is band; a NaN middle change leaves
+    Pass test: since max(changes) >= changes[0], a last change within
+    ``_CON_JUMP_FRACTION * changes[0]`` or within the band proves the pass on
+    the first and last rungs alone, and the band is computed only when the
+    jump bound does not prove it.  ``last <= f or last <= band`` equals
+    ``last <= max(band, f)`` for every value: the band is never NaN, and a NaN
+    f makes ``last <= f`` False and ``max(band, f)`` band.  So a NaN last
+    change fails every test; a NaN first change leaves ``last <= band`` in
+    both tests, as ``max`` keeps a leading NaN; a NaN middle change leaves
     max(changes) >= changes[0].  A row the test does not settle evaluates its
     middle rungs too, so a fail witness reports the whole ladder.
     """
     base_value = evaluate(input)
     first, last = abs(evaluate(first_rung) - base_value), abs(evaluate(last_rung) - base_value)
-    band = _band(tol, base_value)
-    if last <= max(band, _CON_JUMP_FRACTION * first):
+    if last <= _CON_JUMP_FRACTION * first or last <= _band(tol, base_value):
         return None
     middle = [abs(evaluate(_con_rung(input, position, eps)) - base_value) for eps in ladder[1:-1]]
     changes = [first, *middle, last]
-    if last <= max(band, _CON_JUMP_FRACTION * max(changes)):
+    if last <= _CON_JUMP_FRACTION * max(changes):
         return None
     return Witness(
         axiom="CON",
@@ -554,11 +557,11 @@ def _urs_violation(evaluate: Evaluator, tol: float, reference: Triad, offender: 
     v = evaluate(reference)
     value = evaluate(offender)
     if kind == "consistent_mismatch":
-        if _close(value, v, tol):
+        if value == v or _close(value, v, tol):
             return None
         relation = "two consistent triads take different index values"
     else:
-        if abs(consistency_ratio(offender) - 1.0) <= 10.0 * tol or value != v:
+        if value != v or abs(consistency_ratio(offender) - 1.0) <= 10.0 * tol:
             return None
         relation = "an inconsistent triad attains the consistent reference value"
     return Witness(

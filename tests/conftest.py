@@ -1,5 +1,6 @@
-"""Shared hypothesis strategies for triad-valued properties, and verdict
-matrices that several test modules read."""
+"""Shared hypothesis strategies for triad-valued properties, verdict
+matrices that several test modules read, and index values at the edges of
+the equality band."""
 
 import math
 
@@ -7,6 +8,7 @@ import hypothesis.strategies as st
 import pytest
 
 from triadaudit import AXIOMS, CATALOG, AuditConfig, Triad, verdict_matrix
+from triadaudit.axioms import _band
 
 # Entries live on the same log range the audit sampler uses by default.
 LOG_NINE = math.log(9.0)
@@ -34,6 +36,17 @@ def consistent_triads(draw, span: float = LOG_NINE) -> Triad:
 @st.composite
 def scale_factors(draw) -> float:
     return math.exp(draw(st.floats(min_value=-math.log(10.0), max_value=math.log(10.0))))
+
+
+def band_edge_values(tol: float) -> list[float]:
+    """Index values around the band's edges at ``tol``: equal values, values
+    within half a band and one and a half bands of 0, 1 and 1e12 on both
+    sides, a negative value, both infinities and NaN."""
+    values = [-1.0, math.inf, -math.inf, math.nan]
+    for v in (0.0, 1.0, 1e12):
+        band = _band(tol, v)
+        values += [v, v + 0.5 * band, v - 0.5 * band, v + 1.5 * band, v - 1.5 * band]
+    return values
 
 
 @pytest.fixture(scope="session")

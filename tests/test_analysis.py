@@ -8,6 +8,7 @@ import random
 import pytest
 
 import triadaudit.axioms
+from conftest import band_edge_values
 from triadaudit import (
     AXIOMS,
     CATALOG,
@@ -137,6 +138,31 @@ class TestImplications:
 
 
 class TestConcordance:
+    @pytest.mark.parametrize("tol", [1e-9, 1e-3])
+    def test_ties_follow_the_engine_equality_rule(self, tol):
+        # ranking_concordance spells the tie rule inline; on the one pair drawn
+        # at samples=1, each side's tie must be axioms._close of its two values.
+        cfg = AuditConfig(samples=1, tolerance=tol)
+        draw = probe_rng(probe_key(cfg.master_seed, "pair"), 0)
+        s, t = sample_triad(draw, cfg.entry_range), sample_triad(draw, cfg.entry_range)
+
+        def scripted(at_s, at_t):
+            return IndexDescriptor(
+                id="scripted",
+                label="scripted values on the drawn pair",
+                evaluate=lambda triad: at_s if triad == s else at_t,
+                expected_profile={a: "pass" for a in AXIOMS},
+            )
+
+        untied = scripted(1.0, 2.0)
+        values = band_edge_values(tol)
+        for x in values:
+            for y in values:
+                tie = triadaudit.axioms._close(x, y, tol)
+                a_side = ranking_concordance(scripted(x, y), untied, cfg)
+                b_side = ranking_concordance(untied, scripted(x, y), cfg)
+                assert (a_side.ties_a_only, b_side.ties_b_only) == (tie, tie), (x, y)
+
     def test_monotone_transform_gives_perfect_agreement(self):
         stats = ranking_concordance(get_index("natural"), get_index("koczkodaj"), AuditConfig(samples=2000))
         assert stats.discordant == 0

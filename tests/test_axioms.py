@@ -12,6 +12,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+from conftest import band_edge_values
 from triadaudit import (
     AXIOMS,
     CATALOG,
@@ -930,6 +931,184 @@ def test_con_pass_test_agrees_with_the_full_ladder_on_nan_and_steps(name):
     got = _con_row_violation(evaluate, 1e-9, base, position, CONTINUITY_LADDER)
     assert _witness_doc(got) == _witness_doc(expected)
     assert (got is None) == passes
+
+
+# Reference rules for the ordered axioms: the band computed for every
+# comparison before the values are compared, as the relations read.
+
+
+def _eager_mrp(evaluate, tol, input, powers):
+    """MRP's relation with a band computed for every power."""
+    base = evaluate(input)
+    for b, powered in powers:
+        after = evaluate(powered)
+        band = _band(tol, base, after)
+        if b >= 1.0 and after < base - band:
+            relation = "I(powered) < I(input) - tolerance band although b >= 1"
+        elif b <= 1.0 and after > base + band:
+            relation = "I(powered) > I(input) + tolerance band although b <= 1"
+        else:
+            continue
+        return Witness(
+            axiom="MRP",
+            relation=relation,
+            triads={"input": input, "powered": powered},
+            params={"b": b},
+            observed={"input": base, "powered": after},
+        )
+    return None
+
+
+def _eager_monotone(strict):
+    """MSC's relation (SMSC's if ``strict``) with both bands computed on every rung."""
+
+    def eager(evaluate, tol, consistent, position, delta_prev, previous, rungs):
+        base_value = evaluate(consistent)
+        prev_value = base_value if previous is None else evaluate(previous)
+        for delta, perturbed in rungs:
+            cur_value = evaluate(perturbed)
+            step_band = _band(tol, prev_value, cur_value)
+            if cur_value < base_value - _band(tol, base_value, cur_value):
+                violation, relation = "below_consistent", "I(perturbed) < I(consistent) - tolerance band"
+            elif cur_value < prev_value - step_band:
+                violation, relation = (
+                    "decrease",
+                    "I at the larger intensification < I at the smaller one - tolerance band",
+                )
+            elif strict and cur_value - prev_value <= step_band:
+                violation, relation = "tie", "intensification step failed to increase I beyond the tolerance band"
+            else:
+                prev_value, delta_prev = cur_value, delta
+                continue
+            return Witness(
+                axiom="SMSC" if strict else "MSC",
+                relation=relation,
+                triads={"consistent": consistent},
+                params={"position": position, "delta_prev": delta_prev, "delta": delta, "violation": violation},
+                observed={"consistent": base_value, "previous": prev_value, "perturbed": cur_value},
+            )
+        return None
+
+    return eager
+
+
+_EAGER = {"MRP": _eager_mrp, "MSC": _eager_monotone(False), "SMSC": _eager_monotone(True)}
+
+
+# The default equality band, at which the ordered relations are scripted.
+TOL = AuditConfig.tolerance
+
+
+def _scripted(values):
+    """An evaluator that returns values[t] for each triad t it is given."""
+    return lambda t: values[t]
+
+
+def test_mrp_agrees_with_the_eager_band_on_scripted_values():
+    # Two powers per row, below and above 1 in both orders, each value of the
+    # table at the input and at each power.
+    input = Triad(2.0, 3.0, 5.0)
+    values = band_edge_values(TOL)
+    for bs in ((0.5, 2.0), (2.0, 0.5)):
+        expanded = _SPECS["MRP"].expand(input, *bs)
+        (_, first), (_, second) = expanded[1]
+        for x in values:
+            for y in values:
+                for z in values:
+                    evaluate = _scripted({input: x, first: y, second: z})
+                    expected = _eager_mrp(evaluate, TOL, *expanded)
+                    got = _SPECS["MRP"].violation(evaluate, TOL, *expanded)
+                    assert _witness_doc(got) == _witness_doc(expected), (bs, x, y, z)
+
+
+@pytest.mark.parametrize("axiom", ["MSC", "SMSC"])
+def test_monotone_agrees_with_the_eager_band_on_scripted_values(axiom):
+    # From delta = 1 over two rungs (the base, the first and the second rung
+    # scripted) and from delta = 1.5 over one (the base, the previous rung
+    # and the rung).
+    spec, values = _SPECS[axiom], band_edge_values(TOL)
+    consistent = Triad(2.0, 6.0, 3.0)
+    from_one = spec.expand(consistent, "13", 1.0, 2.0, 3.0)
+    from_prev = spec.expand(consistent, "13", 1.5, 2.0)
+    (_, first), (_, second) = from_one[4]
+    previous, ((_, rung),) = from_prev[3], from_prev[4]
+    for expanded, triads in ((from_one, (consistent, first, second)), (from_prev, (consistent, previous, rung))):
+        for x in values:
+            for y in values:
+                for z in values:
+                    evaluate = _scripted(dict(zip(triads, (x, y, z))))
+                    expected = _EAGER[axiom](evaluate, TOL, *expanded)
+                    got = spec.violation(evaluate, TOL, *expanded)
+                    assert _witness_doc(got) == _witness_doc(expected), (expanded[2], x, y, z)
+
+
+def test_con_agrees_with_the_full_ladder_on_scripted_values():
+    # The base and the first and last rungs take every value of the table;
+    # the middle rungs are worth 0.
+    input, position = Triad(2.0, 3.0, 5.0), "13"
+    expanded = _SPECS["CON"].expand(input, position, CONTINUITY_LADDER)
+    first, last = expanded[3], expanded[4]
+    values = band_edge_values(TOL)
+    for x in values:
+        for y in values:
+            for z in values:
+                scripted = {input: x, first: y, last: z}
+                evaluate = lambda t: scripted.get(t, 0.0)  # noqa: E731
+                expected = _full_ladder_con(evaluate, TOL, input, position, CONTINUITY_LADDER)
+                got = _SPECS["CON"].violation(evaluate, TOL, *expanded)
+                assert _witness_doc(got) == _witness_doc(expected), (x, y, z)
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-3])
+def test_equality_relations_follow_the_close_rule_on_scripted_values(tol):
+    # IIP's relation, which IPA, HTA and SI share, and URS's consistent_mismatch
+    # row fail iff the two values are not close.
+    input, reference, offender = Triad(2.0, 3.0, 5.0), Triad(2.0, 6.0, 3.0), Triad(4.0, 12.0, 3.0)
+    expanded = _SPECS["IIP"].expand(input)
+    transposed = expanded[1][0][1]
+    values = band_edge_values(tol)
+    for x in values:
+        for y in values:
+            close = axioms._close(x, y, tol)
+            iip = _SPECS["IIP"].violation(_scripted({input: x, transposed: y}), tol, *expanded)
+            urs = _SPECS["URS"].violation(
+                _scripted({reference: x, offender: y}), tol, reference, offender, "consistent_mismatch"
+            )
+            assert (iip is None, urs is None) == (close, close), (x, y)
+
+
+@pytest.mark.parametrize("cfg", CON_CONFIGS, ids=["default", "tol_1e-3", "range_1e6", "seed_7"])
+@pytest.mark.parametrize("axiom", ["MRP", "MSC", "SMSC"])
+def test_ordered_relations_agree_with_the_eager_band_on_the_catalog(axiom, cfg):
+    spec = _SPECS[axiom]
+    for _, row in spec.probes(cfg):
+        expanded = spec.expand(*row)
+        for descriptor in CATALOG:
+            expected = _EAGER[axiom](descriptor.evaluate, cfg.tolerance, *expanded)
+            got = spec.violation(descriptor.evaluate, cfg.tolerance, *expanded)
+            assert _witness_doc(got) == _witness_doc(expected), (descriptor.id, row)
+
+
+def test_a_passing_cell_computes_a_band_only_where_a_sign_points_at_a_violation(monkeypatch):
+    # natural rises on every MRP power above 1, every MSC/SMSC rung and
+    # shrinks by the ladder on CON, so the signs settle those comparisons.
+    # SMSC's tie test still reads one band per rung: 50 probes x 3 rungs.
+    calls = {"_band": 0, "_close": 0}
+    for name in calls:
+        rule = getattr(axioms, name)
+
+        def counted(*args, _rule=rule, _name=name):
+            calls[_name] += 1
+            return _rule(*args)
+
+        monkeypatch.setattr(axioms, name, counted)
+    natural, cfg = get_index("natural"), AuditConfig(samples=50)
+    counts = {}
+    for axiom in ("MRP", "MSC", "CON", "SMSC"):
+        calls.update(_band=0, _close=0)
+        assert check_axiom(natural, axiom, cfg).status == "pass"
+        counts[axiom] = calls["_band"], calls["_close"]
+    assert counts == {"MRP": (0, 0), "MSC": (0, 0), "CON": (0, 0), "SMSC": (150, 0)}
 
 
 def test_band_is_relative():

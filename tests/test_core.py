@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -228,3 +229,81 @@ class TestScaleTransform:
     def test_ratio_invariant(self, t, k):
         assert rel_close(consistency_ratio(scale_transform(t, k)), consistency_ratio(t))
 
+
+
+
+# Each transform parameter as a float, an int, a bool, a numeric string, a
+# numpy float, a float subclass, zero, a negative value, both infinities and NaN.
+PARAMETER_VALUES = {
+    "float": 2.0,
+    "int": 2,
+    "bool": True,
+    "string": "2.5",
+    "numpy": np.float64(2.5),
+    "subclass": FloatSubclass(2.5),
+    "zero": 0.0,
+    "negative": -0.5,
+    "inf": math.inf,
+    "-inf": -math.inf,
+    "nan": math.nan,
+}
+# The float each transform reads a value as, or the DomainError message it rejects it with.
+_READ_AS = {"float": 2.0, "int": 2.0, "bool": 1.0, "string": 2.5, "numpy": 2.5, "subclass": 2.5}
+PINNED_PARAMETERS = {
+    "b": {
+        **_READ_AS,
+        "zero": 0.0,
+        "negative": -0.5,
+        "inf": "b must be finite, got inf",
+        "-inf": "b must be finite, got -inf",
+        "nan": "b must be finite, got nan",
+    },
+    "k": {
+        **_READ_AS,
+        "zero": "k must be a finite positive real, got 0.0",
+        "negative": "k must be a finite positive real, got -0.5",
+        "inf": "k must be a finite positive real, got inf",
+        "-inf": "k must be a finite positive real, got -inf",
+        "nan": "k must be a finite positive real, got nan",
+    },
+    "delta": {
+        **_READ_AS,
+        "zero": 0.0,
+        "negative": -0.5,
+        "inf": "delta must be finite, got inf",
+        "-inf": "delta must be finite, got -inf",
+        "nan": "delta must be finite, got nan",
+    },
+}
+T = Triad(2.0, 6.0, 3.0)
+# Each transform of T by a parameter value, and the entries it must give for the float read.
+TRANSFORMS = {
+    "b": (lambda v: power_transform(T, v), lambda e: (2.0**e, 6.0**e, 3.0**e)),
+    "k": (lambda v: scale_transform(T, v), lambda e: (e * 2.0, e * e * 6.0, e * 3.0)),
+    "delta": (lambda v: single_entry_perturb(T, "13", v), lambda e: (2.0, 6.0**e, 3.0)),
+}
+
+
+@pytest.mark.parametrize("kind", PARAMETER_VALUES)
+@pytest.mark.parametrize("name", TRANSFORMS)
+def test_transform_parameters_are_read_or_rejected_as_pinned(name, kind):
+    transform, entries = TRANSFORMS[name]
+    expected = PINNED_PARAMETERS[name][kind]
+    if isinstance(expected, str):
+        with pytest.raises(DomainError) as excinfo:
+            transform(PARAMETER_VALUES[kind])
+        assert str(excinfo.value) == expected
+    else:
+        t = transform(PARAMETER_VALUES[kind])
+        assert t.entries() == entries(expected)
+        assert all(type(e) is float for e in t.entries())
+
+
+@pytest.mark.parametrize("name", TRANSFORMS)
+def test_a_non_numeric_transform_parameter_raises_the_float_conversion_error(name):
+    transform = TRANSFORMS[name][0]
+    with pytest.raises(ValueError) as excinfo:
+        transform("x")
+    assert type(excinfo.value) is ValueError
+    with pytest.raises(TypeError):
+        transform(None)
