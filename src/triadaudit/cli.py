@@ -62,10 +62,9 @@ def _invertible(v: float, i: int, j: int) -> float:
     return v
 
 
-def _completed(t12: float, t13: float, t23: float) -> list[list[float]]:
-    """The 3x3 matrix with this strict upper triangle, its other cells rebuilt by reciprocity."""
-    t12, t13, t23 = _invertible(t12, 0, 1), _invertible(t13, 0, 2), _invertible(t23, 1, 2)
-    return [[1.0, t12, t13], [1.0 / t12, 1.0, t23], [1.0 / t13, 1.0 / t23, 1.0]]
+def _completed(t12: float, t13: float, t23: float) -> Triad:
+    """The triad of this strict upper triangle, each entry checked for a finite reciprocal."""
+    return Triad(_invertible(t12, 0, 1), _invertible(t13, 0, 2), _invertible(t23, 1, 2))
 
 
 def _matrix_triad(rows: list[list[float]]) -> Triad:
@@ -88,8 +87,8 @@ def _matrix_triad(rows: list[list[float]]) -> Triad:
 def parse_matrix_file(path: str | Path, complete_lower: bool = False) -> tuple[Triad, list[str] | None]:
     """Read a triad file: a 3x3 matrix as JSON with a "matrix" key or as CSV rows, or one CSV row "t12,t13,t23".
 
-    With ``complete_lower`` (always, for the one row) the diagonal and the
-    sub-diagonal are rebuilt from the strict upper triangle, which tolerates
+    With ``complete_lower`` (always, for the one row) only the strict upper
+    triangle is read and the other cells are ignored, which tolerates
     hand-entered files that round reciprocals (or leave them 0).  Returns the
     triad and the optional alternative labels.  Every way the file can be
     unreadable, malformed or not a triad raises CliError naming the file.
@@ -117,16 +116,14 @@ def parse_matrix_file(path: str | Path, complete_lower: bool = False) -> tuple[T
             rows = [[float(cell) for cell in line.split(",")] for line in text.splitlines() if line.strip()]
             labels = None
             if len(rows) == 1 and len(rows[0]) == 3:
-                rows = _completed(*rows[0])
+                return _completed(*rows[0]), None
         if not rows:
             raise CliError(f"{path} contains no matrix rows")
         if len(rows) != 3 or any(len(row) != 3 for row in rows):
             lengths = {len(row) for row in rows}
             shape = f"{len(rows)}x{lengths.pop()} matrix" if len(lengths) == 1 else "ragged matrix"
             raise CliError(f"triads only: {path} holds a {shape}; expected 3x3 or one CSV row t12,t13,t23")
-        if complete_lower:
-            rows = _completed(rows[0][1], rows[0][2], rows[1][2])
-        triad = _matrix_triad(rows)
+        triad = _completed(rows[0][1], rows[0][2], rows[1][2]) if complete_lower else _matrix_triad(rows)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
     # Malformed text, JSON nested past the parser's depth, an integer beyond
@@ -138,7 +135,7 @@ def parse_matrix_file(path: str | Path, complete_lower: bool = False) -> tuple[T
 
 def _config_from(args) -> AuditConfig:
     """--samples and --seed (else PCM_SEED) when given; AuditConfig supplies every other value."""
-    given = {"samples": getattr(args, "samples", None), "master_seed": getattr(args, "seed", None)}
+    given = {"samples": args.samples, "master_seed": args.seed}
     env = os.environ.get("PCM_SEED")
     if given["master_seed"] is None and env is not None:
         try:
@@ -193,7 +190,7 @@ def _cmd_compute(args) -> int:
             "indices": list(ids),
             "complete_lower": bool(args.complete_lower),
         }
-        _print_report(build_report(command, _config_from(args), results, []))
+        _print_report(build_report(command, AuditConfig(), results, []))
     else:
         width = max(len(i) for i in ids)
         for index_id in ids:

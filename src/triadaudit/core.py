@@ -38,9 +38,6 @@ class DomainError(ValueError):
 
 
 def _require_positive_finite(name: str, value: float) -> float:
-    # Fast path, as in Triad.__init__: a float in (0, inf) is returned as it is.
-    if type(value) is float and 0.0 < value < _INF:
-        return value
     value = float(value)
     if not math.isfinite(value) or value <= 0.0:
         raise DomainError(f"{name} must be a finite positive real, got {value!r}")
@@ -149,10 +146,9 @@ def transpose_triad(t: Triad) -> Triad:
 
 def power_transform(t: Triad, b: float) -> Triad:
     """Entrywise power (t12^b, t13^b, t23^b); preserves reciprocity for any finite b."""
-    if not (type(b) is float and -_INF < b < _INF):
-        b = float(b)
-        if not math.isfinite(b):
-            raise DomainError(f"b must be finite, got {b!r}")
+    b = float(b)
+    if not math.isfinite(b):
+        raise DomainError(f"b must be finite, got {b!r}")
     return Triad(t.t12**b, t.t13**b, t.t23**b)
 
 
@@ -169,10 +165,9 @@ def single_entry_perturb(t: Triad, position: str, delta: float) -> Triad:
     monotonicity axioms: the input must be consistent and the chosen entry
     must differ from 1.
     """
-    if not (type(delta) is float and -_INF < delta < _INF):
-        delta = float(delta)
-        if not math.isfinite(delta):
-            raise DomainError(f"delta must be finite, got {delta!r}")
+    delta = float(delta)
+    if not math.isfinite(delta):
+        raise DomainError(f"delta must be finite, got {delta!r}")
     if not is_consistent(t):
         raise DomainError(f"input triad must be consistent, got consistency ratio {consistency_ratio(t)!r}")
     position = str(position)

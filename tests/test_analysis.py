@@ -61,6 +61,14 @@ class TestIndependenceTable:
         for row in table.rows:
             assert sum(c.expected == "fail" for c in row.cells) == 1
 
+    def test_catalog_profiles_state_the_positional_diagonal(self):
+        # independence_table expects cx_i to fail INDEPENDENCE_AXIOMS[i] by position;
+        # the catalog's expected profiles state the same claim per index.
+        assert len(INDEPENDENCE_ROWS) == len(INDEPENDENCE_AXIOMS)
+        for row_id, designated in zip(INDEPENDENCE_ROWS, INDEPENDENCE_AXIOMS):
+            profile = get_index(row_id).expected_profile
+            assert [a for a in INDEPENDENCE_AXIOMS if profile[a] == "fail"] == [designated], row_id
+
     def test_row_order(self, fast_matrix):
         table = independence_table(fast_matrix)
         assert tuple(r.index_id for r in table.rows) == INDEPENDENCE_ROWS

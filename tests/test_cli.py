@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -324,6 +325,19 @@ class TestSeedResolution:
         _, out, _ = run_cli("audit", "natural", "--axioms", "URS", "--samples", "10", "--json")
         assert json.loads(out)["config"]["master_seed"] == 42
 
+    def test_compute_echoes_the_default_config_whatever_pcm_seed_holds(self, tmp_path, monkeypatch):
+        # compute draws no probes, so PCM_SEED neither enters its report nor can fail it.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "row.csv").write_text("2,7,0.5\n")
+        argv = ("compute", "--matrix", "row.csv", "--json")
+        monkeypatch.delenv("PCM_SEED", raising=False)
+        code, unset, err = run_cli(*argv)
+        assert (code, err) == (0, "") and json.loads(unset)["config"]["master_seed"] == 42
+        assert hashlib.sha256(unset.encode("utf-8")).hexdigest() == JSON_DIGESTS[argv]
+        for env in ("123", "not-a-number"):
+            monkeypatch.setenv("PCM_SEED", env)
+            assert run_cli(*argv) == (0, unset, ""), env
+
 
 def test_usage_error_exits_two():
     code, _, _ = run_cli("audit")  # missing index argument
@@ -421,6 +435,47 @@ def test_malformed_matrix_file_exits_two_with_one_line(tmp_path, name):
             assert err == f"error: {path}: matrix must be a list of rows\n"
         if name == "subnormal.csv":
             assert err == f"error: {path}: entry (1,2) must have a finite reciprocal, got 5e-320\n"
+
+
+# Upper triangles (t12, t13, t23) and what reading them gives: the triad, or
+# the error text that follows the file name.
+UPPER_TRIANGLES = [
+    pytest.param((2, 7, 0.5), Triad(2, 7, 0.5), id="valid"),
+    pytest.param((0, 7, 0.5), ": entry (1,2) must be a finite positive real, got 0.0", id="zero"),
+    pytest.param((2, -1, 0.5), ": entry (1,3) must be a finite positive real, got -1.0", id="negative"),
+    pytest.param((2, 7, math.inf), ": entry (2,3) must be a finite positive real, got inf", id="inf"),
+    pytest.param((math.nan, 7, 0.5), ": entry (1,2) must be a finite positive real, got nan", id="nan"),
+    pytest.param((2, 7, 5e-320), ": entry (2,3) must have a finite reciprocal, got 5e-320", id="subnormal"),
+    pytest.param((2, 1e308, 0.5), Triad(2, 1e308, 0.5), id="huge"),
+]
+
+
+def _cli_reading(path, *flags):
+    """The triad that compute reports for ``path``, or its error text after the file name."""
+    code, out, err = run_cli("compute", "--matrix", str(path), "--index", "natural", "--json", *flags)
+    if code == 0:
+        return Triad(**json.loads(out)["results"]["triad"])
+    assert_one_line_error(code, out, err, str(path))
+    return err.removeprefix(f"error: {path}").rstrip("\n")
+
+
+@pytest.mark.parametrize("upper, expected", UPPER_TRIANGLES)
+def test_every_upper_triangle_reading_takes_one_path(tmp_path, upper, expected):
+    # A one-row CSV, a 3x3 JSON read with --complete-lower and a 3x3 CSV read by
+    # parse_matrix_file(complete_lower=True) ignore the junk off the upper triangle.
+    t12, t13, t23 = upper
+    junk = [[0, t12, t13], [-1, math.nan, t23], [math.inf, 7, -2.5]]
+    row = tmp_path / "row.csv"
+    row.write_text(",".join(map(str, upper)) + "\n")
+    square_json = tmp_path / "square.json"
+    square_json.write_text(json.dumps({"matrix": junk}))
+    square_csv = tmp_path / "square.csv"
+    square_csv.write_text("".join(",".join(map(str, cells)) + "\n" for cells in junk))
+    try:
+        parsed = parse_matrix_file(square_csv, complete_lower=True)[0]
+    except CliError as exc:
+        parsed = str(exc).removeprefix(str(square_csv))
+    assert _cli_reading(row) == _cli_reading(square_json, "--complete-lower") == parsed == expected
 
 
 def test_compute_takes_no_sampling_flags(matrix_s):
