@@ -14,7 +14,7 @@ the falsification engine:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Mapping
 
 from .axioms import AuditConfig, AuditReport, VerdictMatrix, Witness, _block0, _log_span, probe_key, verdict_matrix
@@ -104,17 +104,15 @@ def independence_table(source: AuditConfig | VerdictMatrix | None = None) -> Ind
     """cx1..cx6 against the six independence axioms, read from a verdict
     matrix or audited at a config.
 
-    The expected pattern is diagonal: cx_i fails axiom i and passes the
-    other five.
+    Each cell expects the status of its row's catalog profile, which is
+    diagonal: cx_i fails axiom i and passes the other five.
     """
     descriptors = [get_index(row_id) for row_id in INDEPENDENCE_ROWS]
     matrix = _matrix(source, descriptors, INDEPENDENCE_AXIOMS)
     rows = []
-    for descriptor, designated in zip(descriptors, INDEPENDENCE_AXIOMS):
-        cells = tuple(
-            IndependenceCell(v.axiom, v.status, "fail" if v.axiom == designated else "pass", v.witness)
-            for v in matrix.report(descriptor, INDEPENDENCE_AXIOMS).verdicts
-        )
+    for descriptor in descriptors:
+        report = matrix.report(descriptor, INDEPENDENCE_AXIOMS)
+        cells = tuple(IndependenceCell(v.axiom, v.status, report.expected[v.axiom], v.witness) for v in report.verdicts)
         rows.append(IndependenceRow(index_id=descriptor.id, cells=cells))
     return IndependenceTable(rows=tuple(rows), config=matrix.config)
 
@@ -143,7 +141,7 @@ IMPLICATION_RULES: tuple[ImplicationRule, ...] = (
 class ImplicationVerdict:
     rule: ImplicationRule
     index_id: str
-    premise_status: Mapping[str, str]
+    premise_status: Mapping[str, str] = field(hash=False)
     conclusion_status: str
     status: str  # "consistent-with-lemma" | "counterexample-to-lemma"
     vacuous: bool

@@ -45,7 +45,7 @@ import sys
 from dataclasses import dataclass, field, fields
 from functools import partial
 from itertools import count, permutations
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .core import (
     Triad,
@@ -329,9 +329,9 @@ class Witness:
 
     axiom: str
     relation: str
-    triads: Mapping[str, Triad]
-    params: Mapping[str, object] = field(default_factory=dict)
-    observed: Mapping[str, float] = field(default_factory=dict)
+    triads: Mapping[str, Triad] = field(hash=False)
+    params: Mapping[str, object] = field(default_factory=dict, hash=False)
+    observed: Mapping[str, float] = field(default_factory=dict, hash=False)
 
     def to_dict(self) -> dict:
         return {
@@ -367,11 +367,11 @@ class AxiomVerdict:
 
 
 def _invariance_expand(
-    transform: Callable[..., Triad], param: str | None, input: Triad, *values: object
+    transform: Callable[..., Triad], input: Triad, *values: object
 ) -> tuple[Triad, list[tuple[object, Triad]]]:
     """(input, others): (value, transform of ``input`` by value) for each value in
-    order; IIP and HTA take no parameter and no values, so they transform once."""
-    if param is None:
+    order; a row that carries no value (IIP, HTA) transforms once, with None as its value."""
+    if not values:
         return input, [(None, transform(input))]
     others = []
     for value in values:
@@ -402,17 +402,6 @@ def _invariance_violation(
                 observed={"input": a, name: b},
             )
     return None
-
-
-def _mrp_expand(input: Triad, *bs: float) -> tuple[Triad, list[tuple[float, Triad]]]:
-    """(input, powers): (b, input^b) for each b in order but b = 1, which is left
-    out: x ** 1.0 == x exactly, so that power is the input and neither strict
-    inequality can hold against its own value, NaN included."""
-    powers = []
-    for b in bs:
-        if b != 1.0:
-            powers.append((b, power_transform(input, b)))
-    return input, powers
 
 
 def _mrp_violation(
@@ -454,6 +443,7 @@ def _monotone_expand(
 
 
 def _monotone_violation(
+    axiom: str,
     strict: bool,
     evaluate: Evaluator,
     tol: float,
@@ -483,7 +473,7 @@ def _monotone_violation(
             prev_value, delta_prev = cur_value, delta
             continue
         return Witness(
-            axiom="SMSC" if strict else "MSC",
+            axiom=axiom,
             relation=relation,
             triads={"consistent": consistent},
             params={"position": position, "delta_prev": delta_prev, "delta": delta, "violation": violation},
@@ -612,6 +602,14 @@ def _urs_probes(cfg: AuditConfig) -> _Probes:
         yield used, (reference, _sampled(lo, span, u3, u4, u5), "inconsistent_match")
 
 
+def _lifts_above(consistent: Triad, position: str) -> bool:
+    """Whether the MSC/SMSC ladder at ``position`` walks the DELTA_GRID side above 1:
+    raising that entry to a power delta lifts the consistency ratio t13 / (t12 * t23)
+    above 1 for delta > 1 exactly when the entry is t13 and above 1, or t12 or t23
+    and below 1; otherwise delta < 1 lifts it."""
+    return (consistent.entry(position) > 1.0) == (position == "13")
+
+
 def _monotone_probes(axiom: str, cfg: AuditConfig) -> _Probes:
     """MSC/SMSC: one row per probe, a whole intensification ladder from a consistent triad.
 
@@ -624,8 +622,7 @@ def _monotone_probes(axiom: str, cfg: AuditConfig) -> _Probes:
     Only the side whose perturbations land on the canonical side (consistency
     ratio >= 1) is probed: the side that the independence and characterization
     arguments exercise, and that an asymmetric index such as cx4 must satisfy.
-    On a consistent base that side follows from signs alone: the ratio
-    t13 / (t12 * t23) rises above 1 when t13 is raised or t12 or t23 lowered.
+    On a consistent base that side follows from signs alone (see _lifts_above).
     """
     lo, span = _log_span(cfg.entry_range)
     key = probe_key(cfg.master_seed, axiom)
@@ -636,7 +633,7 @@ def _monotone_probes(axiom: str, cfg: AuditConfig) -> _Probes:
             base = _consistent_off_unit(draw, lo, span)
             u3 = draw()
         position = _POSITIONS[int(3 * u3)]
-        deltas = _DELTAS_ABOVE if (base.entry(position) > 1.0) == (position == "13") else _DELTAS_BELOW
+        deltas = _DELTAS_ABOVE if _lifts_above(base, position) else _DELTAS_BELOW
         yield i + 1, (base, position, 1.0, *deltas)
 
 
@@ -705,9 +702,7 @@ def _simpler_triads(t: Triad, position: str | None, lo: float, hi: float) -> lis
 def _monotone_domain(consistent: Triad, position: str, delta_prev: float, delta: float) -> bool:
     """MSC/SMSC: the base off 1 (see _off_unit), and the ladder side (delta
     above or below 1) still the one that lifts the consistency ratio."""
-    if not _off_unit(consistent):
-        return False
-    return ((consistent.entry(position) > 1.0) == (position == "13")) == (delta > 1.0)
+    return _off_unit(consistent) and _lifts_above(consistent, position) == (delta > 1.0)
 
 
 def _shrink(spec: _AxiomSpec, witness: Witness, evaluate: Evaluator, cfg: AuditConfig) -> Witness:
@@ -745,8 +740,7 @@ def _shrink(spec: _AxiomSpec, witness: Witness, evaluate: Evaluator, cfg: AuditC
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _AxiomSpec:
+class _AxiomSpec(NamedTuple):
     """Everything the engine knows about one axiom.
 
     A row is a tuple of the fields ``row`` names, in that order; a grid or
@@ -754,7 +748,7 @@ class _AxiomSpec:
     (URS and CON make two rows per probe, one per triad drawn; URS's probe 0
     makes one, as its consistent triad is the reference).
     ``expand(*row)`` builds the triads that the row compares (IPA's
-    permutations, MRP's powers but b = 1, SI's scalings, the IIP transpose,
+    permutations, MRP's powers, SI's scalings, the IIP transpose,
     the HTA collapse, the MSC/SMSC rungs, CON's first and last rungs; URS has
     none) and returns them with the row's fields.  ``violation(evaluate, tol,
     *expanded)`` only evaluates and compares: it evaluates each distinct
@@ -769,14 +763,43 @@ class _AxiomSpec:
     before any sampling, so the fail verdict does not depend on the budget.
     ``in_domain(*row)`` holds on a shrunk one-value row that keeps the probe
     domain's conditions beyond its triads' entry range (see _shrink).
+    A plain tuple: it holds functions, and no code compares or hashes a spec.
     """
 
     violation: Callable[..., Witness | None]
     probes: Callable[[AuditConfig], _Probes]
     row: tuple[str, ...]
     expand: Callable[..., tuple] = lambda *row: row
-    pinned: Mapping[str, tuple[tuple, ...]] = field(default_factory=dict)
+    pinned: Mapping[str, tuple[tuple, ...]] = {}
     in_domain: Callable[..., bool] = lambda *row: True
+
+
+def _invariance(
+    axiom: str, name: str, param: str | None, transform: Callable[..., Triad], values: tuple = (),
+    probes: Callable[[AuditConfig], _Probes] | None = None, pinned: Mapping[str, tuple[tuple, ...]] = {},
+) -> _AxiomSpec:
+    """The spec of an invariance axiom: I(input) must equal I(``name``), the input
+    transformed by each value of the row's field ``param``, or transformed once
+    when ``param`` is None.  Each probe draws one sampled triad and carries
+    ``values``, unless ``probes`` is given."""
+    return _AxiomSpec(
+        partial(_invariance_violation, axiom, name, param),
+        probes or partial(_grid_probes, axiom, values),
+        ("input",) if param is None else ("input", param),
+        partial(_invariance_expand, transform),
+        pinned,
+    )
+
+
+def _monotone(axiom: str, strict: bool) -> _AxiomSpec:
+    """The spec of MSC (ties allowed) or SMSC (``strict``: a tie between rungs is a violation)."""
+    return _AxiomSpec(
+        partial(_monotone_violation, axiom, strict),
+        partial(_monotone_probes, axiom),
+        ("consistent", "position", "delta_prev", "delta"),
+        _monotone_expand,
+        in_domain=_monotone_domain,
+    )
 
 
 # The probe design: fixed grids that the checks walk at every config, echoed
@@ -789,9 +812,12 @@ _PROBE_DESIGN = {"b_grid": B_GRID, "delta_grid": DELTA_GRID, "k_grid": K_GRID, "
 # The two MSC/SMSC ladder sides, each walked away from delta = 1.
 _DELTAS_ABOVE = tuple(d for d in DELTA_GRID if d > 1.0)
 _DELTAS_BELOW = tuple(d for d in reversed(DELTA_GRID) if d < 1.0)
-# The identity is left out, as MRP skips b = 1: its permuted triad equals the
-# input, so its row cannot break invariance for a finite value.
+# IPA's and MRP's rows leave out the identity permutation and b = 1: their
+# transformed triad equals the input (x ** 1.0 == x exactly), so the row
+# cannot break invariance for a finite value nor, NaN included, either strict
+# inequality of MRP.
 _PERMUTATIONS = tuple(permutations(range(3)))[1:]
+_POWERS = tuple(b for b in B_GRID if b != 1.0)
 
 # Probe domains.  "Sampled": three entries log-uniform on entry_range.
 # "Consistent": (w1/w2, w1/w3, w2/w3) from three weights log-uniform on entry_range.
@@ -799,59 +825,30 @@ _SPECS: dict[str, _AxiomSpec] = {
     # URS: each probe's sampled offender and each later probe's consistent triad, against probe 0's consistent one.
     "URS": _AxiomSpec(_urs_violation, _urs_probes, ("reference", "offender", "kind")),
     # IPA: a sampled triad under each of the five permutations of the alternatives other than the identity.
-    "IPA": _AxiomSpec(
-        partial(_invariance_violation, "IPA", "permuted", "perm"),
-        partial(_grid_probes, "IPA", _PERMUTATIONS),
-        ("input", "perm"),
-        partial(_invariance_expand, permute_triad, "perm"),
+    "IPA": _invariance("IPA", "permuted", "perm", permute_triad, _PERMUTATIONS),
+    # MRP: a sampled triad raised to each power b in B_GRID but 1, on both sides of 1.
+    "MRP": _AxiomSpec(
+        _mrp_violation, partial(_grid_probes, "MRP", _POWERS), ("input", "b"),
+        partial(_invariance_expand, power_transform),
     ),
-    # MRP: a sampled triad raised to each power b in B_GRID, on both sides of 1.
-    "MRP": _AxiomSpec(_mrp_violation, partial(_grid_probes, "MRP", B_GRID), ("input", "b"), _mrp_expand),
     # MSC: a consistent triad, |log entry| >= _MIN_LOG_ENTRY; one entry walks the DELTA_GRID side lifting the ratio.
-    "MSC": _AxiomSpec(
-        partial(_monotone_violation, False),
-        partial(_monotone_probes, "MSC"),
-        ("consistent", "position", "delta_prev", "delta"),
-        _monotone_expand,
-        in_domain=_monotone_domain,
-    ),
+    "MSC": _monotone("MSC", strict=False),
     # CON: a sampled and a consistent triad; one entry times 1 + eps for each eps in CONTINUITY_LADDER.
     "CON": _AxiomSpec(_con_violation, _con_probes, ("input", "position", "ladder"), _con_expand),
     # IIP: a sampled triad against its transpose.
-    "IIP": _AxiomSpec(
-        partial(_invariance_violation, "IIP", "transposed", None),
-        partial(_grid_probes, "IIP", ()),
-        ("input",),
-        partial(_invariance_expand, transpose_triad, None),
-        pinned={"cx4": ((Triad(1.0, 3.0, 2.0),),)},
-    ),
+    "IIP": _invariance("IIP", "transposed", None, transpose_triad, pinned={"cx4": ((Triad(1.0, 3.0, 2.0),),)}),
     # HTA: (1; a; b) with a and b log-uniform on entry_range, against (1; a/b; 1).
-    "HTA": _AxiomSpec(
-        partial(_invariance_violation, "HTA", "collapsed", None),
-        _hta_probes,
-        ("input",),
-        partial(_invariance_expand, lambda t: Triad(1.0, t.t13 / t.t23, 1.0), None),
+    "HTA": _invariance(
+        "HTA", "collapsed", None, lambda t: Triad(1.0, t.t13 / t.t23, 1.0), probes=_hta_probes,
         pinned={"cx5": ((Triad(1.0, 8.0, 4.0),),)},
     ),
     # SI: a sampled triad scaled by each factor k in K_GRID, on both sides of 1.
-    "SI": _AxiomSpec(
-        partial(_invariance_violation, "SI", "scaled", "k"),
-        partial(_grid_probes, "SI", K_GRID),
-        ("input", "k"),
-        partial(_invariance_expand, scale_transform, "k"),
-        pinned={
-            "cx6": ((Triad(1.0, 8.0, 4.0), 2.0),),
-            "scale_dependent": ((Triad(1.0, 3.0, 2.0), 2.0),),
-        },
+    "SI": _invariance(
+        "SI", "scaled", "k", scale_transform, K_GRID,
+        pinned={"cx6": ((Triad(1.0, 8.0, 4.0), 2.0),), "scale_dependent": ((Triad(1.0, 3.0, 2.0), 2.0),)},
     ),
     # SMSC: the MSC probes, with ties between rungs counted as violations.
-    "SMSC": _AxiomSpec(
-        partial(_monotone_violation, True),
-        partial(_monotone_probes, "SMSC"),
-        ("consistent", "position", "delta_prev", "delta"),
-        _monotone_expand,
-        in_domain=_monotone_domain,
-    ),
+    "SMSC": _monotone("SMSC", strict=True),
 }
 
 
@@ -915,7 +912,7 @@ class AuditReport:
     index_id: str
     config: AuditConfig
     verdicts: tuple[AxiomVerdict, ...]
-    expected: Mapping[str, str]
+    expected: Mapping[str, str] = field(hash=False)
 
     def verdict(self, axiom: str) -> AxiomVerdict:
         for v in self.verdicts:

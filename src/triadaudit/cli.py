@@ -95,7 +95,7 @@ def parse_matrix_file(path: str | Path, complete_lower: bool = False) -> tuple[T
     """
     path = Path(path)
     try:
-        text = path.read_text("utf-8")
+        text = path.read_text("utf-8-sig")
         if path.suffix.lower() == ".json":
             doc = json.loads(text)
             if not isinstance(doc, dict) or "matrix" not in doc:

@@ -190,7 +190,7 @@ class TestProbeDomains:
     def rows(self, axiom):
         return [row for _, row in _SPECS[axiom].probes(self.CFG)]
 
-    @pytest.mark.parametrize("axiom, grid", [("MRP", B_GRID), ("SI", K_GRID)])
+    @pytest.mark.parametrize("axiom, grid", [("MRP", tuple(b for b in B_GRID if b != 1.0)), ("SI", K_GRID)])
     def test_power_and_scale_grids_are_positive_on_both_sides_of_one(self, axiom, grid):
         assert all(v > 0.0 for v in grid)
         assert min(grid) < 1.0 < max(grid)
@@ -530,20 +530,36 @@ def test_probe_rng_checks_the_index_at_the_call():
 
 
 def test_results_survive_pickle_and_copy():
-    # Triad stores its entries in slots and has no __dict__; it, a fail
-    # witness holding triads and the verdict around it round-trip unchanged.
+    # Triad stores its entries in slots and has no __dict__.  Every result
+    # type (a fail witness holding triads and the verdict around it among
+    # them) round-trips unchanged, hashes, and hashes equal after the trip;
+    # the mapping fields take no part in the hash, only in equality.
     t = Triad(1.0, 3.0, 2.0)
     assert not hasattr(t, "__dict__")
-    verdict = check_axiom(get_index("cx4"), "IIP", AuditConfig(samples=20))
+    cfg = AuditConfig(samples=20)
+    verdict = check_axiom(get_index("cx4"), "IIP", cfg)
     assert verdict.status == "fail" and isinstance(verdict, AxiomVerdict)
     witness = verdict.witness
     assert isinstance(witness, Witness) and all(isinstance(v, Triad) for v in witness.triads.values())
-    for value in (t, witness, verdict):
+    matrix = verdict_matrix(CATALOG, AXIOMS, cfg)
+    table = analysis.independence_table(matrix)
+    implication = analysis.audit_implications(matrix)[0]
+    concordance = analysis.ranking_concordance(get_index("natural"), get_index("cx5"), cfg)
+    assert concordance.discordant_witness is not None
+    characterization = analysis.characterization_check(get_index("koczkodaj"), matrix)
+    values = (
+        t, cfg, get_index("cx4"), witness, verdict, audit(get_index("cx4"), AXIOMS, cfg), matrix,
+        table, table.rows[0], table.rows[0].cells[0], implication.rule, implication, concordance, characterization,
+    )
+    for value in values:
         copies = [pickle.loads(pickle.dumps(value, protocol)) for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)]
         copies += [copy.copy(value), copy.deepcopy(value)]
         for other in copies:
             assert other == value and type(other) is type(value)
             assert repr(other) == repr(value)
+            assert hash(other) == hash(value), type(value)
+    reports = {descriptor: audit(descriptor, AXIOMS, cfg) for descriptor in CATALOG}
+    assert [reports[descriptor] for descriptor in CATALOG] == [report for _, report in matrix.rows]
 
 
 def test_tracer_patch_points_are_module_attributes():
@@ -692,7 +708,7 @@ def test_a_patched_triad_init_sees_every_build(monkeypatch):
 REFERENCE_CONFIGS = [AuditConfig(samples=200, entry_range=r) for r in [(1.0 / 9.0, 9.0), (0.5, 2.0), (1e-6, 1e6)]]
 _GRIDS = {
     "IPA": tuple(p for p in permutations(range(3)) if p != (0, 1, 2)),
-    "MRP": B_GRID,
+    "MRP": tuple(b for b in B_GRID if b != 1.0),
     "IIP": (),
     "SI": K_GRID,
 }
@@ -1275,7 +1291,7 @@ def test_shrinking_spends_at_most_its_replay_budget(monkeypatch):
     # A violation that never reproduces makes the shrinker try every candidate:
     # a consistent reference and a sampled offender whose entries have 17 digits.
     replays = []
-    spec = dataclasses.replace(_SPECS["URS"], violation=lambda *row: replays.append(row))
+    spec = _SPECS["URS"]._replace(violation=lambda *row: replays.append(row))
     reference = Triad(0.7123456789012345, 0.7123456789012345 * 3.123456789012345, 3.123456789012345)
     offender = Triad(0.4123456789012345, 2.123456789012345, 5.123456789012345)
     witness = Witness(

@@ -478,6 +478,38 @@ def test_every_upper_triangle_reading_takes_one_path(tmp_path, upper, expected):
     assert _cli_reading(row) == _cli_reading(square_json, "--complete-lower") == parsed == expected
 
 
+BOM_FILES = [
+    pytest.param("row.csv", "1,3,2\n", id="one-row-csv"),
+    pytest.param("square.csv", "1,1,3\n1,1,2\n0.3333333333333333,0.5,1\n", id="3x3-csv"),
+    pytest.param(
+        "square.json", json.dumps({"matrix": [[1, 1, 3], [1, 1, 2], [1 / 3, 0.5, 1]], "labels": ["a", "b", "c"]}),
+        id="json",
+    ),
+]
+
+
+@pytest.mark.parametrize("name, text", BOM_FILES)
+def test_a_byte_order_mark_reads_as_the_same_triad(tmp_path, name, text):
+    # Excel's "CSV UTF-8" export and Windows Notepad start a file with a UTF-8 byte-order mark.
+    (tmp_path / "plain").mkdir()
+    (tmp_path / "marked").mkdir()
+    plain, marked = tmp_path / "plain" / name, tmp_path / "marked" / name
+    plain.write_bytes(text.encode("utf-8"))
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    triad, labels = parse_matrix_file(plain)
+    assert triad == Triad(1, 3, 2) and labels == (["a", "b", "c"] if name.endswith(".json") else None)
+    assert parse_matrix_file(marked) == (triad, labels)
+    assert _cli_reading(marked) == _cli_reading(plain) == triad
+
+
+def test_undecodable_bytes_give_the_codec_error(tmp_path):
+    path = tmp_path / "r.csv"
+    path.write_bytes(b"1,3,\xff2\n")
+    code, out, err = run_cli("compute", "--matrix", str(path))
+    assert_one_line_error(code, out, err, str(path))
+    assert err == f"error: {path}: 'utf-8' codec can't decode byte 0xff in position 4: invalid start byte\n"
+
+
 def test_compute_takes_no_sampling_flags(matrix_s):
     code, out, _ = run_cli("compute", "--matrix", matrix_s, "--seed", "7")
     assert (code, out) == (2, "")
