@@ -164,19 +164,12 @@ def _implication_verdict(rule: ImplicationRule, report: AuditReport) -> Implicat
     )
 
 
-def audit_implications(
-    source: AuditConfig | VerdictMatrix | None = None, indices=None
-) -> tuple[ImplicationVerdict, ...]:
-    """Evaluate every implication rule over `indices` (default: the catalog),
-    read from a verdict matrix or audited at a config."""
-    indices = tuple(indices) if indices is not None else CATALOG
+def audit_implications(source: AuditConfig | VerdictMatrix | None = None) -> tuple[ImplicationVerdict, ...]:
+    """Evaluate every implication rule on each row of a verdict matrix, in row
+    order, or on the catalog audited at a config."""
     needed = {a for rule in IMPLICATION_RULES for a in rule.premises + (rule.conclusion,)}
-    matrix = _matrix(source, indices, needed)
-    return tuple(
-        _implication_verdict(rule, matrix.report(descriptor, needed))
-        for descriptor in indices
-        for rule in IMPLICATION_RULES
-    )
+    matrix = _matrix(source, CATALOG, needed)
+    return tuple(_implication_verdict(rule, report) for _, report in matrix.rows for rule in IMPLICATION_RULES)
 
 
 @dataclass(frozen=True)

@@ -383,47 +383,45 @@ def _invariance_violation(
     axiom: str,
     name: str,
     param: str | None,
+    relation: Callable[[float, float, float, object], str | None],
     evaluate: Evaluator,
     tol: float,
     input: Triad,
     others: list[tuple[object, Triad]],
 ) -> Witness | None:
-    """SI, HTA, IIP and IPA: I(input) must equal I(other) within the band for each
-    (value, other) pair in order; ``param`` names the value in a witness."""
+    """IPA, MRP, IIP, HTA and SI: I(input) and I(other) must keep the axiom's
+    ``relation`` for each (value, other) pair in order; ``param`` names the
+    value in a witness.  ``relation(tol, I(input), I(other), value)`` returns
+    the violated relation's text, or None; it is called only when the two
+    values differ, as equal values break no relation of the family (and a NaN
+    differs from every value)."""
     a = evaluate(input)
     for value, other in others:
         b = evaluate(other)
-        if a != b and not _close(a, b, tol):
-            return Witness(
-                axiom=axiom,
-                relation=f"|I(input) - I({name})| > tolerance band",
-                triads={"input": input, name: other},
-                params={} if param is None else {param: value},
-                observed={"input": a, name: b},
-            )
+        if a != b:
+            text = relation(tol, a, b, value)
+            if text is not None:
+                return Witness(
+                    axiom=axiom,
+                    relation=text,
+                    triads={"input": input, name: other},
+                    params={} if param is None else {param: value},
+                    observed={"input": a, name: b},
+                )
     return None
 
 
-def _mrp_violation(
-    evaluate: Evaluator, tol: float, input: Triad, powers: list[tuple[float, Triad]]
-) -> Witness | None:
-    """I(input^b) must not fall below I(input) for b >= 1 nor rise above it for b <= 1, for each (b, input^b) in order."""
-    base = evaluate(input)
-    for b, powered in powers:
-        after = evaluate(powered)
-        if b >= 1.0 and after < base and after < base - _band(tol, base, after):
-            relation = "I(powered) < I(input) - tolerance band although b >= 1"
-        elif b <= 1.0 and after > base and after > base + _band(tol, base, after):
-            relation = "I(powered) > I(input) + tolerance band although b <= 1"
-        else:
-            continue
-        return Witness(
-            axiom="MRP",
-            relation=relation,
-            triads={"input": input, "powered": powered},
-            params={"b": b},
-            observed={"input": base, "powered": after},
-        )
+def _equal(name: str, tol: float, a: float, b: float, value: object) -> str | None:
+    """IPA, IIP, HTA and SI: I(input) must equal I(``name``) within the band."""
+    return None if _close(a, b, tol) else f"|I(input) - I({name})| > tolerance band"
+
+
+def _power_order(tol: float, base: float, after: float, b: float) -> str | None:
+    """MRP: I(input^b) must not fall below I(input) for b >= 1 nor rise above it for b <= 1."""
+    if b >= 1.0 and after < base and after < base - _band(tol, base, after):
+        return "I(powered) < I(input) - tolerance band although b >= 1"
+    if b <= 1.0 and after > base and after > base + _band(tol, base, after):
+        return "I(powered) > I(input) + tolerance band although b <= 1"
     return None
 
 
@@ -777,13 +775,15 @@ class _AxiomSpec(NamedTuple):
 def _invariance(
     axiom: str, name: str, param: str | None, transform: Callable[..., Triad], values: tuple = (),
     probes: Callable[[AuditConfig], _Probes] | None = None, pinned: Mapping[str, tuple[tuple, ...]] = {},
+    relation: Callable[[float, float, float, object], str | None] | None = None,
 ) -> _AxiomSpec:
-    """The spec of an invariance axiom: I(input) must equal I(``name``), the input
-    transformed by each value of the row's field ``param``, or transformed once
-    when ``param`` is None.  Each probe draws one sampled triad and carries
-    ``values``, unless ``probes`` is given."""
+    """The spec of a grid axiom: I(input) and I(``name``), the input transformed
+    by each value of the row's field ``param`` (or transformed once when
+    ``param`` is None), must keep ``relation`` (default: _equal, equality
+    within the band; see _invariance_violation).  Each probe draws one sampled
+    triad and carries ``values``, unless ``probes`` is given."""
     return _AxiomSpec(
-        partial(_invariance_violation, axiom, name, param),
+        partial(_invariance_violation, axiom, name, param, relation or partial(_equal, name)),
         probes or partial(_grid_probes, axiom, values),
         ("input",) if param is None else ("input", param),
         partial(_invariance_expand, transform),
@@ -827,10 +827,7 @@ _SPECS: dict[str, _AxiomSpec] = {
     # IPA: a sampled triad under each of the five permutations of the alternatives other than the identity.
     "IPA": _invariance("IPA", "permuted", "perm", permute_triad, _PERMUTATIONS),
     # MRP: a sampled triad raised to each power b in B_GRID but 1, on both sides of 1.
-    "MRP": _AxiomSpec(
-        _mrp_violation, partial(_grid_probes, "MRP", _POWERS), ("input", "b"),
-        partial(_invariance_expand, power_transform),
-    ),
+    "MRP": _invariance("MRP", "powered", "b", power_transform, _POWERS, relation=_power_order),
     # MSC: a consistent triad, |log entry| >= _MIN_LOG_ENTRY; one entry walks the DELTA_GRID side lifting the ratio.
     "MSC": _monotone("MSC", strict=False),
     # CON: a sampled and a consistent triad; one entry times 1 + eps for each eps in CONTINUITY_LADDER.

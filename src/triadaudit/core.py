@@ -128,14 +128,15 @@ _PERMUTERS: dict[tuple[int, ...], Callable[[Triad], Triad]] = {
 
 
 def permute_triad(t: Triad, perm: Sequence[int]) -> Triad:
-    """Relabel the alternatives of `t`: ``perm[i]`` is the new position of alternative i (0-based)."""
+    """Relabel the alternatives of `t`: ``perm[i]`` is the new position of alternative i (0-based).
+
+    ``perm`` may be any iterable whose items equal a permutation of (0, 1, 2) by value; anything else
+    raises DomainError.
+    """
     try:
-        permuter = _PERMUTERS[perm]
+        permuter = _PERMUTERS[tuple(perm)]
     except (KeyError, TypeError):
-        p = tuple(map(int, perm))
-        if sorted(p) != [0, 1, 2]:
-            raise DomainError(f"perm must be a bijection on 0..2, got {perm!r}") from None
-        permuter = _PERMUTERS[p]
+        raise DomainError(f"perm must be a bijection on 0..2, got {perm!r}") from None
     return permuter(t)
 
 

@@ -111,6 +111,13 @@ class TestImplications:
         verdicts = audit_implications(fast_matrix)
         assert all(v.status == "consistent-with-lemma" for v in verdicts)
 
+    def test_a_matrix_is_audited_row_by_row(self):
+        # Any rows, not only the catalog's: each row's reports, in row order.
+        natural, cx4 = get_index("natural"), get_index("cx4")
+        verdicts = audit_implications(verdict_matrix([natural, cx4], AXIOMS, AuditConfig(samples=20)))
+        expected = [(i, r) for i in ("natural", "cx4") for r in IMPLICATION_RULES]
+        assert [(v.index_id, v.rule) for v in verdicts] == expected
+
     def test_flat_is_vacuous_for_strict_monotonicity_rule(self, fast_matrix):
         verdict = _implication(fast_matrix, "SMSC+CON+HTA+SI=>URS", "flat")
         assert verdict.status == "consistent-with-lemma"
@@ -336,10 +343,17 @@ class TestVerdictMatrix:
         monkeypatch.setattr(triadaudit.axioms, "_block0", counting_block0)
         monkeypatch.setattr(triadaudit.axioms, "probe_rng", lambda *args: replays.append(args) or probe_rng(*args))
 
+        def cx4_rows(source):
+            """The cx4 row of a verdict matrix, or cx4 audited at a config."""
+            cx4 = get_index("cx4")
+            if isinstance(source, VerdictMatrix):
+                return VerdictMatrix(source.config, ((cx4, source.report(cx4, AXIOMS)),))
+            return verdict_matrix([cx4], AXIOMS, source)
+
         def results(source):
             return (
                 independence_table(source),
-                audit_implications(source, [get_index("cx4")]),
+                audit_implications(cx4_rows(source)),
                 tuple(characterization_check(get_index(i), source) for i in ("cx3", "cx4")),
             )
 
@@ -396,7 +410,7 @@ class TestVerdictMatrix:
         with pytest.raises(LookupError, match="HTA. was not part of the audit of .natural"):
             characterization_check(natural, only_iip)
         with pytest.raises(LookupError):
-            audit_implications(only_iip, [natural])
+            audit_implications(only_iip)
 
     @pytest.mark.parametrize("axioms", [("NOPE",), (), ("urs",)])
     def test_a_bad_axiom_set_raises_as_audit_does(self, axioms):

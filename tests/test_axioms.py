@@ -1077,20 +1077,21 @@ def test_con_agrees_with_the_full_ladder_on_scripted_values():
 
 @pytest.mark.parametrize("tol", [1e-9, 1e-3])
 def test_equality_relations_follow_the_close_rule_on_scripted_values(tol):
-    # IIP's relation, which IPA, HTA and SI share, and URS's consistent_mismatch
-    # row fail iff the two values are not close.
+    # The equality relation of IPA, IIP, HTA and SI, each on a one-value row,
+    # and URS's consistent_mismatch row fail iff the two values are not close.
     input, reference, offender = Triad(2.0, 3.0, 5.0), Triad(2.0, 6.0, 3.0), Triad(4.0, 12.0, 3.0)
-    expanded = _SPECS["IIP"].expand(input)
-    transposed = expanded[1][0][1]
     values = band_edge_values(tol)
-    for x in values:
-        for y in values:
-            close = axioms._close(x, y, tol)
-            iip = _SPECS["IIP"].violation(_scripted({input: x, transposed: y}), tol, *expanded)
-            urs = _SPECS["URS"].violation(
-                _scripted({reference: x, offender: y}), tol, reference, offender, "consistent_mismatch"
-            )
-            assert (iip is None, urs is None) == (close, close), (x, y)
+    for axiom, row_values in (("IPA", ((0, 2, 1),)), ("IIP", ()), ("HTA", ()), ("SI", (2.0,))):
+        expanded = _SPECS[axiom].expand(input, *row_values)
+        transformed = expanded[1][0][1]
+        for x in values:
+            for y in values:
+                close = axioms._close(x, y, tol)
+                grid = _SPECS[axiom].violation(_scripted({input: x, transformed: y}), tol, *expanded)
+                urs = _SPECS["URS"].violation(
+                    _scripted({reference: x, offender: y}), tol, reference, offender, "consistent_mismatch"
+                )
+                assert (grid is None, urs is None) == (close, close), (axiom, x, y)
 
 
 @pytest.mark.parametrize("cfg", CON_CONFIGS, ids=["default", "tol_1e-3", "range_1e6", "seed_7"])

@@ -165,6 +165,17 @@ class TestPermutation:
         with pytest.raises(DomainError, match="bijection"):
             permute_triad(Triad(1, 3, 2), (0, 0, 2))
 
+    # A non-integer entry is not truncated to a bijection, nor is a string read digit by digit.
+    @pytest.mark.parametrize("perm", [(0, 1, 2.7), [0, 2, 1.9], "021"])
+    def test_a_permutation_is_not_truncated_to_one(self, perm):
+        with pytest.raises(DomainError, match="bijection"):
+            permute_triad(Triad(1, 3, 2), perm)
+
+    @pytest.mark.parametrize("perm", [[0, 2, 1], (p for p in (0, 2, 1)), (0.0, 2.0, 1.0)])
+    def test_a_permutation_is_read_by_value(self, perm):
+        t = Triad(1.5, 7.0, 0.3)
+        assert permute_triad(t, perm) == permute_triad(t, (0, 2, 1))
+
 
 class TestPowerTransform:
     def test_unit_exponent_is_identity(self):
