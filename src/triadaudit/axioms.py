@@ -58,7 +58,7 @@ from .core import (
     single_entry_perturb,
     transpose_triad,
 )
-from .indices import AXIOMS, IndexDescriptor
+from .indices import IndexDescriptor
 
 __all__ = [
     "AuditConfig",
@@ -849,6 +849,14 @@ _SPECS: dict[str, _AxiomSpec] = {
 }
 
 
+def _spec(axiom: str) -> _AxiomSpec:
+    """The table entry of ``axiom``; UnknownAxiomError if it is not one of the nine."""
+    try:
+        return _SPECS[axiom]
+    except KeyError:
+        raise UnknownAxiomError(f"unknown axiom {axiom!r}; valid axioms: {', '.join(_SPECS)}") from None
+
+
 def _sweep(indices: tuple[IndexDescriptor, ...], axiom: str, cfg: AuditConfig) -> list[AxiomVerdict]:
     """The verdict of `axiom` for each of `indices`, by position.
 
@@ -859,9 +867,7 @@ def _sweep(indices: tuple[IndexDescriptor, ...], axiom: str, cfg: AuditConfig) -
     no index is open; the indices left open pass.  So each index sees the
     triads a sweep of it alone would see, in the same order, and no row is kept.
     """
-    spec = _SPECS.get(axiom)
-    if spec is None:
-        raise UnknownAxiomError(f"unknown axiom {axiom!r}; valid axioms: {', '.join(AXIOMS)}")
+    spec = _spec(axiom)
     violation, expand, tol = spec.violation, spec.expand, cfg.tolerance
     evaluates = [index.evaluate for index in indices]
     verdicts: list[AxiomVerdict | None] = [None] * len(indices)
@@ -942,14 +948,17 @@ class AuditReport:
 
 def _requested_axioms(axioms) -> tuple[str, ...]:
     """The requested axioms in canonical order, checked before anything is evaluated:
-    ValueError if there are none, UnknownAxiomError naming any that is not one of the nine."""
+    TypeError for a bare string, whose letters are no axiom set, ValueError if
+    there are none, UnknownAxiomError naming any that is not one of the nine."""
+    if isinstance(axioms, str):
+        raise TypeError(f"axioms must be a collection of axiom names, not the string {axioms!r}; write ({axioms!r},)")
     requested = set(axioms)
     if not requested:
         raise ValueError("audit requires a non-empty set of axioms")
-    unknown = requested - set(AXIOMS)
+    unknown = requested - _SPECS.keys()
     if unknown:
-        raise UnknownAxiomError(f"unknown axioms {sorted(unknown)}; valid axioms: {', '.join(AXIOMS)}")
-    return tuple(a for a in AXIOMS if a in requested)
+        raise UnknownAxiomError(f"unknown axioms {sorted(unknown)}; valid axioms: {', '.join(_SPECS)}")
+    return tuple(a for a in _SPECS if a in requested)
 
 
 def _report(index: IndexDescriptor, cfg: AuditConfig, verdicts: tuple[AxiomVerdict, ...]) -> AuditReport:
@@ -997,8 +1006,6 @@ def verdict_matrix(indices, axioms, cfg: AuditConfig | None = None) -> VerdictMa
 
 def replay_witness(witness: Witness, evaluate: Evaluator, tolerance: float = AuditConfig.tolerance) -> bool:
     """Re-run a witness against `evaluate`; True iff the violation reproduces."""
-    spec = _SPECS.get(witness.axiom)
-    if spec is None:
-        raise UnknownAxiomError(f"unknown axiom {witness.axiom!r} in witness")
+    spec = _spec(witness.axiom)
     fields = {**witness.triads, **witness.params}
     return spec.violation(evaluate, tolerance, *spec.expand(*[fields[name] for name in spec.row])) is not None

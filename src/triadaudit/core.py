@@ -80,9 +80,6 @@ class Triad:
         # methods that dataclass(slots=True) generates, which vary across Python versions.
         return Triad, (self.t12, self.t13, self.t23)
 
-    def entries(self) -> tuple[float, float, float]:
-        return (self.t12, self.t13, self.t23)
-
     def entry(self, position: str) -> float:
         key = str(position)
         if key == "12":
@@ -109,9 +106,9 @@ def consistency_ratio(t: Triad) -> float:
     return t.t13 / (t.t12 * t.t23)
 
 
-def is_consistent(t: Triad, tol: float = CONSISTENCY_TOL) -> bool:
+def is_consistent(t: Triad) -> bool:
     x = consistency_ratio(t)
-    return abs(x - 1.0) <= tol * max(1.0, x)
+    return abs(x - 1.0) <= CONSISTENCY_TOL * max(1.0, x)
 
 
 # The six bijections, each reading the permuted entries straight from the

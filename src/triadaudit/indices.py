@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
-from .core import CONSISTENCY_TOL, Triad, consistency_ratio, is_consistent
+from .core import Triad, consistency_ratio, is_consistent
 
 __all__ = [
     "AXIOMS",
@@ -91,13 +91,9 @@ def _cx2(t: Triad) -> float:
 def _cx3(t: Triad) -> float:
     # Same value surface as natural_index + 1 off the consistent set, but
     # drops to 0 on it, so it jumps in every neighbourhood of consistency.
-    if is_consistent(t, CONSISTENCY_TOL):
+    if is_consistent(t):
         return 0.0
     return natural_index(t) + 1.0
-
-
-def _cx4(t: Triad) -> float:
-    return consistency_ratio(t)
 
 
 def _cx5(t: Triad) -> float:
@@ -180,7 +176,7 @@ CATALOG: tuple[IndexDescriptor, ...] = (
     IndexDescriptor(
         id="cx4",
         label="Upper-triangle ratio x without symmetrisation",
-        evaluate=_cx4,
+        evaluate=consistency_ratio,
         expected_profile=_profile(("IPA", "MRP", "IIP")),
     ),
     IndexDescriptor(

@@ -13,9 +13,7 @@ import math
 
 from .axioms import AuditConfig
 
-__all__ = ["build_report", "dumps_canonical", "report_schema", "SCHEMA_RESOURCE"]
-
-SCHEMA_RESOURCE = "report.schema.json"
+__all__ = ["build_report", "dumps_canonical", "report_schema"]
 
 
 def build_report(command: dict, cfg: AuditConfig, results: dict, witnesses: list[dict]) -> dict:
@@ -69,5 +67,5 @@ def dumps_canonical(value, indent: int = 0) -> str:
 def report_schema() -> dict:
     """The JSON schema that every emitted report validates against."""
     import importlib.resources  # here, not at the top: no command reads the schema
-    text = importlib.resources.files("triadaudit.schemas").joinpath(SCHEMA_RESOURCE).read_text("utf-8")
+    text = importlib.resources.files("triadaudit.schemas").joinpath("report.schema.json").read_text("utf-8")
     return json.loads(text)

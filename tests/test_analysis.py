@@ -1,5 +1,6 @@
 """Independence table, implication rules, concordance, characterization."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -78,8 +79,8 @@ class TestIndependenceTable:
         row = next(r for r in table.rows if r.index_id == "cx5")
         cell = next(c for c in row.cells if c.axiom == "HTA")
         # The pinned probe (1, 8, 4) vs its collapsed form (1, 2, 1): 17/4 vs 2.
-        assert cell.witness.triads["input"].entries() == (1.0, 8.0, 4.0)
-        assert cell.witness.triads["collapsed"].entries() == (1.0, 2.0, 1.0)
+        assert dataclasses.astuple(cell.witness.triads["input"]) == (1.0, 8.0, 4.0)
+        assert dataclasses.astuple(cell.witness.triads["collapsed"]) == (1.0, 2.0, 1.0)
         assert abs(cell.witness.observed["input"] - 4.25) <= 1e-12
         assert abs(cell.witness.observed["collapsed"] - 2.0) <= 1e-12
 
@@ -87,7 +88,7 @@ class TestIndependenceTable:
         table = independence_table(fast_matrix)
         row = next(r for r in table.rows if r.index_id == "cx6")
         cell = next(c for c in row.cells if c.axiom == "SI")
-        assert cell.witness.triads["scaled"].entries() == (2.0, 32.0, 8.0)
+        assert dataclasses.astuple(cell.witness.triads["scaled"]) == (2.0, 32.0, 8.0)
         assert abs(cell.witness.observed["input"] - 1.5) <= 1e-12
         assert abs(cell.witness.observed["scaled"] - 2.25) <= 1e-12
 
