@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field, fields
 from typing import Mapping
 
-from .axioms import AuditConfig, AuditReport, VerdictMatrix, Witness, _block0, _log_span, probe_key, verdict_matrix
+from .axioms import AuditConfig, AuditReport, VerdictMatrix, Witness, _stream, verdict_matrix
 from .axioms import audit, probe_rng, sample_triad  # noqa: F401  (perfbench's tracer wraps these names here)
 from .core import Triad
 from .indices import CATALOG, IndexDescriptor, get_index
@@ -196,18 +196,18 @@ def ranking_concordance(
 ) -> ConcordanceStats:
     """Classify cfg.samples sampled triad pairs by the sign pattern of both indices.
 
-    Pair i draws from stream i of the key probe_key(master_seed, "pair")
-    alone, so swapping the two indices evaluates the exact same pairs with
-    the tie columns swapped: s from draws 0-2 and t from draws 3-5 of block 0,
-    read through the keyed block-0 loop, as two sample_triad calls on the
-    draw function probe_rng(key, i) would draw them.
+    Pair i draws from stream i of the family "pair" alone, so swapping the
+    two indices evaluates the exact same pairs with the tie columns swapped:
+    s from draws 0-2 and t from draws 3-5 of block 0, read through the probe
+    families' one stream entry point, as two sample_triad calls on the draw
+    function probe_rng(probe_key(master_seed, "pair"), i) would draw them.
     """
     cfg = cfg if cfg is not None else AuditConfig()
     eval_a, eval_b, isclose, exp, tol = a.evaluate, b.evaluate, math.isclose, math.exp, cfg.tolerance
     concordant = discordant = ties_a_only = ties_b_only = ties_both = 0
     witness = None
-    lo, span = _log_span(cfg.entry_range)
-    for u0, u1, u2, u3, u4, u5 in _block0(probe_key(cfg.master_seed, "pair"), range(cfg.samples), 6):
+    lo, span, draws = _stream("pair", 6, cfg)
+    for u0, u1, u2, u3, u4, u5 in draws:
         s = Triad(exp(lo + span * u0), exp(lo + span * u1), exp(lo + span * u2))
         t = Triad(exp(lo + span * u3), exp(lo + span * u4), exp(lo + span * u5))
         a_s, a_t, b_s, b_t = eval_a(s), eval_a(t), eval_b(s), eval_b(t)

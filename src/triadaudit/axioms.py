@@ -6,18 +6,18 @@ order for a counterexample.  A verdict of "pass" means "no violation found at
 this configuration", never a proof; a "fail" verdict carries a
 self-contained witness that replays without the RNG, shrunk to simple entries
 first.  Probe i of an axiom draws from its own counter-based stream: the
-axiom's key, 8 bytes of the sha256 of (master_seed, axiom), is derived once
-per check, and block j of the stream is the keyed blake2b hash of (i, j),
-eight draws.  So results do not depend on evaluation order, and growing the
-sample count can only turn a pass into a fail.  Each probe family reads
-block 0 through one keyed loop, _block0, which builds the keyed hash state
-once per family, copies it for each probe and decodes only the draws the
-family reads; it builds its triads from them by position.  MSC and SMSC
-redraw their consistent base until its entries are off 1: a probe whose
-first try is rejected replays its draws from draw 0 by calling the draw
-function probe_rng(key, i), which hashes each block as it reaches it.  The
-public samplers sample_triad and sample_consistent_triad take such a draw
-function and build the same triads from the same draws.
+axiom's key is 8 bytes of the sha256 of (master_seed, axiom), and block j of
+the stream is the keyed blake2b hash of (i, j), eight draws.  So results do
+not depend on evaluation order, and growing the sample count can only turn a
+pass into a fail.  Every probe family, and analysis.ranking_concordance,
+reads its stream through one entry point, _stream(tag, width, cfg), which
+derives the key and the log-uniform span and yields the first ``width``
+draws of block 0 of each probe; the family builds its triads from them by
+position.  MSC and SMSC redraw their consistent base until its entries are
+off 1: a probe whose first try is rejected takes every try again from draw 0
+through the draw function probe_rng(key, i), which hashes each block as it
+reaches it.  The public samplers sample_triad and sample_consistent_triad
+take such a draw function and build the same triads from the same draws.
 
 Axiom identifiers:
 
@@ -203,21 +203,13 @@ _WORDS = struct.Struct("<8Q")
 # _DECODE[n] turns the first n words of a block into draws, each word w as
 # (w >> 11) * 2**-53.  Spelled out per n: on CPython 3.11 a comprehension over
 # the words costs 0.2-0.3 us more per probe than a call of this table.  The
-# probe families read widths 2, 3, 4, 6 and 7 through _block0, and _draws
-# reads whole blocks.
+# probe families read block 0 through _stream at width 3 (the grid axioms), 6
+# (URS, MSC/SMSC and the concordance pairs) or 8 (CON), and _draws reads whole blocks.
 _DECODE = {
-    2: lambda w0, w1: ((w0 >> 11) * 2.0**-53, (w1 >> 11) * 2.0**-53),
     3: lambda w0, w1, w2: ((w0 >> 11) * 2.0**-53, (w1 >> 11) * 2.0**-53, (w2 >> 11) * 2.0**-53),
-    4: lambda w0, w1, w2, w3: (
-        (w0 >> 11) * 2.0**-53, (w1 >> 11) * 2.0**-53, (w2 >> 11) * 2.0**-53, (w3 >> 11) * 2.0**-53,
-    ),
     6: lambda w0, w1, w2, w3, w4, w5: (
         (w0 >> 11) * 2.0**-53, (w1 >> 11) * 2.0**-53, (w2 >> 11) * 2.0**-53, (w3 >> 11) * 2.0**-53,
         (w4 >> 11) * 2.0**-53, (w5 >> 11) * 2.0**-53,
-    ),
-    7: lambda w0, w1, w2, w3, w4, w5, w6: (
-        (w0 >> 11) * 2.0**-53, (w1 >> 11) * 2.0**-53, (w2 >> 11) * 2.0**-53, (w3 >> 11) * 2.0**-53,
-        (w4 >> 11) * 2.0**-53, (w5 >> 11) * 2.0**-53, (w6 >> 11) * 2.0**-53,
     ),
     8: lambda w0, w1, w2, w3, w4, w5, w6, w7: (
         (w0 >> 11) * 2.0**-53, (w1 >> 11) * 2.0**-53, (w2 >> 11) * 2.0**-53, (w3 >> 11) * 2.0**-53,
@@ -231,9 +223,9 @@ def _block0(key: bytes, probes: Iterable[int], width: int) -> Iterator[tuple[flo
     of the family keyed by ``key``, in order: the first ``width`` calls of
     ``probe_rng(key, i)`` as a tuple.
 
-    The probe families read block 0 here.  The keyed hash state is built once
-    and copied for each probe, and only the first ``width`` words are unpacked
-    and decoded.
+    _stream reads block 0 here for every probe family.  The keyed hash state
+    is built once and copied for each probe, and only the first ``width``
+    words are unpacked and decoded.
     """
     import hashlib
     state = hashlib.blake2b(key=key, digest_size=64)
@@ -277,6 +269,13 @@ def _log_span(entry_range: tuple[float, float]) -> tuple[float, float]:
     return lo, math.log(entry_range[1]) - lo
 
 
+def _stream(tag: str, width: int, cfg: AuditConfig) -> tuple[float, float, Iterator[tuple[float, ...]]]:
+    """(lo, span, draws) of the probe family ``tag`` at ``cfg``: a draw u maps to the
+    entry exp(lo + span * u), and ``draws`` yields draws 0 to width - 1 of probes
+    0 to cfg.samples - 1 of the family keyed by probe_key(cfg.master_seed, tag), in order."""
+    return (*_log_span(cfg.entry_range), _block0(probe_key(cfg.master_seed, tag), range(cfg.samples), width))
+
+
 def _sampled(lo: float, span: float, u1: float, u2: float, u3: float) -> Triad:
     """The triad of three log-uniform entries, from draws u1, u2, u3."""
     return Triad(math.exp(lo + span * u1), math.exp(lo + span * u2), math.exp(lo + span * u3))
@@ -308,11 +307,8 @@ def _off_unit(t: Triad) -> bool:
 
 
 def _consistent_off_unit(draw: Callable[[], float], lo: float, span: float) -> Triad:
-    """The first consistent triad, three draws at a time from draw 3 on, that _off_unit accepts.
-    Draws 0-2 are the first of the 100,000 tries, read from block 0 and rejected by the caller."""
-    for _ in range(3):
-        draw()
-    for _ in range(99_999):
+    """The first consistent triad, three draws at a time from draw 0, that _off_unit accepts."""
+    for _ in range(100_000):
         base = _consistent(lo, span, draw(), draw(), draw())
         if _off_unit(base):
             return base
@@ -431,7 +427,9 @@ def _monotone_expand(
     """(consistent, position, delta_prev, previous, rungs): the rung at delta_prev
     (None for delta_prev = 1, the unperturbed consistent triad) and (delta, rung)
     for each delta.  single_entry_perturb checks the base and the position on
-    the first rung; the later rungs raise the same entry to their own power."""
+    the first rung; the later rungs raise the same entry to their own power.
+    ``position`` is read as str(position), as Triad.entry reads it."""
+    position = str(position)
     previous = None if delta_prev == 1.0 else single_entry_perturb(consistent, position, delta_prev)
     rungs = [(deltas[0], single_entry_perturb(consistent, position, deltas[0]))]
     entry = consistent.entry(position)
@@ -489,7 +487,9 @@ def _con_expand(
     input: Triad, position: str, ladder: tuple[float, ...]
 ) -> tuple[Triad, str, tuple[float, ...], Triad, Triad]:
     """(input, position, ladder, first, last): the rungs at the first and last eps.
-    The middle rungs are built by _con_violation, only for rows that need them."""
+    The middle rungs are built by _con_violation, only for rows that need them.
+    ``position`` is read as str(position), as Triad.entry reads it."""
+    position = str(position)
     return input, position, ladder, _con_rung(input, position, ladder[0]), _con_rung(input, position, ladder[-1])
 
 
@@ -563,34 +563,30 @@ def _urs_violation(evaluate: Evaluator, tol: float, reference: Triad, offender: 
 
 # ---------------------------------------------------------------------------
 # probes: (samples_used, row) pairs, probe i drawing only from stream i of its
-# family's key: block 0 from _block0, and later blocks, for an MSC/SMSC base
-# redraw only, from probe_rng(key, i)
+# family's key: block 0 from _stream, and every try of an MSC/SMSC base
+# redraw from probe_rng(key, i)
 # ---------------------------------------------------------------------------
 
 _Probes = Iterator[tuple[int, tuple]]
 
 
-def _grid_probes(axiom: str, values: tuple, cfg: AuditConfig) -> _Probes:
-    """One sampled triad per probe (draws 0-2), followed by every parameter value in `values` (IIP has none)."""
-    lo, span = _log_span(cfg.entry_range)
-    draws = _block0(probe_key(cfg.master_seed, axiom), range(cfg.samples), 3)
+def _grid_probes(axiom: str, build: Callable[..., Triad], values: tuple, cfg: AuditConfig) -> _Probes:
+    """One triad per probe, ``build(lo, span, u0, u1, u2)`` of draws 0-2, followed by
+    every parameter value in `values` (IIP and HTA have none)."""
+    lo, span, draws = _stream(axiom, 3, cfg)
     for used, (u0, u1, u2) in enumerate(draws, 1):
-        yield used, (_sampled(lo, span, u0, u1, u2), *values)
+        yield used, (build(lo, span, u0, u1, u2), *values)
 
 
-def _hta_probes(cfg: AuditConfig) -> _Probes:
-    """(1; a; b) with a and b from draws 0 and 1."""
-    lo, span = _log_span(cfg.entry_range)
-    draws = _block0(probe_key(cfg.master_seed, "HTA"), range(cfg.samples), 2)
-    for used, (u0, u1) in enumerate(draws, 1):
-        yield used, (Triad(1.0, math.exp(lo + span * u0), math.exp(lo + span * u1)),)
+def _unit_t12(lo: float, span: float, u1: float, u2: float, u3: float) -> Triad:
+    """HTA's triad (1; a; b), a and b log-uniform from draws u1 and u2; u3 is not read."""
+    return Triad(1.0, math.exp(lo + span * u1), math.exp(lo + span * u2))
 
 
 def _urs_probes(cfg: AuditConfig) -> _Probes:
     """A consistent triad (draws 0-2) and a sampled offender (draws 3-5) per probe.
     Probe 0's consistent triad is the reference; it is not compared with itself."""
-    lo, span = _log_span(cfg.entry_range)
-    draws = _block0(probe_key(cfg.master_seed, "URS"), range(cfg.samples), 6)
+    lo, span, draws = _stream("URS", 6, cfg)
     for used, (u0, u1, u2, u3, u4, u5) in enumerate(draws, 1):
         consistent = _consistent(lo, span, u0, u1, u2)
         if used > 1:
@@ -613,21 +609,20 @@ def _monotone_probes(axiom: str, cfg: AuditConfig) -> _Probes:
 
     The base takes three draws per try and the position is the draw after the
     base.  A probe whose first try is accepted reads draws 0-3 from block 0;
-    one whose first try is rejected reads its later tries from draw 3 on
-    through the draw function ``probe_rng(key, i)``, past block 0 when the
-    base needs three or more tries.
+    one whose first try is rejected takes every try again from draw 0 through
+    the draw function ``probe_rng(key, i)``, past block 0 when the base needs
+    three or more tries.
 
     Only the side whose perturbations land on the canonical side (consistency
     ratio >= 1) is probed: the side that the independence and characterization
     arguments exercise, and that an asymmetric index such as cx4 must satisfy.
     On a consistent base that side follows from signs alone (see _lifts_above).
     """
-    lo, span = _log_span(cfg.entry_range)
-    key = probe_key(cfg.master_seed, axiom)
-    for i, (u0, u1, u2, u3) in enumerate(_block0(key, range(cfg.samples), 4)):
+    lo, span, draws = _stream(axiom, 6, cfg)
+    for i, (u0, u1, u2, u3, _, _) in enumerate(draws):
         base = _consistent(lo, span, u0, u1, u2)
         if not _off_unit(base):
-            draw = probe_rng(key, i)
+            draw = probe_rng(probe_key(cfg.master_seed, axiom), i)
             base = _consistent_off_unit(draw, lo, span)
             u3 = draw()
         position = _POSITIONS[int(3 * u3)]
@@ -637,9 +632,8 @@ def _monotone_probes(axiom: str, cfg: AuditConfig) -> _Probes:
 
 def _con_probes(cfg: AuditConfig) -> _Probes:
     """A sampled (draws 0-2) and a consistent (draws 3-5) base per probe, sharing the position that draw 6 chooses."""
-    lo, span = _log_span(cfg.entry_range)
-    draws = _block0(probe_key(cfg.master_seed, "CON"), range(cfg.samples), 7)
-    for used, (u0, u1, u2, u3, u4, u5, u6) in enumerate(draws, 1):
+    lo, span, draws = _stream("CON", 8, cfg)
+    for used, (u0, u1, u2, u3, u4, u5, u6, _) in enumerate(draws, 1):
         bases = (_sampled(lo, span, u0, u1, u2), _consistent(lo, span, u3, u4, u5))
         position = _POSITIONS[int(3 * u6)]
         for base in bases:
@@ -774,17 +768,17 @@ class _AxiomSpec(NamedTuple):
 
 def _invariance(
     axiom: str, name: str, param: str | None, transform: Callable[..., Triad], values: tuple = (),
-    probes: Callable[[AuditConfig], _Probes] | None = None, pinned: Mapping[str, tuple[tuple, ...]] = {},
+    build: Callable[..., Triad] = _sampled, pinned: Mapping[str, tuple[tuple, ...]] = {},
     relation: Callable[[float, float, float, object], str | None] | None = None,
 ) -> _AxiomSpec:
     """The spec of a grid axiom: I(input) and I(``name``), the input transformed
     by each value of the row's field ``param`` (or transformed once when
     ``param`` is None), must keep ``relation`` (default: _equal, equality
-    within the band; see _invariance_violation).  Each probe draws one sampled
-    triad and carries ``values``, unless ``probes`` is given."""
+    within the band; see _invariance_violation).  Each probe builds one triad
+    from draws 0-2 by ``build`` (default: a sampled triad) and carries ``values``."""
     return _AxiomSpec(
         partial(_invariance_violation, axiom, name, param, relation or partial(_equal, name)),
-        probes or partial(_grid_probes, axiom, values),
+        partial(_grid_probes, axiom, build, values),
         ("input",) if param is None else ("input", param),
         partial(_invariance_expand, transform),
         pinned,
@@ -836,7 +830,7 @@ _SPECS: dict[str, _AxiomSpec] = {
     "IIP": _invariance("IIP", "transposed", None, transpose_triad, pinned={"cx4": ((Triad(1.0, 3.0, 2.0),),)}),
     # HTA: (1; a; b) with a and b log-uniform on entry_range, against (1; a/b; 1).
     "HTA": _invariance(
-        "HTA", "collapsed", None, lambda t: Triad(1.0, t.t13 / t.t23, 1.0), probes=_hta_probes,
+        "HTA", "collapsed", None, lambda t: Triad(1.0, t.t13 / t.t23, 1.0), build=_unit_t12,
         pinned={"cx5": ((Triad(1.0, 8.0, 4.0),),)},
     ),
     # SI: a sampled triad scaled by each factor k in K_GRID, on both sides of 1.

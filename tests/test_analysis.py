@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -326,13 +327,17 @@ class TestVerdictMatrix:
     # The matrices whose digests test_axioms.py pins; the config path sweeps
     # the same cells again, drawing each axiom's probes once per sweep: 705
     # draws over its 23 axiom columns, where drawing them again for every cell
-    # made 1596.  A probe is drawn when the block-0 loop yields it; an MSC or
-    # SMSC probe whose first base try is rejected replays that probe through
-    # probe_rng, so each replay must be of a probe the loop drew.
+    # made 1596.  A probe is drawn when the block-0 loop yields it, and the
+    # draws are counted per family key: the view draws no axiom probe, only
+    # the 37 concordance pairs of cx3's characterization, which both paths
+    # draw.  An MSC or SMSC probe whose first base try is rejected replays
+    # that probe through probe_rng, so each replay must be of a probe the
+    # loop drew.
     @pytest.mark.parametrize("seed", [3, 7])
     def test_matrix_view_equals_config_path(self, catalog_matrix, monkeypatch, seed):
         cfg = AuditConfig(samples=37, master_seed=seed)
         matrix = catalog_matrix(cfg)
+        families = {probe_key(seed, tag): tag for tag in (*AXIOMS, "pair")}
         draws, replays = [], []
         block0, probe_rng = triadaudit.axioms._block0, triadaudit.axioms.probe_rng
 
@@ -359,9 +364,11 @@ class TestVerdictMatrix:
             )
 
         viewed = results(matrix)
-        assert draws == [] and replays == []
+        assert Counter(families[key] for key, _ in draws) == {"pair": 37} and replays == []
+        draws.clear()
         audited = results(cfg)
-        assert len(draws) == 705
+        counts = Counter(families[key] for key, _ in draws)
+        assert counts.pop("pair") == 37 and sum(counts.values()) == 705
         assert set(replays) <= set(draws)
         table, _, characterizations = viewed
         assert table.to_dict() == audited[0].to_dict()

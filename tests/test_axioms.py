@@ -304,6 +304,23 @@ class TestWitnessReplay:
         assert replay_witness(verdict.witness, get_index("scale_dependent").evaluate)
         assert not replay_witness(verdict.witness, get_index("natural").evaluate)
 
+    @pytest.mark.parametrize("position", ["12", "13"])
+    def test_an_int_position_replays_like_its_string(self, position):
+        # Triad.entry reads str(position), and so does every rung of a CON or
+        # MSC/SMSC row: the index jumps as soon as the entry at ``position`` grows.
+        t = Triad(1.0, 3.0, 2.0)
+
+        def jump(u):
+            return float(u.entry(position) > t.entry(position))
+
+        for key in (position, int(position)):
+            witness = Witness("CON", "", {"input": t}, {"position": key, "ladder": CONTINUITY_LADDER})
+            assert replay_witness(witness, jump)
+        base = Triad(2.0, 4.0, 2.0)
+        for axiom in ("MSC", "SMSC"):
+            expand = _SPECS[axiom].expand
+            assert expand(base, int(position), 1.0, 1.5, 2.0, 3.0) == expand(base, position, 1.0, 1.5, 2.0, 3.0)
+
     def test_witness_to_dict_is_self_contained(self):
         verdict = check_axiom(get_index("cx6"), "SI", FAST)
         payload = verdict.witness.to_dict()
@@ -858,6 +875,58 @@ def test_a_pinned_msc_probe_reads_past_block_zero():
     _, tries = _reference_base(probe_rng(probe_key(cfg.master_seed, "MSC"), 26), cfg.entry_range)
     assert tries == 6
     assert [row for _, row in _SPECS["MSC"].probes(cfg)][26] == _reference_rows("MSC", cfg)[26]
+
+
+# The first row of each probe family at the default config, the first
+# concordance pair, and MSC probe 26 on (0.5, 2), whose base is redrawn:
+# each triad as the float.hex of its entries, so that a change to the stream,
+# the decoding or the triad builders shows in the last bit.
+_HEX_ROWS = {
+    "URS": (
+        ("0x1.2f76c826db9d6p-4", "0x1.6fce3dcb9cdf1p-5", "0x1.364733dd585b5p-1"),
+        ("0x1.c4521d7625198p-2", "0x1.9c48f9483fb2dp-1", "0x1.0ffd595f533c8p+0"),
+        "inconsistent_match",
+    ),
+    "IPA": (
+        ("0x1.b6c59cee5f820p-2", "0x1.22df46182e0dap+1", "0x1.bf5119c0e8974p-3"),
+        (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0),
+    ),
+    "MRP": (
+        ("0x1.0596850d50be0p+0", "0x1.9b82b5d058c43p-3", "0x1.fd67ffc4b49acp-4"),
+        0.25, 0.5, 0.75, 1.5, 2.0, 3.0,
+    ),
+    "MSC": (("0x1.2e0731f123e4ep+2", "0x1.7dd29a1f6936bp+1", "0x1.43a2561475cedp-1"), "13", 1.0, 1.5, 2.0, 3.0),
+    "CON": (("0x1.d06f18ee67a66p-3", "0x1.0f06e754995cap+2", "0x1.b903b3719dcb2p-3"), "12", CONTINUITY_LADDER),
+    "IIP": (("0x1.c9e0d2a7cac5dp-3", "0x1.bfc00b492194ap+1", "0x1.bc3a0bfa78638p-3"),),
+    "HTA": (("0x1.0000000000000p+0", "0x1.5806332579583p+0", "0x1.02f34fe11bf10p+0"),),
+    "SI": (
+        ("0x1.f77df8bb62fafp+2", "0x1.7da16e6ce2a44p-3", "0x1.ea41c1b3453d3p-2"),
+        0.1, 1.0 / 3.0, 0.5, 2.0, 3.0, 10.0,
+    ),
+    "SMSC": (("0x1.23c02743a7275p-6", "0x1.cfdd45c36b6e9p-3", "0x1.9705f2b1a46d5p+3"), "12", 1.0, 1.5, 2.0, 3.0),
+}
+_HEX_PAIR = (
+    ("0x1.d1e8ac5b0ade4p+2", "0x1.7fe56de24cc16p-1", "0x1.a856683ef4864p-1"),
+    ("0x1.0ba1fd624fef8p-1", "0x1.f52506334be21p-2", "0x1.79b79bde25906p-1"),
+)
+_HEX_REDRAWN_MSC = (("0x1.14cebcd0ea186p+0", "0x1.e343a6a0cc318p-1", "0x1.beeff8787b74cp-1"), "13", 1.0, 0.75, 0.5, 0.25)
+
+
+def _hex(row):
+    """``row`` with each triad as the float.hex of its three entries."""
+    return tuple(tuple(e.hex() for e in dataclasses.astuple(v)) if isinstance(v, Triad) else v for v in row)
+
+
+@pytest.mark.parametrize("axiom", AXIOMS)
+def test_first_row_of_each_family_at_full_precision(axiom):
+    assert _hex(next(_SPECS[axiom].probes(AuditConfig()))[1]) == _HEX_ROWS[axiom]
+
+
+def test_first_concordance_pair_and_a_redrawn_msc_base_at_full_precision():
+    seen = []
+    analysis.ranking_concordance(_recording(natural_index, seen), get_index("natural"), AuditConfig(samples=1))
+    assert _hex(seen) == _HEX_PAIR
+    assert _hex([row for _, row in _SPECS["MSC"].probes(REFERENCE_CONFIGS[1])][26]) == _HEX_REDRAWN_MSC
 
 
 def test_a_pinned_fail_is_never_evaluated_on_a_sampled_row():
