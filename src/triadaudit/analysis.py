@@ -206,7 +206,7 @@ def ranking_concordance(
     eval_a, eval_b, isclose, exp, tol = a.evaluate, b.evaluate, math.isclose, math.exp, cfg.tolerance
     concordant = discordant = ties_a_only = ties_b_only = ties_both = 0
     witness = None
-    lo, span, draws = _stream("pair", 6, cfg)
+    lo, span, _, draws = _stream("pair", 6, cfg)
     for u0, u1, u2, u3, u4, u5 in draws:
         s = Triad(exp(lo + span * u0), exp(lo + span * u1), exp(lo + span * u2))
         t = Triad(exp(lo + span * u3), exp(lo + span * u4), exp(lo + span * u5))

@@ -38,14 +38,12 @@ SMSC strict variant of MSC: ties count as violations
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 import struct
-import sys
 from dataclasses import dataclass, field, fields
 from functools import partial
 from itertools import count, permutations
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
+from typing import Callable, ClassVar, Iterable, Iterator, Mapping, NamedTuple
 
 from .core import (
     Triad,
@@ -90,9 +88,6 @@ _MIN_LOG_ENTRY = 0.05
 # index shrinks by ~1e-7 across the default ladder; a jump stays at ~1.
 _CON_JUMP_FRACTION = 1e-3
 
-# Largest |log v| of a float v whose reciprocal is also a finite float.
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
-
 _POSITIONS = ("12", "13", "23")
 
 
@@ -102,18 +97,17 @@ class UnknownAxiomError(LookupError):
 
 @dataclass(frozen=True)
 class AuditConfig:
-    """Probe count, seed, entry range and equality band; the grids are the fixed probe design below.
+    """Probe count and seed; the entry range, the equality band and the grids are the fixed probe design.
 
-    ``samples`` and ``master_seed`` take any integer type but ``bool`` and are stored as ``int``;
-    ``entry_range`` takes two real numbers and ``tolerance`` one, none of them ``bool``, stored as
-    a tuple of two floats and a float.  ``tolerance`` is a relative equality band: a equals b when
-    |a - b| <= tolerance * max(1, |a|, |b|).
+    ``samples`` and ``master_seed`` take any integer type but ``bool`` and are stored as ``int``.
+    Entries and consistent weights are log-uniform on ``entry_range``, Saaty's scale [1/9, 9], and
+    ``tolerance`` is a relative equality band: a equals b when |a - b| <= tolerance * max(1, |a|, |b|).
     """
 
     samples: int = 1000
     master_seed: int = 42
-    entry_range: tuple[float, float] = (1.0 / 9.0, 9.0)
-    tolerance: float = 1e-9
+    entry_range: ClassVar[tuple[float, float]] = (1.0 / 9.0, 9.0)
+    tolerance: ClassVar[float] = 1e-9
 
     def __post_init__(self):
         for name in ("samples", "master_seed"):
@@ -126,58 +120,10 @@ class AuditConfig:
         # Probe i draws from stream i of its family, and a family has 2**64 streams (see probe_rng).
         if self.samples > 2**64:
             raise ValueError(f"samples must be <= 2**64, the number of probe streams, got {self.samples}")
-        bounds = tuple(map(_real, self.entry_range)) if isinstance(self.entry_range, (tuple, list)) else ()
-        if len(bounds) != 2 or None in bounds:
-            raise ValueError(f"entry_range must be two real numbers (lower, upper), got {self.entry_range!r}")
-        object.__setattr__(self, "entry_range", bounds)
-        lo, hi = bounds
-        if not (0.0 < lo < hi) or not math.isfinite(hi):
-            raise ValueError(f"entry_range must be positive with lower < upper, got {self.entry_range}")
-        # MSC/SMSC redraw consistent triads until every entry is at least
-        # _MIN_LOG_ENTRY from 1 in log space.  At log(hi/lo) = 4 * _MIN_LOG_ENTRY
-        # about 1/8 of the draws qualify; narrower ranges starve that sampler.
-        if math.log(hi / lo) < 4 * _MIN_LOG_ENTRY:
-            raise ValueError(
-                f"entry_range is too narrow: log(upper/lower) must be >= {4 * _MIN_LOG_ENTRY:g}, got {self.entry_range}"
-            )
-        tolerance = _real(self.tolerance)
-        if tolerance is None:
-            raise ValueError(f"tolerance must be a real number, got {self.tolerance!r}")
-        object.__setattr__(self, "tolerance", tolerance)
-        if not (0.0 < tolerance < math.inf):
-            raise ValueError(f"tolerance must be finite and > 0, got {self.tolerance}")
-        if _log_extent(self.entry_range) > _LOG_FLOAT_MAX:
-            raise ValueError(
-                f"entry_range is too wide for the grids: its probes leave float64's range, got {self.entry_range}"
-            )
 
     def as_dict(self) -> dict:
         doc = {**{f.name: getattr(self, f.name) for f in fields(self)}, **_PROBE_DESIGN}
         return {name: list(v) if isinstance(v, tuple) else v for name, v in doc.items()}
-
-
-def _real(value: object) -> float | None:
-    """``value`` as a float if it is a real number other than a bool, else None."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        return None
-    try:
-        return float(value)
-    except OverflowError:  # an int beyond float64
-        return math.inf if value > 0 else -math.inf
-
-
-def _log_extent(entry_range: tuple[float, float]) -> float:
-    """Largest |log| of an entry, a product of two entries or a consistency ratio
-    that a probe hands to an index: sampled and consistent triads, MRP's powers b,
-    MSC/SMSC's powers delta of one consistent entry, SI's factors k, CON's 1 + eps."""
-    lo, hi = math.log(entry_range[0]), math.log(entry_range[1])
-    sampled = max(2 * abs(lo), 2 * abs(hi), hi - 2 * lo, 2 * hi - lo)
-    return max(
-        max(B_GRID) * sampled,
-        max(DELTA_GRID) * (hi - lo),
-        sampled + 2 * max(abs(math.log(k)) for k in K_GRID),
-        sampled + math.log1p(max(CONTINUITY_LADDER)),
-    )
 
 
 def _close(a: float, b: float, tol: float) -> bool:
@@ -269,11 +215,13 @@ def _log_span(entry_range: tuple[float, float]) -> tuple[float, float]:
     return lo, math.log(entry_range[1]) - lo
 
 
-def _stream(tag: str, width: int, cfg: AuditConfig) -> tuple[float, float, Iterator[tuple[float, ...]]]:
-    """(lo, span, draws) of the probe family ``tag`` at ``cfg``: a draw u maps to the
-    entry exp(lo + span * u), and ``draws`` yields draws 0 to width - 1 of probes
-    0 to cfg.samples - 1 of the family keyed by probe_key(cfg.master_seed, tag), in order."""
-    return (*_log_span(cfg.entry_range), _block0(probe_key(cfg.master_seed, tag), range(cfg.samples), width))
+def _stream(tag: str, width: int, cfg: AuditConfig) -> tuple[float, float, bytes, Iterator[tuple[float, ...]]]:
+    """(lo, span, key, draws) of the probe family ``tag`` at ``cfg``: a draw u maps to
+    the entry exp(lo + span * u), ``key`` is probe_key(cfg.master_seed, tag), and
+    ``draws`` yields draws 0 to width - 1 of probes 0 to cfg.samples - 1 of the
+    family keyed by ``key``, in order."""
+    key = probe_key(cfg.master_seed, tag)
+    return (*_log_span(cfg.entry_range), key, _block0(key, range(cfg.samples), width))
 
 
 def _sampled(lo: float, span: float, u1: float, u2: float, u3: float) -> Triad:
@@ -573,7 +521,7 @@ _Probes = Iterator[tuple[int, tuple]]
 def _grid_probes(axiom: str, build: Callable[..., Triad], values: tuple, cfg: AuditConfig) -> _Probes:
     """One triad per probe, ``build(lo, span, u0, u1, u2)`` of draws 0-2, followed by
     every parameter value in `values` (IIP and HTA have none)."""
-    lo, span, draws = _stream(axiom, 3, cfg)
+    lo, span, _, draws = _stream(axiom, 3, cfg)
     for used, (u0, u1, u2) in enumerate(draws, 1):
         yield used, (build(lo, span, u0, u1, u2), *values)
 
@@ -586,7 +534,7 @@ def _unit_t12(lo: float, span: float, u1: float, u2: float, u3: float) -> Triad:
 def _urs_probes(cfg: AuditConfig) -> _Probes:
     """A consistent triad (draws 0-2) and a sampled offender (draws 3-5) per probe.
     Probe 0's consistent triad is the reference; it is not compared with itself."""
-    lo, span, draws = _stream("URS", 6, cfg)
+    lo, span, _, draws = _stream("URS", 6, cfg)
     for used, (u0, u1, u2, u3, u4, u5) in enumerate(draws, 1):
         consistent = _consistent(lo, span, u0, u1, u2)
         if used > 1:
@@ -610,19 +558,19 @@ def _monotone_probes(axiom: str, cfg: AuditConfig) -> _Probes:
     The base takes three draws per try and the position is the draw after the
     base.  A probe whose first try is accepted reads draws 0-3 from block 0;
     one whose first try is rejected takes every try again from draw 0 through
-    the draw function ``probe_rng(key, i)``, past block 0 when the base needs
-    three or more tries.
+    the draw function ``probe_rng(key, i)`` of the family's key, derived once
+    per sweep, past block 0 when the base needs three or more tries.
 
     Only the side whose perturbations land on the canonical side (consistency
     ratio >= 1) is probed: the side that the independence and characterization
     arguments exercise, and that an asymmetric index such as cx4 must satisfy.
     On a consistent base that side follows from signs alone (see _lifts_above).
     """
-    lo, span, draws = _stream(axiom, 6, cfg)
+    lo, span, key, draws = _stream(axiom, 6, cfg)
     for i, (u0, u1, u2, u3, _, _) in enumerate(draws):
         base = _consistent(lo, span, u0, u1, u2)
         if not _off_unit(base):
-            draw = probe_rng(probe_key(cfg.master_seed, axiom), i)
+            draw = probe_rng(key, i)
             base = _consistent_off_unit(draw, lo, span)
             u3 = draw()
         position = _POSITIONS[int(3 * u3)]
@@ -632,7 +580,7 @@ def _monotone_probes(axiom: str, cfg: AuditConfig) -> _Probes:
 
 def _con_probes(cfg: AuditConfig) -> _Probes:
     """A sampled (draws 0-2) and a consistent (draws 3-5) base per probe, sharing the position that draw 6 chooses."""
-    lo, span, draws = _stream("CON", 8, cfg)
+    lo, span, _, draws = _stream("CON", 8, cfg)
     for used, (u0, u1, u2, u3, u4, u5, u6, _) in enumerate(draws, 1):
         bases = (_sampled(lo, span, u0, u1, u2), _consistent(lo, span, u3, u4, u5))
         position = _POSITIONS[int(3 * u6)]
@@ -796,13 +744,16 @@ def _monotone(axiom: str, strict: bool) -> _AxiomSpec:
     )
 
 
-# The probe design: fixed grids that the checks walk at every config, echoed
-# under "config" by AuditConfig.as_dict.
+# The probe design: the entry range, the equality band and the fixed grids that
+# the checks walk at every config, echoed under "config" by AuditConfig.as_dict.
 B_GRID = (0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0)
 DELTA_GRID = (0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0)
 K_GRID = (0.1, 1.0 / 3.0, 0.5, 2.0, 3.0, 10.0)
 CONTINUITY_LADDER = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
-_PROBE_DESIGN = {"b_grid": B_GRID, "delta_grid": DELTA_GRID, "k_grid": K_GRID, "continuity_ladder": CONTINUITY_LADDER}
+_PROBE_DESIGN = {
+    "entry_range": AuditConfig.entry_range, "tolerance": AuditConfig.tolerance,
+    "b_grid": B_GRID, "delta_grid": DELTA_GRID, "k_grid": K_GRID, "continuity_ladder": CONTINUITY_LADDER,
+}
 # The two MSC/SMSC ladder sides, each walked away from delta = 1.
 _DELTAS_ABOVE = tuple(d for d in DELTA_GRID if d > 1.0)
 _DELTAS_BELOW = tuple(d for d in reversed(DELTA_GRID) if d < 1.0)
