@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field, fields
 from typing import Mapping
 
-from .axioms import AuditConfig, AuditReport, VerdictMatrix, Witness, _stream, verdict_matrix
+from .axioms import _LO, _SPAN, AuditConfig, AuditReport, VerdictMatrix, Witness, _stream, verdict_matrix
 from .axioms import audit, probe_rng, sample_triad  # noqa: F401  (perfbench's tracer wraps these names here)
 from .core import Triad
 from .indices import CATALOG, IndexDescriptor, get_index
@@ -203,10 +203,11 @@ def ranking_concordance(
     function probe_rng(probe_key(master_seed, "pair"), i) would draw them.
     """
     cfg = cfg if cfg is not None else AuditConfig()
-    eval_a, eval_b, isclose, exp, tol = a.evaluate, b.evaluate, math.isclose, math.exp, cfg.tolerance
+    eval_a, eval_b, isclose, exp = a.evaluate, b.evaluate, math.isclose, math.exp
+    lo, span, tol = _LO, _SPAN, AuditConfig.tolerance
     concordant = discordant = ties_a_only = ties_b_only = ties_both = 0
     witness = None
-    lo, span, _, draws = _stream("pair", 6, cfg)
+    _, draws = _stream("pair", 6, cfg)
     for u0, u1, u2, u3, u4, u5 in draws:
         s = Triad(exp(lo + span * u0), exp(lo + span * u1), exp(lo + span * u2))
         t = Triad(exp(lo + span * u3), exp(lo + span * u4), exp(lo + span * u5))

@@ -11,9 +11,9 @@ the stream is the keyed blake2b hash of (i, j), eight draws.  So results do
 not depend on evaluation order, and growing the sample count can only turn a
 pass into a fail.  Every probe family, and analysis.ranking_concordance,
 reads its stream through one entry point, _stream(tag, width, cfg), which
-derives the key and the log-uniform span and yields the first ``width``
-draws of block 0 of each probe; the family builds its triads from them by
-position.  MSC and SMSC redraw their consistent base until its entries are
+derives the key and yields the first ``width`` draws of block 0 of each
+probe; the family builds its triads from them by position, each draw u
+mapped to the log-uniform entry exp(_LO + _SPAN * u).  MSC and SMSC redraw their consistent base until its entries are
 off 1: a probe whose first try is rejected takes every try again from draw 0
 through the draw function probe_rng(key, i), which hashes each block as it
 reaches it.  The public samplers sample_triad and sample_consistent_triad
@@ -126,12 +126,12 @@ class AuditConfig:
         return {name: list(v) if isinstance(v, tuple) else v for name, v in doc.items()}
 
 
-def _close(a: float, b: float, tol: float) -> bool:
-    return math.isclose(a, b, rel_tol=tol, abs_tol=tol)
+def _close(a: float, b: float) -> bool:
+    return math.isclose(a, b, rel_tol=AuditConfig.tolerance, abs_tol=AuditConfig.tolerance)
 
 
-def _band(tol: float, a: float, b: float = 0.0) -> float:
-    return tol * max(1.0, abs(a), abs(b))
+def _band(a: float, b: float = 0.0) -> float:
+    return AuditConfig.tolerance * max(1.0, abs(a), abs(b))
 
 
 def probe_key(master_seed: int, tag: str) -> bytes:
@@ -206,43 +206,44 @@ def probe_rng(key: bytes, i: int) -> Callable[[], float]:
     return _draws(key, i).__next__
 
 
-def _log_span(entry_range: tuple[float, float]) -> tuple[float, float]:
-    """(lo, span) such that a draw u in [0, 1) maps to the log-uniform entry exp(lo + span * u).
-
-    lo + span * u is exactly what random.Random.uniform(lo, hi) computes for hi = log(entry_range[1]).
-    """
-    lo = math.log(entry_range[0])
-    return lo, math.log(entry_range[1]) - lo
+# A draw u in [0, 1) maps to the entry exp(_LO + _SPAN * u), log-uniform on
+# AuditConfig.entry_range: _LO + _SPAN * u is exactly what
+# random.Random.uniform(lo, hi) computes for lo, hi the logs of the range's ends.
+_LO = math.log(AuditConfig.entry_range[0])
+_SPAN = math.log(AuditConfig.entry_range[1]) - _LO
 
 
-def _stream(tag: str, width: int, cfg: AuditConfig) -> tuple[float, float, bytes, Iterator[tuple[float, ...]]]:
-    """(lo, span, key, draws) of the probe family ``tag`` at ``cfg``: a draw u maps to
-    the entry exp(lo + span * u), ``key`` is probe_key(cfg.master_seed, tag), and
-    ``draws`` yields draws 0 to width - 1 of probes 0 to cfg.samples - 1 of the
-    family keyed by ``key``, in order."""
+def _stream(tag: str, width: int, cfg: AuditConfig) -> tuple[bytes, Iterator[tuple[float, ...]]]:
+    """(key, draws) of the probe family ``tag`` at ``cfg``: ``key`` is
+    probe_key(cfg.master_seed, tag), and ``draws`` yields draws 0 to width - 1
+    of probes 0 to cfg.samples - 1 of the family keyed by ``key``, in order."""
     key = probe_key(cfg.master_seed, tag)
-    return (*_log_span(cfg.entry_range), key, _block0(key, range(cfg.samples), width))
+    return key, _block0(key, range(cfg.samples), width)
 
 
-def _sampled(lo: float, span: float, u1: float, u2: float, u3: float) -> Triad:
+def _sampled(u1: float, u2: float, u3: float) -> Triad:
     """The triad of three log-uniform entries, from draws u1, u2, u3."""
-    return Triad(math.exp(lo + span * u1), math.exp(lo + span * u2), math.exp(lo + span * u3))
+    return Triad(math.exp(_LO + _SPAN * u1), math.exp(_LO + _SPAN * u2), math.exp(_LO + _SPAN * u3))
 
 
-def _consistent(lo: float, span: float, u1: float, u2: float, u3: float) -> Triad:
-    """The consistent triad (w1/w2, w1/w3, w2/w3) of three log-uniform weights, from draws u1, u2, u3."""
-    w1, w2, w3 = math.exp(lo + span * u1), math.exp(lo + span * u2), math.exp(lo + span * u3)
-    return Triad(w1 / w2, w1 / w3, w2 / w3)
+def _consistent(u1: float, u2: float, u3: float) -> Triad:
+    """The consistent triad (a, a * b, b) of log-uniform weights w1, w2, w3 from draws u1, u2, u3: Dekker's split
+    by 2**27 + 1 cuts w1/w2 and w2/w3 to 26-bit significands a and b, so t13 is exactly t12 * t23."""
+    w1, w2, w3 = math.exp(_LO + _SPAN * u1), math.exp(_LO + _SPAN * u2), math.exp(_LO + _SPAN * u3)
+    q, r = w1 / w2, w2 / w3
+    c, d = 134217729.0 * q, 134217729.0 * r
+    a, b = c - (c - q), d - (d - r)
+    return Triad(a, a * b, b)
 
 
-def sample_triad(draw: Callable[[], float], entry_range: tuple[float, float]) -> Triad:
-    """Three entries from the next three calls of ``draw``, each log-uniform on entry_range."""
-    return _sampled(*_log_span(entry_range), draw(), draw(), draw())
+def sample_triad(draw: Callable[[], float]) -> Triad:
+    """Three entries from the next three calls of ``draw``, each log-uniform on AuditConfig.entry_range."""
+    return _sampled(draw(), draw(), draw())
 
 
-def sample_consistent_triad(draw: Callable[[], float], entry_range: tuple[float, float]) -> Triad:
-    """Consistent triad from three log-uniform weights, the next three calls of ``draw``: (w1/w2, w1/w3, w2/w3)."""
-    return _consistent(*_log_span(entry_range), draw(), draw(), draw())
+def sample_consistent_triad(draw: Callable[[], float]) -> Triad:
+    """The consistent triad of three log-uniform weights, the next three calls of ``draw`` (see _consistent)."""
+    return _consistent(draw(), draw(), draw())
 
 
 def _off_unit(t: Triad) -> bool:
@@ -254,10 +255,10 @@ def _off_unit(t: Triad) -> bool:
     )
 
 
-def _consistent_off_unit(draw: Callable[[], float], lo: float, span: float) -> Triad:
+def _consistent_off_unit(draw: Callable[[], float]) -> Triad:
     """The first consistent triad, three draws at a time from draw 0, that _off_unit accepts."""
     for _ in range(100_000):
-        base = _consistent(lo, span, draw(), draw(), draw())
+        base = _consistent(draw(), draw(), draw())
         if _off_unit(base):
             return base
     raise RuntimeError("failed to sample a consistent triad with entries away from 1")
@@ -327,15 +328,14 @@ def _invariance_violation(
     axiom: str,
     name: str,
     param: str | None,
-    relation: Callable[[float, float, float, object], str | None],
+    relation: Callable[[float, float, object], str | None],
     evaluate: Evaluator,
-    tol: float,
     input: Triad,
     others: list[tuple[object, Triad]],
 ) -> Witness | None:
     """IPA, MRP, IIP, HTA and SI: I(input) and I(other) must keep the axiom's
     ``relation`` for each (value, other) pair in order; ``param`` names the
-    value in a witness.  ``relation(tol, I(input), I(other), value)`` returns
+    value in a witness.  ``relation(I(input), I(other), value)`` returns
     the violated relation's text, or None; it is called only when the two
     values differ, as equal values break no relation of the family (and a NaN
     differs from every value)."""
@@ -343,7 +343,7 @@ def _invariance_violation(
     for value, other in others:
         b = evaluate(other)
         if a != b:
-            text = relation(tol, a, b, value)
+            text = relation(a, b, value)
             if text is not None:
                 return Witness(
                     axiom=axiom,
@@ -355,16 +355,16 @@ def _invariance_violation(
     return None
 
 
-def _equal(name: str, tol: float, a: float, b: float, value: object) -> str | None:
+def _equal(name: str, a: float, b: float, value: object) -> str | None:
     """IPA, IIP, HTA and SI: I(input) must equal I(``name``) within the band."""
-    return None if _close(a, b, tol) else f"|I(input) - I({name})| > tolerance band"
+    return None if _close(a, b) else f"|I(input) - I({name})| > tolerance band"
 
 
-def _power_order(tol: float, base: float, after: float, b: float) -> str | None:
+def _power_order(base: float, after: float, b: float) -> str | None:
     """MRP: I(input^b) must not fall below I(input) for b >= 1 nor rise above it for b <= 1."""
-    if b >= 1.0 and after < base and after < base - _band(tol, base, after):
+    if b >= 1.0 and after < base and after < base - _band(base, after):
         return "I(powered) < I(input) - tolerance band although b >= 1"
-    if b <= 1.0 and after > base and after > base + _band(tol, base, after):
+    if b <= 1.0 and after > base and after > base + _band(base, after):
         return "I(powered) > I(input) + tolerance band although b <= 1"
     return None
 
@@ -390,7 +390,6 @@ def _monotone_violation(
     axiom: str,
     strict: bool,
     evaluate: Evaluator,
-    tol: float,
     consistent: Triad,
     position: str,
     delta_prev: float,
@@ -407,11 +406,11 @@ def _monotone_violation(
     prev_value = base_value if previous is None else evaluate(previous)
     for delta, perturbed in rungs:
         cur_value = evaluate(perturbed)
-        if cur_value < base_value and cur_value < base_value - _band(tol, base_value, cur_value):
+        if cur_value < base_value and cur_value < base_value - _band(base_value, cur_value):
             violation, relation = "below_consistent", "I(perturbed) < I(consistent) - tolerance band"
-        elif cur_value < prev_value and cur_value < prev_value - _band(tol, prev_value, cur_value):
+        elif cur_value < prev_value and cur_value < prev_value - _band(prev_value, cur_value):
             violation, relation = "decrease", "I at the larger intensification < I at the smaller one - tolerance band"
-        elif strict and cur_value - prev_value <= _band(tol, prev_value, cur_value):
+        elif strict and cur_value - prev_value <= _band(prev_value, cur_value):
             violation, relation = "tie", "intensification step failed to increase I beyond the tolerance band"
         else:
             prev_value, delta_prev = cur_value, delta
@@ -443,7 +442,6 @@ def _con_expand(
 
 def _con_violation(
     evaluate: Evaluator,
-    tol: float,
     input: Triad,
     position: str,
     ladder: tuple[float, ...],
@@ -467,7 +465,7 @@ def _con_violation(
     """
     base_value = evaluate(input)
     first, last = abs(evaluate(first_rung) - base_value), abs(evaluate(last_rung) - base_value)
-    if last <= _CON_JUMP_FRACTION * first or last <= _band(tol, base_value):
+    if last <= _CON_JUMP_FRACTION * first or last <= _band(base_value):
         return None
     middle = [abs(evaluate(_con_rung(input, position, eps)) - base_value) for eps in ladder[1:-1]]
     changes = [first, *middle, last]
@@ -487,17 +485,17 @@ def _con_violation(
     )
 
 
-def _urs_violation(evaluate: Evaluator, tol: float, reference: Triad, offender: Triad, kind: str) -> Witness | None:
+def _urs_violation(evaluate: Evaluator, reference: Triad, offender: Triad, kind: str) -> Witness | None:
     """The band absorbs rounding between values that should be equal; a clearly
     inconsistent offender asks whether two values differ, so it must hit the same float."""
     v = evaluate(reference)
     value = evaluate(offender)
     if kind == "consistent_mismatch":
-        if value == v or _close(value, v, tol):
+        if value == v or _close(value, v):
             return None
         relation = "two consistent triads take different index values"
     else:
-        if value != v or abs(consistency_ratio(offender) - 1.0) <= 10.0 * tol:
+        if value != v or abs(consistency_ratio(offender) - 1.0) <= 10.0 * AuditConfig.tolerance:
             return None
         relation = "an inconsistent triad attains the consistent reference value"
     return Witness(
@@ -519,29 +517,29 @@ _Probes = Iterator[tuple[int, tuple]]
 
 
 def _grid_probes(axiom: str, build: Callable[..., Triad], values: tuple, cfg: AuditConfig) -> _Probes:
-    """One triad per probe, ``build(lo, span, u0, u1, u2)`` of draws 0-2, followed by
+    """One triad per probe, ``build(u0, u1, u2)`` of draws 0-2, followed by
     every parameter value in `values` (IIP and HTA have none)."""
-    lo, span, _, draws = _stream(axiom, 3, cfg)
+    _, draws = _stream(axiom, 3, cfg)
     for used, (u0, u1, u2) in enumerate(draws, 1):
-        yield used, (build(lo, span, u0, u1, u2), *values)
+        yield used, (build(u0, u1, u2), *values)
 
 
-def _unit_t12(lo: float, span: float, u1: float, u2: float, u3: float) -> Triad:
+def _unit_t12(u1: float, u2: float, u3: float) -> Triad:
     """HTA's triad (1; a; b), a and b log-uniform from draws u1 and u2; u3 is not read."""
-    return Triad(1.0, math.exp(lo + span * u1), math.exp(lo + span * u2))
+    return Triad(1.0, math.exp(_LO + _SPAN * u1), math.exp(_LO + _SPAN * u2))
 
 
 def _urs_probes(cfg: AuditConfig) -> _Probes:
     """A consistent triad (draws 0-2) and a sampled offender (draws 3-5) per probe.
     Probe 0's consistent triad is the reference; it is not compared with itself."""
-    lo, span, _, draws = _stream("URS", 6, cfg)
+    _, draws = _stream("URS", 6, cfg)
     for used, (u0, u1, u2, u3, u4, u5) in enumerate(draws, 1):
-        consistent = _consistent(lo, span, u0, u1, u2)
+        consistent = _consistent(u0, u1, u2)
         if used > 1:
             yield used, (reference, consistent, "consistent_mismatch")
         else:
             reference = consistent
-        yield used, (reference, _sampled(lo, span, u3, u4, u5), "inconsistent_match")
+        yield used, (reference, _sampled(u3, u4, u5), "inconsistent_match")
 
 
 def _lifts_above(consistent: Triad, position: str) -> bool:
@@ -566,12 +564,12 @@ def _monotone_probes(axiom: str, cfg: AuditConfig) -> _Probes:
     arguments exercise, and that an asymmetric index such as cx4 must satisfy.
     On a consistent base that side follows from signs alone (see _lifts_above).
     """
-    lo, span, key, draws = _stream(axiom, 6, cfg)
+    key, draws = _stream(axiom, 6, cfg)
     for i, (u0, u1, u2, u3, _, _) in enumerate(draws):
-        base = _consistent(lo, span, u0, u1, u2)
+        base = _consistent(u0, u1, u2)
         if not _off_unit(base):
             draw = probe_rng(key, i)
-            base = _consistent_off_unit(draw, lo, span)
+            base = _consistent_off_unit(draw)
             u3 = draw()
         position = _POSITIONS[int(3 * u3)]
         deltas = _DELTAS_ABOVE if _lifts_above(base, position) else _DELTAS_BELOW
@@ -580,9 +578,9 @@ def _monotone_probes(axiom: str, cfg: AuditConfig) -> _Probes:
 
 def _con_probes(cfg: AuditConfig) -> _Probes:
     """A sampled (draws 0-2) and a consistent (draws 3-5) base per probe, sharing the position that draw 6 chooses."""
-    lo, span, _, draws = _stream("CON", 8, cfg)
+    _, draws = _stream("CON", 8, cfg)
     for used, (u0, u1, u2, u3, u4, u5, u6, _) in enumerate(draws, 1):
-        bases = (_sampled(lo, span, u0, u1, u2), _consistent(lo, span, u3, u4, u5))
+        bases = (_sampled(u0, u1, u2), _consistent(u3, u4, u5))
         position = _POSITIONS[int(3 * u6)]
         for base in bases:
             yield used, (base, position, CONTINUITY_LADDER)
@@ -617,14 +615,15 @@ def _roundings(x: float) -> list[float]:
     return values
 
 
-def _simpler_triads(t: Triad, position: str | None, lo: float, hi: float) -> list[Triad]:
-    """Candidates for ``t`` inside its probe domain on entry_range (lo, hi).
+def _simpler_triads(t: Triad, position: str | None) -> list[Triad]:
+    """Candidates for ``t`` inside its probe domain on AuditConfig.entry_range, (lo, hi).
 
     A sampled triad changes the entry at ``position`` to one of its roundings
     in [lo, hi].  A consistent triad (``position`` None) stays consistent:
     roundings of t12 and t23 with t13 = t12 * t23, every entry at most 2
     significant digits and the weights (1, 1/t12, 1/t13) fitting in a ratio hi/lo.
     """
+    lo, hi = AuditConfig.entry_range
     if position is not None:
         entry = t.entry(position)
         return [_with_entry(t, position, v) for v in _roundings(entry) if v != entry and lo <= v <= hi]
@@ -645,7 +644,7 @@ def _monotone_domain(consistent: Triad, position: str, delta_prev: float, delta:
     return _off_unit(consistent) and _lifts_above(consistent, position) == (delta > 1.0)
 
 
-def _shrink(spec: _AxiomSpec, witness: Witness, evaluate: Evaluator, cfg: AuditConfig) -> Witness:
+def _shrink(spec: _AxiomSpec, witness: Witness, evaluate: Evaluator) -> Witness:
     """The witness with simpler row triads and the same violated relation.
 
     Greedy, in ``row`` order: a sampled triad entry by entry, a consistent
@@ -654,21 +653,20 @@ def _shrink(spec: _AxiomSpec, witness: Witness, evaluate: Evaluator, cfg: AuditC
     the changed row returns a witness with the same relation; at most
     _SHRINK_REPLAYS replays are made.
     """
-    lo, hi = cfg.entry_range
     fields = {**witness.triads, **witness.params}
     replays = 0
     for name in spec.row:
         if not isinstance(fields[name], Triad):
             continue
         for position in (None,) if is_consistent(fields[name]) else _POSITIONS:
-            for candidate in _simpler_triads(fields[name], position, lo, hi):
+            for candidate in _simpler_triads(fields[name], position):
                 row = [candidate if n == name else fields[n] for n in spec.row]
                 if not spec.in_domain(*row):
                     continue
                 if replays == _SHRINK_REPLAYS:
                     return witness
                 replays += 1
-                shrunk = spec.violation(evaluate, cfg.tolerance, *spec.expand(*row))
+                shrunk = spec.violation(evaluate, *spec.expand(*row))
                 if shrunk is not None and shrunk.relation == witness.relation:
                     fields[name], witness = candidate, shrunk
                     break
@@ -690,7 +688,7 @@ class _AxiomSpec(NamedTuple):
     ``expand(*row)`` builds the triads that the row compares (IPA's
     permutations, MRP's powers, SI's scalings, the IIP transpose,
     the HTA collapse, the MSC/SMSC rungs, CON's first and last rungs; URS has
-    none) and returns them with the row's fields.  ``violation(evaluate, tol,
+    none) and returns them with the row's fields.  ``violation(evaluate,
     *expanded)`` only evaluates and compares: it evaluates each distinct
     triad once and returns the first violating value's witness, or None.  A
     sweep expands each row once for all the indices it goes to, so a matrix
@@ -717,7 +715,7 @@ class _AxiomSpec(NamedTuple):
 def _invariance(
     axiom: str, name: str, param: str | None, transform: Callable[..., Triad], values: tuple = (),
     build: Callable[..., Triad] = _sampled, pinned: Mapping[str, tuple[tuple, ...]] = {},
-    relation: Callable[[float, float, float, object], str | None] | None = None,
+    relation: Callable[[float, float, object], str | None] | None = None,
 ) -> _AxiomSpec:
     """The spec of a grid axiom: I(input) and I(``name``), the input transformed
     by each value of the row's field ``param`` (or transformed once when
@@ -765,7 +763,7 @@ _PERMUTATIONS = tuple(permutations(range(3)))[1:]
 _POWERS = tuple(b for b in B_GRID if b != 1.0)
 
 # Probe domains.  "Sampled": three entries log-uniform on entry_range.
-# "Consistent": (w1/w2, w1/w3, w2/w3) from three weights log-uniform on entry_range.
+# "Consistent": (a, a * b, b), a and b about w1/w2 and w2/w3 of three weights log-uniform on entry_range.
 _SPECS: dict[str, _AxiomSpec] = {
     # URS: each probe's sampled offender and each later probe's consistent triad, against probe 0's consistent one.
     "URS": _AxiomSpec(_urs_violation, _urs_probes, ("reference", "offender", "kind")),
@@ -813,18 +811,18 @@ def _sweep(indices: tuple[IndexDescriptor, ...], axiom: str, cfg: AuditConfig) -
     triads a sweep of it alone would see, in the same order, and no row is kept.
     """
     spec = _spec(axiom)
-    violation, expand, tol = spec.violation, spec.expand, cfg.tolerance
+    violation, expand = spec.violation, spec.expand
     evaluates = [index.evaluate for index in indices]
     verdicts: list[AxiomVerdict | None] = [None] * len(indices)
 
     def close(k: int, witness: Witness, samples_used: int) -> None:
-        shrunk = _shrink(spec, witness, evaluates[k], cfg)
+        shrunk = _shrink(spec, witness, evaluates[k])
         verdicts[k] = AxiomVerdict(axiom, "fail", shrunk, samples_used, cfg.master_seed)
 
     open_ = []
     for k, index in enumerate(indices):
         for row in spec.pinned.get(index.id, ()):
-            witness = violation(evaluates[k], tol, *expand(*row))
+            witness = violation(evaluates[k], *expand(*row))
             if witness is not None:
                 close(k, witness, 0)
                 break
@@ -835,7 +833,7 @@ def _sweep(indices: tuple[IndexDescriptor, ...], axiom: str, cfg: AuditConfig) -
             expanded = expand(*row)
             # A close rebinds open_; the row still goes to every index it started with.
             for k in open_:
-                witness = violation(evaluates[k], tol, *expanded)
+                witness = violation(evaluates[k], *expanded)
                 if witness is not None:
                     close(k, witness, samples_used)
                     open_ = [j for j in open_ if j != k]
@@ -950,7 +948,10 @@ def verdict_matrix(indices, axioms, cfg: AuditConfig | None = None) -> VerdictMa
 
 
 def replay_witness(witness: Witness, evaluate: Evaluator, tolerance: float = AuditConfig.tolerance) -> bool:
-    """Re-run a witness against `evaluate`; True iff the violation reproduces."""
+    """Re-run a witness against `evaluate`; True iff the violation reproduces.
+    ``tolerance`` may only restate the equality band, AuditConfig.tolerance: another value raises ValueError."""
+    if tolerance != AuditConfig.tolerance:
+        raise ValueError(f"a witness replays at the equality band {AuditConfig.tolerance}, not {tolerance!r}")
     spec = _spec(witness.axiom)
     fields = {**witness.triads, **witness.params}
-    return spec.violation(evaluate, tolerance, *spec.expand(*[fields[name] for name in spec.row])) is not None
+    return spec.violation(evaluate, *spec.expand(*[fields[name] for name in spec.row])) is not None

@@ -38,13 +38,13 @@ def scale_factors(draw) -> float:
     return math.exp(draw(st.floats(min_value=-math.log(10.0), max_value=math.log(10.0))))
 
 
-def band_edge_values(tol: float) -> list[float]:
-    """Index values around the band's edges at ``tol``: equal values, values
+def band_edge_values() -> list[float]:
+    """Index values around the equality band's edges: equal values, values
     within half a band and one and a half bands of 0, 1 and 1e12 on both
     sides, a negative value, both infinities and NaN."""
     values = [-1.0, math.inf, -math.inf, math.nan]
     for v in (0.0, 1.0, 1e12):
-        band = _band(tol, v)
+        band = _band(v)
         values += [v, v + 0.5 * band, v - 0.5 * band, v + 1.5 * band, v - 1.5 * band]
     return values
 

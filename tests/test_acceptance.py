@@ -36,7 +36,6 @@ from triadaudit.cli import main
 from triadaudit.reporting import report_schema
 
 DEFAULT = AuditConfig()  # samples=1000, master_seed=42
-RANGE = DEFAULT.entry_range
 
 
 def _ok(line: str) -> None:
@@ -96,10 +95,10 @@ def test_criterion_4_full_pass_profiles(default_matrix):
 
 def test_criterion_5_closed_form_identities():
     for i in range(10_000):
-        t = sample_triad(probe_rng(probe_key(DEFAULT.master_seed, "identity"), i), RANGE)
+        t = sample_triad(probe_rng(probe_key(DEFAULT.master_seed, "identity"), i))
         assert rel_close(koczkodaj_index(t), 1.0 - 1.0 / natural_index(t), 1e-12)
     for i in range(1000):
-        t = sample_triad(probe_rng(probe_key(DEFAULT.master_seed, "eigen"), i), RANGE)
+        t = sample_triad(probe_rng(probe_key(DEFAULT.master_seed, "eigen"), i))
         assert abs(saaty_ci(t) - saaty_ci_oracle(t)) <= 1e-9
     _ok("criterion 5: koczkodaj = 1 - 1/natural (1e-12, 10^4 triads); saaty_ci matches eigen oracle (1e-9, 10^3)")
 
@@ -128,8 +127,8 @@ def test_criterion_7_discretised_boundary(default_matrix):
     clipped_pairs = 0
     for i in range(cfg.samples):
         rng = probe_rng(probe_key(cfg.master_seed, "pair"), i)
-        s = sample_triad(rng, RANGE)
-        t = sample_triad(rng, RANGE)
+        s = sample_triad(rng)
+        t = sample_triad(rng)
         if natural_index(s) > 2.0 and natural_index(t) > 2.0:
             clipped_pairs += 1
             assert descriptor.evaluate(s) == descriptor.evaluate(t) == 2.0

@@ -158,10 +158,11 @@ class TestConcordance:
     @pytest.mark.parametrize("tol", [AuditConfig.tolerance])
     def test_ties_follow_the_engine_equality_rule(self, tol):
         # ranking_concordance spells the tie rule inline; on the one pair drawn
-        # at samples=1, each side's tie must be axioms._close of its two values.
+        # at samples=1, each side's tie must be axioms._close of its two values,
+        # closeness within the band ``tol``.
         cfg = AuditConfig(samples=1)
         draw = probe_rng(probe_key(cfg.master_seed, "pair"), 0)
-        s, t = sample_triad(draw, cfg.entry_range), sample_triad(draw, cfg.entry_range)
+        s, t = sample_triad(draw), sample_triad(draw)
 
         def scripted(at_s, at_t):
             return IndexDescriptor(
@@ -172,10 +173,11 @@ class TestConcordance:
             )
 
         untied = scripted(1.0, 2.0)
-        values = band_edge_values(tol)
+        values = band_edge_values()
         for x in values:
             for y in values:
-                tie = triadaudit.axioms._close(x, y, tol)
+                tie = triadaudit.axioms._close(x, y)
+                assert tie == math.isclose(x, y, rel_tol=tol, abs_tol=tol), (x, y)
                 a_side = ranking_concordance(scripted(x, y), untied, cfg)
                 b_side = ranking_concordance(untied, scripted(x, y), cfg)
                 assert (a_side.ties_a_only, b_side.ties_b_only) == (tie, tie), (x, y)
@@ -257,8 +259,8 @@ class TestConcordance:
         counts = {"c": 0, "d": 0, "ta": 0, "tb": 0, "both": 0}
         for i in range(cfg.samples):
             rng = probe_rng(probe_key(cfg.master_seed, "pair"), i)
-            s = sample_triad(rng, cfg.entry_range)
-            t = sample_triad(rng, cfg.entry_range)
+            s = sample_triad(rng)
+            t = sample_triad(rng)
             da, db = a.evaluate(s) - a.evaluate(t), b.evaluate(s) - b.evaluate(t)
             tie_a = math.isclose(a.evaluate(s), a.evaluate(t), rel_tol=cfg.tolerance, abs_tol=cfg.tolerance)
             tie_b = math.isclose(b.evaluate(s), b.evaluate(t), rel_tol=cfg.tolerance, abs_tol=cfg.tolerance)

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import fractions
 import hashlib
 import json
 import math
@@ -66,34 +67,40 @@ RANGE = (1.0 / 9.0, 9.0)
 
 class TestSamplers:
     def test_sample_triad_deterministic(self):
-        a = sample_triad(probe_rng(probe_key(42, "t"), 0), RANGE)
-        b = sample_triad(probe_rng(probe_key(42, "t"), 0), RANGE)
+        a = sample_triad(probe_rng(probe_key(42, "t"), 0))
+        b = sample_triad(probe_rng(probe_key(42, "t"), 0))
         assert a == b
 
     def test_sample_triad_range_containment(self):
         lo, hi = RANGE
         key = probe_key(5, "range")
         for i in range(10_000):
-            t = sample_triad(probe_rng(key, i), RANGE)
+            t = sample_triad(probe_rng(key, i))
             assert all(lo * (1 - 1e-12) <= e <= hi * (1 + 1e-12) for e in dataclasses.astuple(t))
 
     def test_ratio_above_one_roughly_half_the_time(self):
         key = probe_key(11, "sym")
-        above = sum(consistency_ratio(sample_triad(probe_rng(key, i), RANGE)) > 1.0 for i in range(10_000))
+        above = sum(consistency_ratio(sample_triad(probe_rng(key, i))) > 1.0 for i in range(10_000))
         assert abs(above / 10_000 - 0.5) < 0.05
 
     def test_consistent_sampler(self):
         key = probe_key(42, "c")
         for i in range(200):
-            t = sample_consistent_triad(probe_rng(key, i), RANGE)
+            t = sample_consistent_triad(probe_rng(key, i))
             assert abs(natural_index(t) - 1.0) <= 1e-12
-        a = sample_consistent_triad(probe_rng(probe_key(9, "c"), 3), RANGE)
-        b = sample_consistent_triad(probe_rng(probe_key(9, "c"), 3), RANGE)
+        a = sample_consistent_triad(probe_rng(probe_key(9, "c"), 3))
+        b = sample_consistent_triad(probe_rng(probe_key(9, "c"), 3))
         assert a == b
 
     def test_distinct_probes_differ(self):
         key = probe_key(42, "t")
-        assert sample_triad(probe_rng(key, 0), RANGE) != sample_triad(probe_rng(key, 1), RANGE)
+        assert sample_triad(probe_rng(key, 0)) != sample_triad(probe_rng(key, 1))
+
+    @pytest.mark.parametrize("sampler", [sample_triad, sample_consistent_triad])
+    def test_samplers_take_a_draw_function_alone(self, sampler):
+        # The entry range is the probe design's, AuditConfig.entry_range: no caller passes one.
+        with pytest.raises(TypeError):
+            sampler(probe_rng(probe_key(42, "t"), 0), (0.0, 9.0))
 
 
 class TestConfig:
@@ -315,6 +322,14 @@ class TestWitnessReplay:
                         verdict.axiom,
                     )
 
+    def test_replay_takes_the_band_positionally_and_no_other(self):
+        # A replay restates the equality band as its third argument, or raises.
+        verdict = check_axiom(get_index("scale_dependent"), "SI", FAST)
+        evaluate = get_index("scale_dependent").evaluate
+        assert replay_witness(verdict.witness, evaluate, AuditConfig.tolerance)
+        with pytest.raises(ValueError, match="equality band"):
+            replay_witness(verdict.witness, evaluate, tolerance=1e-3)
+
     def test_replay_discriminates(self):
         # A witness against scale_dependent does not incriminate natural.
         verdict = check_axiom(get_index("scale_dependent"), "SI", FAST)
@@ -528,9 +543,9 @@ def test_probe_rng_matches_a_seeded_random(seed, index):
 def test_probe_rng_is_order_free():
     # Probe i's stream does not depend on the probes drawn before it.
     key = probe_key(3, "x")
-    values = [sample_triad(probe_rng(key, i), RANGE) for i in range(5)]
-    assert values[3] == sample_triad(probe_rng(key, 3), RANGE)
-    assert [sample_triad(probe_rng(key, i), RANGE) for i in (4, 2, 0, 3, 1)] == [values[i] for i in (4, 2, 0, 3, 1)]
+    values = [sample_triad(probe_rng(key, i)) for i in range(5)]
+    assert values[3] == sample_triad(probe_rng(key, 3))
+    assert [sample_triad(probe_rng(key, i)) for i in (4, 2, 0, 3, 1)] == [values[i] for i in (4, 2, 0, 3, 1)]
     assert len({dataclasses.astuple(v) for v in values}) == 5
     assert probe_rng(key, 3) is not probe_rng(key, 3)
 
@@ -768,40 +783,40 @@ _GRIDS = {
 }
 
 
-def _reference_base(draw, entry_range):
+def _reference_base(draw):
     """MSC/SMSC's base: consistent triads three draws at a time until every entry is off 1; and its tries."""
     tries = 1
     while True:
-        base = sample_consistent_triad(draw, entry_range)
+        base = sample_consistent_triad(draw)
         if all(abs(math.log(e)) >= _MIN_LOG_ENTRY for e in dataclasses.astuple(base)):
             return base, tries
         tries += 1
 
 
 def _reference_rows(axiom, cfg):
-    key, er, rows = probe_key(cfg.master_seed, axiom), cfg.entry_range, []
+    key, rows = probe_key(cfg.master_seed, axiom), []
     positions = ("12", "13", "23")
     for i in range(cfg.samples):
         draw = probe_rng(key, i)
         if axiom in _GRIDS:
-            rows.append((sample_triad(draw, er), *_GRIDS[axiom]))
+            rows.append((sample_triad(draw), *_GRIDS[axiom]))
         elif axiom == "HTA":
             # (1; a; b) takes a and b from the first two of three draws.
-            t = sample_triad(draw, er)
+            t = sample_triad(draw)
             rows.append((Triad(1.0, t.t12, t.t13),))
         elif axiom == "URS":
-            consistent, offender = sample_consistent_triad(draw, er), sample_triad(draw, er)
+            consistent, offender = sample_consistent_triad(draw), sample_triad(draw)
             if i == 0:
                 reference = consistent
             else:
                 rows.append((reference, consistent, "consistent_mismatch"))
             rows.append((reference, offender, "inconsistent_match"))
         elif axiom == "CON":
-            bases = (sample_triad(draw, er), sample_consistent_triad(draw, er))
+            bases = (sample_triad(draw), sample_consistent_triad(draw))
             position = positions[int(len(positions) * draw())]
             rows.extend((base, position, CONTINUITY_LADDER) for base in bases)
         else:
-            base, _ = _reference_base(draw, er)
+            base, _ = _reference_base(draw)
             position = positions[int(len(positions) * draw())]
             lifts = (base.entry(position) > 1.0) == (position == "13")
             side = [d for d in DELTA_GRID if d > 1.0] if lifts else [d for d in reversed(DELTA_GRID) if d < 1.0]
@@ -822,7 +837,7 @@ def test_concordance_pairs_equal_the_public_sampler_pairs(cfg):
     key, expected = probe_key(cfg.master_seed, "pair"), []
     for i in range(cfg.samples):
         draw = probe_rng(key, i)
-        expected += [sample_triad(draw, cfg.entry_range), sample_triad(draw, cfg.entry_range)]
+        expected += [sample_triad(draw), sample_triad(draw)]
     assert seen == expected
 
 
@@ -890,7 +905,7 @@ def test_a_pinned_msc_probe_reads_past_block_zero():
     # SMSC probe 811 three: their positions are draws 9 and 12, in block 1.
     for axiom, i, tries in (("MSC", 275, 3), ("SMSC", 811, 4)):
         cfg = AuditConfig(samples=i + 1)
-        assert _reference_base(probe_rng(probe_key(cfg.master_seed, axiom), i), cfg.entry_range)[1] == tries
+        assert _reference_base(probe_rng(probe_key(cfg.master_seed, axiom), i))[1] == tries
         assert [row for _, row in _SPECS[axiom].probes(cfg)][i] == _reference_rows(axiom, cfg)[i], axiom
 
 
@@ -910,7 +925,7 @@ def test_an_msc_sweep_derives_its_key_once(monkeypatch):
 # the decoding or the triad builders shows in the last bit.
 _HEX_ROWS = {
     "URS": (
-        ("0x1.2f76c826db9d6p-4", "0x1.6fce3dcb9cdf1p-5", "0x1.364733dd585b5p-1"),
+        ("0x1.2f76c80000000p-4", "0x1.6fce3dc598a00p-5", "0x1.3647340000000p-1"),
         ("0x1.c4521d7625198p-2", "0x1.9c48f9483fb2dp-1", "0x1.0ffd595f533c8p+0"),
         "inconsistent_match",
     ),
@@ -922,7 +937,7 @@ _HEX_ROWS = {
         ("0x1.0596850d50be0p+0", "0x1.9b82b5d058c43p-3", "0x1.fd67ffc4b49acp-4"),
         0.25, 0.5, 0.75, 1.5, 2.0, 3.0,
     ),
-    "MSC": (("0x1.2e0731f123e4ep+2", "0x1.7dd29a1f6936bp+1", "0x1.43a2561475cedp-1"), "13", 1.0, 1.5, 2.0, 3.0),
+    "MSC": (("0x1.2e07320000000p+2", "0x1.7dd29a1a0ecc0p+1", "0x1.43a2560000000p-1"), "13", 1.0, 1.5, 2.0, 3.0),
     "CON": (("0x1.d06f18ee67a66p-3", "0x1.0f06e754995cap+2", "0x1.b903b3719dcb2p-3"), "12", CONTINUITY_LADDER),
     "IIP": (("0x1.c9e0d2a7cac5dp-3", "0x1.bfc00b492194ap+1", "0x1.bc3a0bfa78638p-3"),),
     "HTA": (("0x1.0000000000000p+0", "0x1.5806332579583p+0", "0x1.02f34fe11bf10p+0"),),
@@ -930,13 +945,13 @@ _HEX_ROWS = {
         ("0x1.f77df8bb62fafp+2", "0x1.7da16e6ce2a44p-3", "0x1.ea41c1b3453d3p-2"),
         0.1, 1.0 / 3.0, 0.5, 2.0, 3.0, 10.0,
     ),
-    "SMSC": (("0x1.23c02743a7275p-6", "0x1.cfdd45c36b6e9p-3", "0x1.9705f2b1a46d5p+3"), "12", 1.0, 1.5, 2.0, 3.0),
+    "SMSC": (("0x1.23c0278000000p-6", "0x1.cfdd45eacaeacp-3", "0x1.9705f28000000p+3"), "12", 1.0, 1.5, 2.0, 3.0),
 }
 _HEX_PAIR = (
     ("0x1.d1e8ac5b0ade4p+2", "0x1.7fe56de24cc16p-1", "0x1.a856683ef4864p-1"),
     ("0x1.0ba1fd624fef8p-1", "0x1.f52506334be21p-2", "0x1.79b79bde25906p-1"),
 )
-_HEX_REDRAWN_MSC = (("0x1.f9255fa495871p-2", "0x1.72ad03ad67809p-3", "0x1.77b48ee6745ddp-2"), "23", 1.0, 1.5, 2.0, 3.0)
+_HEX_REDRAWN_MSC = (("0x1.f9255f8000000p-2", "0x1.72ad03abc32c4p-3", "0x1.77b48f0000000p-2"), "23", 1.0, 1.5, 2.0, 3.0)
 
 
 def _hex(row):
@@ -947,6 +962,37 @@ def _hex(row):
 @pytest.mark.parametrize("axiom", AXIOMS)
 def test_first_row_of_each_family_at_full_precision(axiom):
     assert _hex(next(_SPECS[axiom].probes(AuditConfig()))[1]) == _HEX_ROWS[axiom]
+
+
+def _exact_product(t):
+    """Whether t13 is t12 * t23 in exact arithmetic, not only after rounding."""
+    return fractions.Fraction(t.t13) == fractions.Fraction(t.t12) * fractions.Fraction(t.t23)
+
+
+def test_every_consistent_probe_is_exactly_consistent():
+    # URS's reference and its consistent offenders, every MSC/SMSC base
+    # (redraws past block 0 included) and CON's consistent bases, at the default config.
+    cfg = AuditConfig()
+    urs = [row for _, row in _SPECS["URS"].probes(cfg)]
+    consistent = [urs[0][0]] + [offender for _, offender, kind in urs if kind == "consistent_mismatch"]
+    for axiom in ("MSC", "SMSC"):
+        consistent += [row[0] for _, row in _SPECS[axiom].probes(cfg)]
+    # CON yields a sampled and then a consistent base per probe.
+    consistent += [row[0] for _, row in _SPECS["CON"].probes(cfg)][1::2]
+    assert len(consistent) == 4 * cfg.samples
+    assert [t for t in consistent if not _exact_product(t)] == []
+    key = probe_key(cfg.master_seed, "c")
+    assert all(_exact_product(sample_consistent_triad(probe_rng(key, i))) for i in range(200))
+
+
+@pytest.mark.parametrize("c", [1e-3, 1e3, 1e6, 1e9])
+def test_a_rescaled_index_keeps_its_urs_status(c):
+    # c * I ranks triads like I, so it reads consistency where I does: every
+    # consistent probe must give c * I one value, whatever c magnifies.
+    scaled = tuple(dataclasses.replace(d, evaluate=lambda t, f=d.evaluate: c * f(t)) for d in CATALOG)
+    matrix = verdict_matrix(scaled, ("URS",))
+    got = {d.id: matrix.report(d, ("URS",)).verdict("URS").status for d in scaled}
+    assert got == {d.id: d.expected_profile["URS"] for d in CATALOG}
 
 
 def test_first_concordance_pair_and_a_redrawn_msc_base_at_full_precision():
@@ -969,31 +1015,31 @@ def test_a_pinned_fail_is_never_evaluated_on_a_sampled_row():
     assert seen == [pinned, transpose_triad(pinned)]
 
 
-def _con_row_violation(evaluate, tol, *row):
+def _con_row_violation(evaluate, *row):
     """CON's relation on one row, expanded as a sweep expands it."""
-    return _SPECS["CON"].violation(evaluate, tol, *_SPECS["CON"].expand(*row))
+    return _SPECS["CON"].violation(evaluate, *_SPECS["CON"].expand(*row))
 
 
 def test_a_failing_con_row_evaluates_each_rung_once():
     # cx3's first failing CON row: the base, the first and last rungs, then the six middle rungs.
     cx3, cfg = get_index("cx3"), AuditConfig()
-    row = next(row for _, row in _SPECS["CON"].probes(cfg) if _con_row_violation(cx3.evaluate, cfg.tolerance, *row))
+    row = next(row for _, row in _SPECS["CON"].probes(cfg) if _con_row_violation(cx3.evaluate, *row))
     calls = []
 
     def evaluate(t):
         calls.append(t)
         return cx3.evaluate(t)
 
-    assert _con_row_violation(evaluate, cfg.tolerance, *row) is not None
+    assert _con_row_violation(evaluate, *row) is not None
     assert len(calls) == len(set(calls)) == 9
 
 
-def _full_ladder_con(evaluate, tol, input, position, ladder):
+def _full_ladder_con(evaluate, input, position, ladder):
     """The CON relation with every rung evaluated before the row is decided."""
     base_value = evaluate(input)
     entry = input.entry(position)
     changes = [abs(evaluate(_with_entry(input, position, entry * (1.0 + eps))) - base_value) for eps in ladder]
-    if changes[-1] <= max(_band(tol, base_value), _CON_JUMP_FRACTION * max(changes)):
+    if changes[-1] <= max(_band(base_value), _CON_JUMP_FRACTION * max(changes)):
         return None
     return Witness(
         axiom="CON",
@@ -1022,8 +1068,8 @@ def test_con_pass_test_agrees_with_the_full_ladder(cfg):
     rows = [row for _, row in _SPECS["CON"].probes(cfg)]
     for descriptor in CATALOG:
         for row in rows:
-            expected = _full_ladder_con(descriptor.evaluate, cfg.tolerance, *row)
-            got = _con_row_violation(descriptor.evaluate, cfg.tolerance, *row)
+            expected = _full_ladder_con(descriptor.evaluate, *row)
+            got = _con_row_violation(descriptor.evaluate, *row)
             assert _witness_doc(got) == _witness_doc(expected), (descriptor.id, row)
 
 
@@ -1054,8 +1100,8 @@ def test_con_pass_test_agrees_with_the_full_ladder_on_nan_and_steps(name):
     def evaluate(t):
         return rungs.get(t, 0.0)
 
-    expected = _full_ladder_con(evaluate, 1e-9, base, position, CONTINUITY_LADDER)
-    got = _con_row_violation(evaluate, 1e-9, base, position, CONTINUITY_LADDER)
+    expected = _full_ladder_con(evaluate, base, position, CONTINUITY_LADDER)
+    got = _con_row_violation(evaluate, base, position, CONTINUITY_LADDER)
     assert _witness_doc(got) == _witness_doc(expected)
     assert (got is None) == passes
 
@@ -1064,12 +1110,12 @@ def test_con_pass_test_agrees_with_the_full_ladder_on_nan_and_steps(name):
 # comparison before the values are compared, as the relations read.
 
 
-def _eager_mrp(evaluate, tol, input, powers):
+def _eager_mrp(evaluate, input, powers):
     """MRP's relation with a band computed for every power."""
     base = evaluate(input)
     for b, powered in powers:
         after = evaluate(powered)
-        band = _band(tol, base, after)
+        band = _band(base, after)
         if b >= 1.0 and after < base - band:
             relation = "I(powered) < I(input) - tolerance band although b >= 1"
         elif b <= 1.0 and after > base + band:
@@ -1089,13 +1135,13 @@ def _eager_mrp(evaluate, tol, input, powers):
 def _eager_monotone(strict):
     """MSC's relation (SMSC's if ``strict``) with both bands computed on every rung."""
 
-    def eager(evaluate, tol, consistent, position, delta_prev, previous, rungs):
+    def eager(evaluate, consistent, position, delta_prev, previous, rungs):
         base_value = evaluate(consistent)
         prev_value = base_value if previous is None else evaluate(previous)
         for delta, perturbed in rungs:
             cur_value = evaluate(perturbed)
-            step_band = _band(tol, prev_value, cur_value)
-            if cur_value < base_value - _band(tol, base_value, cur_value):
+            step_band = _band(prev_value, cur_value)
+            if cur_value < base_value - _band(base_value, cur_value):
                 violation, relation = "below_consistent", "I(perturbed) < I(consistent) - tolerance band"
             elif cur_value < prev_value - step_band:
                 violation, relation = (
@@ -1122,10 +1168,6 @@ def _eager_monotone(strict):
 _EAGER = {"MRP": _eager_mrp, "MSC": _eager_monotone(False), "SMSC": _eager_monotone(True)}
 
 
-# The default equality band, at which the ordered relations are scripted.
-TOL = AuditConfig.tolerance
-
-
 def _scripted(values):
     """An evaluator that returns values[t] for each triad t it is given."""
     return lambda t: values[t]
@@ -1135,7 +1177,7 @@ def test_mrp_agrees_with_the_eager_band_on_scripted_values():
     # Two powers per row, below and above 1 in both orders, each value of the
     # table at the input and at each power.
     input = Triad(2.0, 3.0, 5.0)
-    values = band_edge_values(TOL)
+    values = band_edge_values()
     for bs in ((0.5, 2.0), (2.0, 0.5)):
         expanded = _SPECS["MRP"].expand(input, *bs)
         (_, first), (_, second) = expanded[1]
@@ -1143,8 +1185,8 @@ def test_mrp_agrees_with_the_eager_band_on_scripted_values():
             for y in values:
                 for z in values:
                     evaluate = _scripted({input: x, first: y, second: z})
-                    expected = _eager_mrp(evaluate, TOL, *expanded)
-                    got = _SPECS["MRP"].violation(evaluate, TOL, *expanded)
+                    expected = _eager_mrp(evaluate, *expanded)
+                    got = _SPECS["MRP"].violation(evaluate, *expanded)
                     assert _witness_doc(got) == _witness_doc(expected), (bs, x, y, z)
 
 
@@ -1153,7 +1195,7 @@ def test_monotone_agrees_with_the_eager_band_on_scripted_values(axiom):
     # From delta = 1 over two rungs (the base, the first and the second rung
     # scripted) and from delta = 1.5 over one (the base, the previous rung
     # and the rung).
-    spec, values = _SPECS[axiom], band_edge_values(TOL)
+    spec, values = _SPECS[axiom], band_edge_values()
     consistent = Triad(2.0, 6.0, 3.0)
     from_one = spec.expand(consistent, "13", 1.0, 2.0, 3.0)
     from_prev = spec.expand(consistent, "13", 1.5, 2.0)
@@ -1164,8 +1206,8 @@ def test_monotone_agrees_with_the_eager_band_on_scripted_values(axiom):
             for y in values:
                 for z in values:
                     evaluate = _scripted(dict(zip(triads, (x, y, z))))
-                    expected = _EAGER[axiom](evaluate, TOL, *expanded)
-                    got = spec.violation(evaluate, TOL, *expanded)
+                    expected = _EAGER[axiom](evaluate, *expanded)
+                    got = spec.violation(evaluate, *expanded)
                     assert _witness_doc(got) == _witness_doc(expected), (expanded[2], x, y, z)
 
 
@@ -1175,32 +1217,34 @@ def test_con_agrees_with_the_full_ladder_on_scripted_values():
     input, position = Triad(2.0, 3.0, 5.0), "13"
     expanded = _SPECS["CON"].expand(input, position, CONTINUITY_LADDER)
     first, last = expanded[3], expanded[4]
-    values = band_edge_values(TOL)
+    values = band_edge_values()
     for x in values:
         for y in values:
             for z in values:
                 scripted = {input: x, first: y, last: z}
                 evaluate = lambda t: scripted.get(t, 0.0)  # noqa: E731
-                expected = _full_ladder_con(evaluate, TOL, input, position, CONTINUITY_LADDER)
-                got = _SPECS["CON"].violation(evaluate, TOL, *expanded)
+                expected = _full_ladder_con(evaluate, input, position, CONTINUITY_LADDER)
+                got = _SPECS["CON"].violation(evaluate, *expanded)
                 assert _witness_doc(got) == _witness_doc(expected), (x, y, z)
 
 
-@pytest.mark.parametrize("tol", [1e-9, 1e-3])
+@pytest.mark.parametrize("tol", [AuditConfig.tolerance])
 def test_equality_relations_follow_the_close_rule_on_scripted_values(tol):
     # The equality relation of IPA, IIP, HTA and SI, each on a one-value row,
-    # and URS's consistent_mismatch row fail iff the two values are not close.
+    # and URS's consistent_mismatch row fail iff the two values are not close
+    # within the band ``tol``, the one the relations read.
     input, reference, offender = Triad(2.0, 3.0, 5.0), Triad(2.0, 6.0, 3.0), Triad(4.0, 12.0, 3.0)
-    values = band_edge_values(tol)
+    values = band_edge_values()
     for axiom, row_values in (("IPA", ((0, 2, 1),)), ("IIP", ()), ("HTA", ()), ("SI", (2.0,))):
         expanded = _SPECS[axiom].expand(input, *row_values)
         transformed = expanded[1][0][1]
         for x in values:
             for y in values:
-                close = axioms._close(x, y, tol)
-                grid = _SPECS[axiom].violation(_scripted({input: x, transformed: y}), tol, *expanded)
+                close = axioms._close(x, y)
+                assert close == math.isclose(x, y, rel_tol=tol, abs_tol=tol), (x, y)
+                grid = _SPECS[axiom].violation(_scripted({input: x, transformed: y}), *expanded)
                 urs = _SPECS["URS"].violation(
-                    _scripted({reference: x, offender: y}), tol, reference, offender, "consistent_mismatch"
+                    _scripted({reference: x, offender: y}), reference, offender, "consistent_mismatch"
                 )
                 assert (grid is None, urs is None) == (close, close), (axiom, x, y)
 
@@ -1212,8 +1256,8 @@ def test_ordered_relations_agree_with_the_eager_band_on_the_catalog(axiom, cfg):
     for _, row in spec.probes(cfg):
         expanded = spec.expand(*row)
         for descriptor in CATALOG:
-            expected = _EAGER[axiom](descriptor.evaluate, cfg.tolerance, *expanded)
-            got = spec.violation(descriptor.evaluate, cfg.tolerance, *expanded)
+            expected = _EAGER[axiom](descriptor.evaluate, *expanded)
+            got = spec.violation(descriptor.evaluate, *expanded)
             assert _witness_doc(got) == _witness_doc(expected), (descriptor.id, row)
 
 
@@ -1345,7 +1389,7 @@ def _sampled(t, lo, hi):
 
 
 def _consistent(t, lo, hi):
-    # Consistent triads come from three weights on (lo, hi): (w1/w2, w1/w3, w2/w3).
+    # Consistent triads come from three weights on (lo, hi): (a, a * b, b), a and b about w1/w2 and w2/w3.
     spread = max(1.0, t.t12, t.t13) / min(1.0, t.t12, t.t13)
     return consistency_ratio(t) == pytest.approx(1.0, abs=1e-12) and spread <= hi / lo * (1 + 1e-12)
 
@@ -1414,9 +1458,9 @@ def test_shrinking_spends_at_most_its_replay_budget(monkeypatch):
         triads={"reference": reference, "offender": offender},
         params={"kind": "inconsistent_match"},
     )
-    assert _shrink(spec, witness, natural_index, AuditConfig()) is witness
+    assert _shrink(spec, witness, natural_index) is witness
     assert 10 < len(replays) <= 64
     replays.clear()
     monkeypatch.setattr(axioms, "_SHRINK_REPLAYS", 5)
-    assert _shrink(spec, witness, natural_index, AuditConfig()) is witness
+    assert _shrink(spec, witness, natural_index) is witness
     assert len(replays) == 5

@@ -125,7 +125,7 @@ class TestIdentities:
 
     def test_koczkodaj_identity_on_seeded_sample(self):
         for i in range(10_000):
-            t = sample_triad(probe_rng(probe_key(7, "identity"), i), (1.0 / 9.0, 9.0))
+            t = sample_triad(probe_rng(probe_key(7, "identity"), i))
             assert rel_close(koczkodaj_index(t), 1.0 - 1.0 / natural_index(t))
 
     @given(triads())
