@@ -1,12 +1,15 @@
 """Shared hypothesis strategies for triad-valued properties, verdict
-matrices that several test modules read, and index values at the edges of
-the equality band."""
+matrices that several test modules read, index values at the edges of the
+equality band, and the environment of a child interpreter."""
 
 import math
+import os
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
 
+import triadaudit
 from triadaudit import AXIOMS, CATALOG, AuditConfig, Triad, verdict_matrix
 from triadaudit.axioms import _band
 
@@ -47,6 +50,14 @@ def band_edge_values() -> list[float]:
         band = _band(v)
         values += [v, v + 0.5 * band, v - 0.5 * band, v + 1.5 * band, v - 1.5 * band]
     return values
+
+
+def package_env() -> dict[str, str]:
+    """os.environ with the directory that holds the imported triadaudit first
+    on PYTHONPATH: a child interpreter imports the package this suite tests,
+    be it src/ or an installed copy."""
+    package_dir = str(Path(triadaudit.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (package_dir, os.environ.get("PYTHONPATH"))))}
 
 
 @pytest.fixture(scope="session")

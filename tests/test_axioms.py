@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import fractions
 import hashlib
+import inspect
 import json
 import math
 import pickle
@@ -62,7 +63,6 @@ from triadaudit.core import (
 )
 
 FAST = AuditConfig(samples=150, master_seed=42)
-RANGE = (1.0 / 9.0, 9.0)
 
 
 class TestSamplers:
@@ -72,7 +72,7 @@ class TestSamplers:
         assert a == b
 
     def test_sample_triad_range_containment(self):
-        lo, hi = RANGE
+        lo, hi = AuditConfig.entry_range
         key = probe_key(5, "range")
         for i in range(10_000):
             t = sample_triad(probe_rng(key, i))
@@ -99,6 +99,7 @@ class TestSamplers:
     @pytest.mark.parametrize("sampler", [sample_triad, sample_consistent_triad])
     def test_samplers_take_a_draw_function_alone(self, sampler):
         # The entry range is the probe design's, AuditConfig.entry_range: no caller passes one.
+        assert list(inspect.signature(sampler).parameters) == ["draw"]
         with pytest.raises(TypeError):
             sampler(probe_rng(probe_key(42, "t"), 0), (0.0, 9.0))
 
@@ -1354,6 +1355,30 @@ def test_default_verdict_matrix_is_pinned(default_matrix):
         assert observed == pinned, report.index_id
         assert report.matches_expected, report.index_id
     assert _verdict_digest(reports) == VERDICT_DIGESTS[cfg]
+
+
+# The six characterization verdicts that scripts/reproduce_results.py prints.
+CHARACTERIZATIONS = {
+    "koczkodaj": "order-equivalent",
+    "saaty_ci": "order-equivalent",
+    "discretised_natural": "premises-not-met",
+    "cx4": "premises-not-met",
+    "flat": "premises-not-met",
+    "scale_dependent": "premises-not-met",
+}
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_the_papers_results_hold_at_the_default_budget(catalog_matrix, seed):
+    # The profiles, the diagonal, the rules and the characterization at
+    # samples=1000, so that they do not rest on one seed's probes.
+    matrix = catalog_matrix(AuditConfig(master_seed=seed))
+    assert [descriptor.id for descriptor, report in matrix.rows if not report.matches_expected] == []
+    assert analysis.independence_table(matrix).matches_expected
+    verdicts = analysis.audit_implications(matrix)
+    assert [v.index_id for v in verdicts if v.status == "counterexample-to-lemma"] == []
+    statuses = {i: analysis.characterization_check(get_index(i), matrix).status for i in CHARACTERIZATIONS}
+    assert statuses == CHARACTERIZATIONS
 
 
 @pytest.mark.parametrize("seed", [3, 7])

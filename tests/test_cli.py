@@ -4,7 +4,6 @@ import hashlib
 import io
 import json
 import math
-import os
 import re
 import subprocess
 import sys
@@ -17,9 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import triadaudit
-from conftest import triads
+from conftest import package_env, triads
 from eigen_oracle import matrix_rows
-from triadaudit import AXIOMS, INDEX_IDS, Triad
+from triadaudit import AXIOMS, INDEX_IDS, AuditConfig, Triad
 from triadaudit.cli import CliError, main, parse_matrix_file
 from triadaudit.reporting import report_schema
 
@@ -144,9 +143,9 @@ class TestCompute:
         path = tmp_path / "big.json"
         rows = [[1.0] * 4 for _ in range(4)]
         path.write_text(json.dumps({"matrix": rows}))
-        code, _, err = run_cli("compute", "--matrix", str(path))
-        assert code == 2
-        assert "triads only" in err
+        code, out, err = run_cli("compute", "--matrix", str(path))
+        assert_one_line_error(code, out, err, str(path))
+        assert err.startswith("error: triads only")
 
     def test_unknown_index_rejected(self, matrix_s):
         code, _, err = run_cli("compute", "--matrix", matrix_s, "--index", "bogus")
@@ -258,12 +257,17 @@ class TestConcordance:
         assert "kendall tau-b 1" in out
 
     def test_json_report(self):
-        code, out, _ = run_cli("concordance", "natural", "discretised_natural", "--samples", "400", "--json")
-        assert code == 0
-        doc = json.loads(out)
-        jsonschema.validate(doc, report_schema())
-        assert doc["results"]["discordant"] == 0
-        assert doc["results"]["ties_b_only"] > 0
+        docs = {}
+        for other in ("discretised_natural", "koczkodaj", "cx5"):
+            code, out, _ = run_cli("concordance", "natural", other, "--samples", "400", "--json")
+            assert code == 0
+            docs[other] = json.loads(out)
+            jsonschema.validate(docs[other], report_schema())
+        assert docs["discretised_natural"]["results"]["discordant"] == 0
+        assert docs["discretised_natural"]["results"]["ties_b_only"] > 0
+        # Only a discordant pair is a witness: natural and koczkodaj rank alike, natural and cx5 do not.
+        assert docs["koczkodaj"]["results"]["kendall_tau_b"] == 1.0 and docs["koczkodaj"]["witnesses"] == []
+        assert [w["axiom"] for w in docs["cx5"]["witnesses"]] == ["concordance"]
 
     def test_unknown_id(self):
         code, _, err = run_cli("concordance", "natural", "bogus", "--samples", "10")
@@ -322,8 +326,10 @@ class TestSeedResolution:
 
     def test_default_seed(self, monkeypatch):
         monkeypatch.delenv("PCM_SEED", raising=False)
-        _, out, _ = run_cli("audit", "natural", "--axioms", "URS", "--samples", "10", "--json")
-        assert json.loads(out)["config"]["master_seed"] == 42
+        code, out, _ = run_cli("audit", "natural", "--axioms", "URS", "--samples", "10", "--json")
+        assert code == 0 and json.loads(out)["config"]["master_seed"] == 42
+        # The config block is the config's own dict, the probe design's constants included.
+        assert json.loads(out)["config"] == AuditConfig(samples=10).as_dict()
 
     def test_compute_echoes_the_default_config_whatever_pcm_seed_holds(self, tmp_path, monkeypatch):
         # compute draws no probes, so PCM_SEED neither enters its report nor can fail it.
@@ -601,11 +607,10 @@ def test_fuzzed_argv_gets_a_clean_reply(matrix_s_module, data):
 
 
 def run_fresh(code, *args, flags=()):
-    """Run ``code`` in a fresh interpreter that imports triadaudit from this
-    checkout, with ``args`` as its sys.argv[1:]; its stdout."""
-    src = str(Path(triadaudit.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run([sys.executable, *flags, "-c", code, *args], env=env, capture_output=True, text=True)
+    """Run ``code`` in a fresh interpreter that imports the triadaudit under
+    test, with ``args`` as its sys.argv[1:]; its stdout."""
+    argv = [sys.executable, *flags, "-c", code, *args]
+    proc = subprocess.run(argv, env=package_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -665,10 +670,19 @@ print(sorted(n for n in triadaudit.__all__ if n not in globals()))
     assert run_fresh(code) == "False\n[]\n"
 
 
-def test_package_version_is_the_reports_tool_version():
+def read_pyproject() -> str:
     # pyproject.toml is read with a regex: tomllib is not in Python 3.10.
-    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text("utf-8")
-    versions = re.findall(r'^version = "([^"]+)"$', pyproject, re.M)
+    return (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text("utf-8")
+
+
+def test_package_version_is_the_reports_tool_version():
+    versions = re.findall(r'^version = "([^"]+)"$', read_pyproject(), re.M)
     assert versions == [triadaudit.__version__]
     code, out, _ = run_cli("audit", "natural", "--axioms", "URS", "--samples", "5", "--json")
     assert code == 0 and json.loads(out)["tool_version"] == triadaudit.__version__
+
+
+def test_the_console_script_runs_cli_main():
+    # The suite calls cli.main; pip installs it as the one console script.
+    scripts = re.search(r"^\[project\.scripts\]\n(.*?)(?:^\[|\Z)", read_pyproject(), re.M | re.S).group(1)
+    assert re.findall(r'^(\S+) = "([^"]+)"$', scripts, re.M) == [("triadaudit", "triadaudit.cli:main")]

@@ -2,13 +2,14 @@
 
 import dataclasses
 import importlib.util
-import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import package_env
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -18,7 +19,7 @@ def run_script(name: str, *args: str) -> str:
         [sys.executable, str(ROOT / "scripts" / name), *args],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": "src"},
+        env=package_env(),
         cwd=ROOT,
         timeout=300,
     )
