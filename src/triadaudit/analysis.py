@@ -19,7 +19,7 @@ from typing import Mapping
 
 from .axioms import _LO, _SPAN, AuditConfig, AuditReport, VerdictMatrix, Witness, _stream, verdict_matrix
 from .axioms import audit, probe_rng, sample_triad  # noqa: F401  (perfbench's tracer wraps these names here)
-from .core import Triad
+from .core import Triad, _close
 from .indices import CATALOG, IndexDescriptor, get_index
 
 __all__ = [
@@ -203,8 +203,7 @@ def ranking_concordance(
     function probe_rng(probe_key(master_seed, "pair"), i) would draw them.
     """
     cfg = cfg if cfg is not None else AuditConfig()
-    eval_a, eval_b, isclose, exp = a.evaluate, b.evaluate, math.isclose, math.exp
-    lo, span, tol = _LO, _SPAN, AuditConfig.tolerance
+    eval_a, eval_b, close, exp, lo, span = a.evaluate, b.evaluate, _close, math.exp, _LO, _SPAN
     concordant = discordant = ties_a_only = ties_b_only = ties_both = 0
     witness = None
     _, draws = _stream("pair", 6, cfg)
@@ -212,7 +211,7 @@ def ranking_concordance(
         s = Triad(exp(lo + span * u0), exp(lo + span * u1), exp(lo + span * u2))
         t = Triad(exp(lo + span * u3), exp(lo + span * u4), exp(lo + span * u5))
         a_s, a_t, b_s, b_t = eval_a(s), eval_a(t), eval_b(s), eval_b(t)
-        tie_a, tie_b = isclose(a_s, a_t, rel_tol=tol, abs_tol=tol), isclose(b_s, b_t, rel_tol=tol, abs_tol=tol)
+        tie_a, tie_b = close(a_s, a_t), close(b_s, b_t)
         if tie_a and tie_b:
             ties_both += 1
         elif tie_a:

@@ -45,6 +45,7 @@ from functools import partial
 from itertools import count, permutations
 from typing import Callable, ClassVar, Iterable, Iterator, Mapping, NamedTuple
 
+from .core import _TOLERANCE, _band, _close
 from .core import (
     Triad,
     _with_entry,
@@ -101,13 +102,14 @@ class AuditConfig:
 
     ``samples`` and ``master_seed`` take any integer type but ``bool`` and are stored as ``int``.
     Entries and consistent weights are log-uniform on ``entry_range``, Saaty's scale [1/9, 9], and
-    ``tolerance`` is a relative equality band: a equals b when |a - b| <= tolerance * max(1, |a|, |b|).
+    ``tolerance`` is the one equality band that core defines and every relation, is_consistent and the
+    concordance ties read: a equals b when |a - b| <= tolerance * max(1, |a|, |b|).
     """
 
     samples: int = 1000
     master_seed: int = 42
     entry_range: ClassVar[tuple[float, float]] = (1.0 / 9.0, 9.0)
-    tolerance: ClassVar[float] = 1e-9
+    tolerance: ClassVar[float] = _TOLERANCE
 
     def __post_init__(self):
         for name in ("samples", "master_seed"):
@@ -124,14 +126,6 @@ class AuditConfig:
     def as_dict(self) -> dict:
         doc = {**{f.name: getattr(self, f.name) for f in fields(self)}, **_PROBE_DESIGN}
         return {name: list(v) if isinstance(v, tuple) else v for name, v in doc.items()}
-
-
-def _close(a: float, b: float) -> bool:
-    return math.isclose(a, b, rel_tol=AuditConfig.tolerance, abs_tol=AuditConfig.tolerance)
-
-
-def _band(a: float, b: float = 0.0) -> float:
-    return AuditConfig.tolerance * max(1.0, abs(a), abs(b))
 
 
 def probe_key(master_seed: int, tag: str) -> bytes:
@@ -486,8 +480,8 @@ def _con_violation(
 
 
 def _urs_violation(evaluate: Evaluator, reference: Triad, offender: Triad, kind: str) -> Witness | None:
-    """The band absorbs rounding between values that should be equal; a clearly
-    inconsistent offender asks whether two values differ, so it must hit the same float."""
+    """The band absorbs rounding between values that should be equal; an offender over ten bands from
+    consistency, beyond rounding, asks whether two values differ, so it must hit the same float."""
     v = evaluate(reference)
     value = evaluate(offender)
     if kind == "consistent_mismatch":
@@ -495,7 +489,7 @@ def _urs_violation(evaluate: Evaluator, reference: Triad, offender: Triad, kind:
             return None
         relation = "two consistent triads take different index values"
     else:
-        if value != v or abs(consistency_ratio(offender) - 1.0) <= 10.0 * AuditConfig.tolerance:
+        if value != v or abs(consistency_ratio(offender) - 1.0) <= 10.0 * _TOLERANCE:
             return None
         relation = "an inconsistent triad attains the consistent reference value"
     return Witness(

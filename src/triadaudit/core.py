@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 __all__ = [
-    "CONSISTENCY_TOL",
     "DomainError",
     "Triad",
     "consistency_ratio",
@@ -26,11 +25,19 @@ __all__ = [
     "scale_transform",
 ]
 
-# Relative band used to decide "consistent" in floating point.
-CONSISTENCY_TOL = 1e-9
+# The one equality band (_close, _band): is_consistent, the axioms' relations and the concordance ties read it.
+_TOLERANCE = 1e-9
 
 
 _INF = math.inf
+
+
+def _close(a: float, b: float) -> bool:
+    return math.isclose(a, b, rel_tol=_TOLERANCE, abs_tol=_TOLERANCE)
+
+
+def _band(a: float, b: float = 0.0) -> float:
+    return _TOLERANCE * max(1.0, abs(a), abs(b))
 
 
 class DomainError(ValueError):
@@ -107,8 +114,8 @@ def consistency_ratio(t: Triad) -> float:
 
 
 def is_consistent(t: Triad) -> bool:
-    x = consistency_ratio(t)
-    return abs(x - 1.0) <= CONSISTENCY_TOL * max(1.0, x)
+    """Whether the consistency ratio is 1 within the one equality band (_close); an infinite ratio never is."""
+    return _close(consistency_ratio(t), 1.0)
 
 
 # The six bijections, each reading the permuted entries straight from the

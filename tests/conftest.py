@@ -11,7 +11,7 @@ import pytest
 
 import triadaudit
 from triadaudit import AXIOMS, CATALOG, AuditConfig, Triad, verdict_matrix
-from triadaudit.axioms import _band
+from triadaudit.core import _band
 
 # Entries live on the same log range the audit sampler uses by default.
 LOG_NINE = math.log(9.0)

@@ -49,11 +49,12 @@ from triadaudit.axioms import (
     AxiomVerdict,
     VerdictMatrix,
     Witness,
-    _band,
     _block0,
     _shrink,
 )
 from triadaudit.core import (
+    _band,
+    _close,
     _with_entry,
     permute_triad,
     power_transform,
@@ -775,7 +776,7 @@ def test_a_patched_triad_init_sees_every_build(monkeypatch):
 # in order through its draw function, a choice over n items taking item
 # int(n * draw()): the reference for the probe families, which read block 0
 # by position.
-REFERENCE_CONFIGS = [AuditConfig(samples=200)]
+REFERENCE_CONFIG = AuditConfig(samples=200)
 _GRIDS = {
     "IPA": tuple(p for p in permutations(range(3)) if p != (0, 1, 2)),
     "MRP": tuple(b for b in B_GRID if b != 1.0),
@@ -825,15 +826,13 @@ def _reference_rows(axiom, cfg):
     return rows
 
 
-@pytest.mark.parametrize("cfg", REFERENCE_CONFIGS, ids=["ninths"])
 @pytest.mark.parametrize("axiom", AXIOMS)
-def test_engine_rows_equal_the_public_sampler_rows(axiom, cfg):
-    assert [row for _, row in _SPECS[axiom].probes(cfg)] == _reference_rows(axiom, cfg)
+def test_engine_rows_equal_the_public_sampler_rows(axiom):
+    assert [row for _, row in _SPECS[axiom].probes(REFERENCE_CONFIG)] == _reference_rows(axiom, REFERENCE_CONFIG)
 
 
-@pytest.mark.parametrize("cfg", REFERENCE_CONFIGS, ids=["ninths"])
-def test_concordance_pairs_equal_the_public_sampler_pairs(cfg):
-    seen = []
+def test_concordance_pairs_equal_the_public_sampler_pairs():
+    cfg, seen = REFERENCE_CONFIG, []
     analysis.ranking_concordance(_recording(natural_index, seen), get_index("natural"), cfg)
     key, expected = probe_key(cfg.master_seed, "pair"), []
     for i in range(cfg.samples):
@@ -874,10 +873,9 @@ def _reference_expansion(axiom, row):
     return (base, position, delta_prev, None, [(d, single_entry_perturb(base, position, d)) for d in deltas])
 
 
-@pytest.mark.parametrize("cfg", REFERENCE_CONFIGS, ids=["ninths"])
 @pytest.mark.parametrize("axiom", AXIOMS)
-def test_row_expansion_equals_the_public_transforms(axiom, cfg):
-    rows = _reference_rows(axiom, cfg)[:50]
+def test_row_expansion_equals_the_public_transforms(axiom):
+    rows = _reference_rows(axiom, REFERENCE_CONFIG)[:50]
     assert [_SPECS[axiom].expand(*row) for row in rows] == [_reference_expansion(axiom, row) for row in rows]
 
 
@@ -1229,11 +1227,11 @@ def test_con_agrees_with_the_full_ladder_on_scripted_values():
                 assert _witness_doc(got) == _witness_doc(expected), (x, y, z)
 
 
-@pytest.mark.parametrize("tol", [AuditConfig.tolerance])
-def test_equality_relations_follow_the_close_rule_on_scripted_values(tol):
+def test_equality_relations_follow_the_close_rule_on_scripted_values():
     # The equality relation of IPA, IIP, HTA and SI, each on a one-value row,
     # and URS's consistent_mismatch row fail iff the two values are not close
     # within the band ``tol``, the one the relations read.
+    tol = AuditConfig.tolerance
     input, reference, offender = Triad(2.0, 3.0, 5.0), Triad(2.0, 6.0, 3.0), Triad(4.0, 12.0, 3.0)
     values = band_edge_values()
     for axiom, row_values in (("IPA", ((0, 2, 1),)), ("IIP", ()), ("HTA", ()), ("SI", (2.0,))):
@@ -1241,7 +1239,7 @@ def test_equality_relations_follow_the_close_rule_on_scripted_values(tol):
         transformed = expanded[1][0][1]
         for x in values:
             for y in values:
-                close = axioms._close(x, y)
+                close = _close(x, y)
                 assert close == math.isclose(x, y, rel_tol=tol, abs_tol=tol), (x, y)
                 grid = _SPECS[axiom].violation(_scripted({input: x, transformed: y}), *expanded)
                 urs = _SPECS["URS"].violation(

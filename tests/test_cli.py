@@ -177,6 +177,13 @@ class TestCompute:
         assert code == 0
         assert out.split()[-1] == "1"
 
+    def test_an_infinite_consistency_ratio_gives_cx3_no_value(self, tmp_path):
+        # 1e300 / (1e-10 * 1e-10) overflows to inf: the triad is not consistent, so cx3 is natural + 1, inf.
+        path = tmp_path / "t.csv"
+        path.write_text("1e-10,1e300,1e-10\n")
+        code, out, err = run_cli("compute", "--matrix", str(path), "--index", "cx3", "--json")
+        assert_one_line_error(code, out, err, "an index value is not finite")
+
     def test_json_report_validates(self, matrix_s):
         code, out, _ = run_cli("compute", "--matrix", matrix_s, "--json")
         assert code == 0

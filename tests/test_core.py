@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import consistent_triads, scale_factors, triads
+from conftest import band_edge_values, consistent_triads, log_entries, scale_factors, triads
 from eigen_oracle import matrix_rows
 from triadaudit import (
     DomainError,
@@ -23,6 +23,7 @@ from triadaudit import (
     single_entry_perturb,
     transpose_triad,
 )
+from triadaudit.core import _band, _close
 
 
 class FloatSubclass(float):
@@ -107,6 +108,14 @@ class TestMakeTriad:
         assert json.dumps(Triad(1, 3, 2).as_dict()) == '{"t12": 1.0, "t13": 3.0, "t23": 2.0}'
 
 
+# The ratios at which |x - 1| <= 1e-9 * max(1, x) changes its answer, and one ulp to either side.
+EDGE_RATIOS = [
+    math.nextafter(edge, direction)
+    for edge in (1.0 - 1e-9, 1.0 + 1e-9, 1.0 / (1.0 - 1e-9))
+    for direction in (0.0, edge, math.inf)
+]
+
+
 class TestConsistencyRatio:
     def test_consistent_weights(self):
         assert consistency_ratio(Triad(2, 6, 3)) == 1.0
@@ -118,6 +127,34 @@ class TestConsistencyRatio:
     @given(consistent_triads())
     def test_constructed_consistent_triads_are_consistent(self, t):
         assert is_consistent(t)
+
+    def test_an_infinite_ratio_is_inconsistent(self):
+        t = Triad(1e-10, 1e300, 1e-10)
+        assert consistency_ratio(t) == math.inf
+        assert not is_consistent(t)
+
+    @given(
+        st.one_of(st.just((0.0, 0.0)), st.tuples(log_entries(), log_entries())),
+        st.one_of(
+            st.floats(min_value=-5.0, max_value=5.0).map(lambda k: 1.0 + k * 1e-9),
+            st.floats(min_value=-600.0, max_value=600.0).map(math.exp),
+            st.sampled_from(EDGE_RATIOS),
+        ),
+    )
+    def test_every_finite_ratio_is_decided_by_the_band_written_on_the_ratio(self, logs, ratio):
+        # The reference is |x - 1| <= 1e-9 * max(1, x).  Entries (1, ratio, 1) give the ratio
+        # exactly, so its edges are hit bit for bit.
+        t12, t23 = map(math.exp, logs)
+        t = Triad(t12, ratio * t12 * t23, t23)
+        x = consistency_ratio(t)
+        assert is_consistent(t) == (abs(x - 1.0) <= 1e-9 * max(1.0, x)), x
+
+
+def test_close_is_the_band_on_every_finite_pair_of_edge_values():
+    values = [v for v in band_edge_values() if math.isfinite(v)]
+    for a in values:
+        for b in values:
+            assert _close(a, b) == (abs(a - b) <= _band(a, b)), (a, b)
 
 
 class TestCanonicalize:
@@ -208,6 +245,10 @@ class TestSingleEntryPerturb:
     def test_inconsistent_input_rejected(self):
         with pytest.raises(DomainError, match="consistent"):
             single_entry_perturb(Triad(1, 3, 2), "13", 2.0)
+
+    def test_an_infinite_ratio_is_rejected(self):
+        with pytest.raises(DomainError, match="got consistency ratio inf$"):
+            single_entry_perturb(Triad(1e-10, 1e300, 1e-10), "13", 2.0)
 
     def test_integer_position_accepted(self):
         assert single_entry_perturb(Triad(2, 6, 3), 13, 2.0) == Triad(2, 36, 3)
