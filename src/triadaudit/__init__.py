@@ -9,7 +9,7 @@ from .core import *  # noqa: F401,F403
 from .indices import *  # noqa: F401,F403
 from .axioms import *  # noqa: F401,F403
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 
 def __getattr__(name: str):

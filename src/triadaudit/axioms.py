@@ -1,13 +1,13 @@
 """Seeded falsification engine for the nine inconsistency-index axioms.
 
-One table entry per axiom gives its violated relation, its seeded probes and
-a handful of pinned probes with known violations; a check searches them in
-order for a counterexample.  A verdict of "pass" means "no violation found at
-this configuration", never a proof; a "fail" verdict carries a
-self-contained witness that replays without the RNG, shrunk to simple entries
-first.  Probe i of an axiom draws from its own counter-based stream: the
-axiom's key is 8 bytes of the sha256 of (master_seed, axiom), and block j of
-the stream is the keyed blake2b hash of (i, j), eight draws.  So results do
+One table entry per axiom gives its violated relation and its seeded probes;
+a check searches the probes in order for a counterexample, the same way for
+every index.  A verdict of "pass" means "no violation found at this
+configuration", never a proof; a "fail" verdict carries a self-contained
+witness that replays without the RNG, shrunk to simple entries first.
+Probe i of an axiom draws from its own counter-based stream: the axiom's
+key is 8 bytes of the sha256 of (master_seed, axiom), and block j of the
+stream is the keyed blake2b hash of (i, j), eight draws.  So results do
 not depend on evaluation order, and growing the sample count can only turn a
 pass into a fail.  Every probe family, and analysis.ranking_concordance,
 reads its stream through one entry point, _stream(tag, width, cfg), which
@@ -555,7 +555,7 @@ def _monotone_probes(axiom: str, cfg: AuditConfig) -> _Probes:
 
     Only the side whose perturbations land on the canonical side (consistency
     ratio >= 1) is probed: the side that the independence and characterization
-    arguments exercise, and that an asymmetric index such as cx4 must satisfy.
+    arguments exercise, and that an index asymmetric under transposition must satisfy.
     On a consistent base that side follows from signs alone (see _lifts_above).
     """
     key, draws = _stream(axiom, 6, cfg)
@@ -690,9 +690,7 @@ class _AxiomSpec(NamedTuple):
     ``probes(cfg)`` yields ``(samples_used, row)`` pairs from the seeded
     probes.  A witness stores the fields of its one-value row by name in its
     ``triads`` or ``params``; replay and shrinking read them back in ``row``
-    order and pass that one-value row, expanded, to the same ``violation``.  ``pinned`` maps an
-    index id to rows with a violation known in closed form: they are tried
-    before any sampling, so the fail verdict does not depend on the budget.
+    order and pass that one-value row, expanded, to the same ``violation``.
     ``in_domain(*row)`` holds on a shrunk one-value row that keeps the probe
     domain's conditions beyond its triads' entry range (see _shrink).
     A plain tuple: it holds functions, and no code compares or hashes a spec.
@@ -702,13 +700,12 @@ class _AxiomSpec(NamedTuple):
     probes: Callable[[AuditConfig], _Probes]
     row: tuple[str, ...]
     expand: Callable[..., tuple] = lambda *row: row
-    pinned: Mapping[str, tuple[tuple, ...]] = {}
     in_domain: Callable[..., bool] = lambda *row: True
 
 
 def _invariance(
     axiom: str, name: str, param: str | None, transform: Callable[..., Triad], values: tuple = (),
-    build: Callable[..., Triad] = _sampled, pinned: Mapping[str, tuple[tuple, ...]] = {},
+    build: Callable[..., Triad] = _sampled,
     relation: Callable[[float, float, object], str | None] | None = None,
 ) -> _AxiomSpec:
     """The spec of a grid axiom: I(input) and I(``name``), the input transformed
@@ -721,7 +718,6 @@ def _invariance(
         partial(_grid_probes, axiom, build, values),
         ("input",) if param is None else ("input", param),
         partial(_invariance_expand, transform),
-        pinned,
     )
 
 
@@ -770,17 +766,11 @@ _SPECS: dict[str, _AxiomSpec] = {
     # CON: a sampled and a consistent triad; one entry times 1 + eps for each eps in CONTINUITY_LADDER.
     "CON": _AxiomSpec(_con_violation, _con_probes, ("input", "position", "ladder"), _con_expand),
     # IIP: a sampled triad against its transpose.
-    "IIP": _invariance("IIP", "transposed", None, transpose_triad, pinned={"cx4": ((Triad(1.0, 3.0, 2.0),),)}),
+    "IIP": _invariance("IIP", "transposed", None, transpose_triad),
     # HTA: (1; a; b) with a and b log-uniform on entry_range, against (1; a/b; 1).
-    "HTA": _invariance(
-        "HTA", "collapsed", None, lambda t: Triad(1.0, t.t13 / t.t23, 1.0), build=_unit_t12,
-        pinned={"cx5": ((Triad(1.0, 8.0, 4.0),),)},
-    ),
+    "HTA": _invariance("HTA", "collapsed", None, lambda t: Triad(1.0, t.t13 / t.t23, 1.0), build=_unit_t12),
     # SI: a sampled triad scaled by each factor k in K_GRID, on both sides of 1.
-    "SI": _invariance(
-        "SI", "scaled", "k", scale_transform, K_GRID,
-        pinned={"cx6": ((Triad(1.0, 8.0, 4.0), 2.0),), "scale_dependent": ((Triad(1.0, 3.0, 2.0), 2.0),)},
-    ),
+    "SI": _invariance("SI", "scaled", "k", scale_transform, K_GRID),
     # SMSC: the MSC probes, with ties between rungs counted as violations.
     "SMSC": _monotone("SMSC", strict=True),
 }
@@ -797,42 +787,28 @@ def _spec(axiom: str) -> _AxiomSpec:
 def _sweep(indices: tuple[IndexDescriptor, ...], axiom: str, cfg: AuditConfig) -> list[AxiomVerdict]:
     """The verdict of `axiom` for each of `indices`, by position.
 
-    Each index first tries its own pinned rows (samples_used 0).  The seeded
-    probes are then drawn and expanded once for all indices: each expanded
-    row, its derived triads built, goes to every index still open, and an
-    index closes at its first witness, which is shrunk.  Drawing stops once
-    no index is open; the indices left open pass.  So each index sees the
-    triads a sweep of it alone would see, in the same order, and no row is kept.
+    Every index, catalog or not, sees the seeded probes alone, each row drawn
+    and expanded once for all indices and sent to every index still open; an
+    index closes at its first witness, which is shrunk.  Drawing stops once no
+    index is open; the indices left open pass.  So each index sees the triads
+    a sweep of it alone would see, in the same order, and no row is kept.
     """
     spec = _spec(axiom)
     violation, expand = spec.violation, spec.expand
     evaluates = [index.evaluate for index in indices]
     verdicts: list[AxiomVerdict | None] = [None] * len(indices)
-
-    def close(k: int, witness: Witness, samples_used: int) -> None:
-        shrunk = _shrink(spec, witness, evaluates[k])
-        verdicts[k] = AxiomVerdict(axiom, "fail", shrunk, samples_used, cfg.master_seed)
-
-    open_ = []
-    for k, index in enumerate(indices):
-        for row in spec.pinned.get(index.id, ()):
-            witness = violation(evaluates[k], *expand(*row))
+    open_ = list(range(len(indices)))
+    for samples_used, row in spec.probes(cfg) if open_ else ():
+        expanded = expand(*row)
+        # A close rebinds open_; the row still goes to every index it started with.
+        for k in open_:
+            witness = violation(evaluates[k], *expanded)
             if witness is not None:
-                close(k, witness, 0)
-                break
-        else:
-            open_.append(k)
-    if open_:
-        for samples_used, row in spec.probes(cfg):
-            expanded = expand(*row)
-            # A close rebinds open_; the row still goes to every index it started with.
-            for k in open_:
-                witness = violation(evaluates[k], *expanded)
-                if witness is not None:
-                    close(k, witness, samples_used)
-                    open_ = [j for j in open_ if j != k]
-            if not open_:
-                break
+                shrunk = _shrink(spec, witness, evaluates[k])
+                verdicts[k] = AxiomVerdict(axiom, "fail", shrunk, samples_used, cfg.master_seed)
+                open_ = [j for j in open_ if j != k]
+        if not open_:
+            break
     passed = AxiomVerdict(axiom, "pass", None, cfg.samples, cfg.master_seed)
     return [verdict or passed for verdict in verdicts]
 

@@ -149,12 +149,23 @@ def transpose_triad(t: Triad) -> Triad:
     return Triad(1.0 / t.t12, 1.0 / t.t13, 1.0 / t.t23)
 
 
+def _power_or_inf(x: float, b: float) -> float:
+    """x ** b, or inf where it overflows: Triad then names the field, as it does an underflow to 0."""
+    try:
+        return x**b
+    except OverflowError:
+        return _INF
+
+
 def power_transform(t: Triad, b: float) -> Triad:
-    """Entrywise power (t12^b, t13^b, t23^b); preserves reciprocity for any finite b."""
+    """Entrywise power (t12^b, t13^b, t23^b), reciprocal for any finite b; a power out of range raises DomainError."""
     b = float(b)
     if not math.isfinite(b):
         raise DomainError(f"b must be finite, got {b!r}")
-    return Triad(t.t12**b, t.t13**b, t.t23**b)
+    try:
+        return Triad(t.t12**b, t.t13**b, t.t23**b)
+    except OverflowError:
+        return Triad(_power_or_inf(t.t12, b), _power_or_inf(t.t13, b), _power_or_inf(t.t23, b))
 
 
 def scale_transform(t: Triad, k: float) -> Triad:
@@ -168,7 +179,7 @@ def single_entry_perturb(t: Triad, position: str, delta: float) -> Triad:
 
     The below-diagonal mate follows by reciprocity.  Preconditions follow the
     monotonicity axioms: the input must be consistent and the chosen entry
-    must differ from 1.
+    must differ from 1.  A power that overflows or underflows raises DomainError naming its field.
     """
     delta = float(delta)
     if not math.isfinite(delta):
@@ -179,7 +190,10 @@ def single_entry_perturb(t: Triad, position: str, delta: float) -> Triad:
     entry = t.entry(position)
     if entry == 1.0:
         raise DomainError(f"entry at position {position} equals 1; the perturbed entry must differ from 1")
-    return _with_entry(t, position, entry**delta)
+    try:
+        return _with_entry(t, position, entry**delta)
+    except OverflowError:
+        return _with_entry(t, position, _INF)
 
 
 def _with_entry(t: Triad, position: str, value: float) -> Triad:

@@ -64,7 +64,7 @@ def test_criterion_2_independence_table(default_matrix):
         assert statuses[designated[row.index_id]] == "fail"
         assert sum(v == "fail" for v in statuses.values()) == 1
 
-    # Built-in witnesses verified independently of any sampling.
+    # The textbook counterexamples, checked by direct evaluation, independently of any sampling.
     t, collapsed = Triad(1, 8, 4), Triad(1, 2, 1)
     cx5 = get_index("cx5").evaluate
     assert abs(cx5(t) - 17.0 / 4.0) <= 1e-12 and abs(cx5(t) - cx5(collapsed)) > 1e-9
@@ -72,7 +72,7 @@ def test_criterion_2_independence_table(default_matrix):
     scaled = scale_transform(t, 2.0)
     assert scaled == Triad(2, 32, 8)
     assert abs(cx6(t) - 3.0 / 2.0) <= 1e-12 and abs(cx6(scaled) - 9.0 / 4.0) <= 1e-12
-    _ok("criterion 2: independence table diagonal at samples=1000 seed=42, pinned witnesses verified")
+    _ok("criterion 2: independence table diagonal at samples=1000 seed=42, textbook counterexamples verified")
 
 
 def test_criterion_3_scale_dependent_profile(default_matrix):

@@ -22,6 +22,7 @@ from triadaudit import (
     audit,
     audit_implications,
     characterization_check,
+    check_axiom,
     consistency_ratio,
     get_index,
     independence_table,
@@ -29,10 +30,12 @@ from triadaudit import (
     probe_key,
     probe_rng,
     ranking_concordance,
+    replay_witness,
     sample_triad,
     verdict_matrix,
 )
 from triadaudit.analysis import INDEPENDENCE_AXIOMS, INDEPENDENCE_ROWS, _implication_verdict
+from triadaudit.axioms import _sig_digits
 
 FAST = AuditConfig(samples=200, master_seed=42)
 
@@ -79,26 +82,39 @@ class TestIndependenceTable:
         table = independence_table(fast_matrix)
         row = next(r for r in table.rows if r.index_id == "cx5")
         cell = next(c for c in row.cells if c.axiom == "HTA")
-        # The pinned probe (1, 8, 4) vs its collapsed form (1, 2, 1): 17/4 vs 2.
-        assert dataclasses.astuple(cell.witness.triads["input"]) == (1.0, 8.0, 4.0)
-        assert dataclasses.astuple(cell.witness.triads["collapsed"]) == (1.0, 2.0, 1.0)
-        assert abs(cell.witness.observed["input"] - 4.25) <= 1e-12
+        # Probe 1, shrunk: (1, 1, 2) vs its collapsed form (1, 1/2, 1): (1/2 + 2) * (2 - 1) vs (1 + 1) * (2 - 1).
+        assert dataclasses.astuple(cell.witness.triads["input"]) == (1.0, 1.0, 2.0)
+        assert dataclasses.astuple(cell.witness.triads["collapsed"]) == (1.0, 0.5, 1.0)
+        assert abs(cell.witness.observed["input"] - 2.5) <= 1e-12
         assert abs(cell.witness.observed["collapsed"] - 2.0) <= 1e-12
 
     def test_cx6_witness_is_the_pinned_scaling_pair(self, fast_matrix):
         table = independence_table(fast_matrix)
         row = next(r for r in table.rows if r.index_id == "cx6")
         cell = next(c for c in row.cells if c.axiom == "SI")
-        assert dataclasses.astuple(cell.witness.triads["scaled"]) == (2.0, 32.0, 8.0)
-        assert abs(cell.witness.observed["input"] - 1.5) <= 1e-12
-        assert abs(cell.witness.observed["scaled"] - 2.25) <= 1e-12
+        # Probe 1, shrunk: (8, 1/5, 1/2) scaled by k = 1/10.
+        assert dataclasses.astuple(cell.witness.triads["input"]) == (8.0, 0.2, 0.5)
+        assert cell.witness.params["k"] == 0.1
+        # |8 - 0.4| + |1/8 - 2.5| vs |0.8 - 0.04| + |1.25 - 25|.
+        assert abs(cell.witness.observed["input"] - 9.975) <= 1e-12 * 9.975
+        assert abs(cell.witness.observed["scaled"] - 24.51) <= 1e-12 * 24.51
 
     def test_pattern_survives_single_sample_runs(self):
-        # Pinned witnesses keep the cx5/cx6 cells red even with one probe.
+        # The seeded probes alone keep these cells red with one probe at every
+        # seed tried: probe 1 fails, and its witness replays with short entries.
         table = independence_table(AuditConfig(samples=1, master_seed=42))
         by_id = {r.index_id: {c.axiom: c.status for c in r.cells} for r in table.rows}
         assert by_id["cx5"]["HTA"] == "fail"
         assert by_id["cx6"]["SI"] == "fail"
+        cells = [(get_index(i), a) for i, a in (("cx4", "IIP"), ("cx5", "HTA"), ("cx6", "SI"))]
+        cells.append((get_index("scale_dependent"), "SI"))
+        for seed in range(200):
+            for descriptor, axiom in cells:
+                verdict = check_axiom(descriptor, axiom, AuditConfig(samples=1, master_seed=seed))
+                where = (seed, descriptor.id, axiom)
+                assert (verdict.status, verdict.samples_used) == ("fail", 1), where
+                assert replay_witness(verdict.witness, descriptor.evaluate), where
+                assert all(_sig_digits(e) <= 2 for e in dataclasses.astuple(verdict.witness.triads["input"])), where
 
 
 class TestImplications:
@@ -327,9 +343,9 @@ def test_tau_b_counts_match_scipy_convention():
 
 class TestVerdictMatrix:
     # The matrices whose digests test_axioms.py pins; the config path sweeps
-    # the same cells again, drawing each axiom's probes once per sweep: 705
+    # the same cells again, drawing each axiom's probes once per sweep: 707
     # draws over its 23 axiom columns, where drawing them again for every cell
-    # made 1596.  A probe is drawn when the block-0 loop yields it, and the
+    # makes 1601.  A probe is drawn when the block-0 loop yields it, and the
     # draws are counted per family key: the view draws no axiom probe, only
     # the 37 concordance pairs of cx3's characterization, which both paths
     # draw.  An MSC or SMSC probe whose first base try is rejected replays
@@ -370,7 +386,7 @@ class TestVerdictMatrix:
         draws.clear()
         audited = results(cfg)
         counts = Counter(families[key] for key, _ in draws)
-        assert counts.pop("pair") == 37 and sum(counts.values()) == 705
+        assert counts.pop("pair") == 37 and sum(counts.values()) == 707
         assert set(replays) <= set(draws)
         table, _, characterizations = viewed
         assert table.to_dict() == audited[0].to_dict()

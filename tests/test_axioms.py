@@ -260,22 +260,26 @@ class TestCheckAxiom:
         assert verdict.samples_used == FAST.samples
 
     def test_scale_dependent_fails_si_with_pinned_witness(self):
+        # Probe 1 fails, shrunk to one significant digit per entry.
         verdict = check_axiom(get_index("scale_dependent"), "SI", FAST)
         assert verdict.status == "fail"
         w = verdict.witness
-        assert w.triads["input"] == Triad(1, 3, 2)
-        assert w.params["k"] == 2.0
-        assert abs(w.observed["input"] - 19.0 / 6.0) <= 1e-12
-        assert abs(w.observed["scaled"] - 175.0 / 24.0) <= 1e-12
-        assert verdict.samples_used == 0  # found before sampling
+        assert w.triads["input"] == Triad(8.0, 0.2, 0.5)
+        assert w.params["k"] == 0.1
+        # |0.2 - 4| + |5 - 1/4| + |8 - 0.4| + |1/8 - 2.5| + |0.5 - 0.025| + |2 - 40| = 57
+        assert abs(w.observed["input"] - 57.0) <= 1e-12 * 57.0
+        assert w.observed["scaled"] == get_index("scale_dependent").evaluate(scale_transform(w.triads["input"], 0.1))
+        assert verdict.samples_used == 1
 
     def test_cx4_fails_iip_with_pinned_witness(self):
         verdict = check_axiom(get_index("cx4"), "IIP", FAST)
         assert verdict.status == "fail"
         w = verdict.witness
-        assert w.triads["input"] == Triad(1, 3, 2)
-        assert abs(w.observed["input"] - 1.5) <= 1e-12
-        assert abs(w.observed["transposed"] - 2.0 / 3.0) <= 1e-12
+        assert w.triads["input"] == Triad(0.2, 3.0, 0.2)
+        # cx4 is the consistency ratio t13 / (t12 * t23), which the transpose inverts.
+        assert abs(w.observed["input"] - 75.0) <= 1e-12 * 75.0
+        assert abs(w.observed["transposed"] - 1.0 / 75.0) <= 1e-12
+        assert verdict.samples_used == 1
 
     def test_flat_fails_urs_via_inconsistent_match(self):
         verdict = check_axiom(get_index("flat"), "URS", FAST)
@@ -358,8 +362,8 @@ class TestWitnessReplay:
     def test_witness_to_dict_is_self_contained(self):
         verdict = check_axiom(get_index("cx6"), "SI", FAST)
         payload = verdict.witness.to_dict()
-        assert payload["triads"]["input"] == {"t12": 1.0, "t13": 8.0, "t23": 4.0}
-        assert payload["params"]["k"] == 2.0
+        assert payload["triads"]["input"] == {"t12": 8.0, "t13": 0.2, "t23": 0.5}
+        assert payload["params"]["k"] == 0.1
         assert payload["relation"]
 
 
@@ -1001,17 +1005,19 @@ def test_first_concordance_pair_and_a_redrawn_msc_base_at_full_precision():
     assert _hex([row for _, row in _SPECS["MSC"].probes(AuditConfig(samples=276))][275]) == _HEX_REDRAWN_MSC
 
 
-def test_a_pinned_fail_is_never_evaluated_on_a_sampled_row():
-    # cx4 fails IIP on its pinned row (1, 3, 2), whose entries do not shrink;
-    # the IIP probes drawn for the other 11 indices never reach it.
+def test_a_closed_cell_is_never_evaluated_on_a_later_row():
+    # cx4 closes IIP on probe 1; its shrinking replays rounded copies of that
+    # row, and the IIP probes drawn for the other 11 indices never reach it.
     seen = []
     cx4 = get_index("cx4")
     recording = dataclasses.replace(cx4, evaluate=lambda t: seen.append(t) or cx4.evaluate(t))
     indices = tuple(recording if d.id == "cx4" else d for d in CATALOG)
-    verdict = verdict_matrix(indices, ("IIP",), AuditConfig(samples=50)).report(recording, ("IIP",)).verdict("IIP")
-    assert (verdict.status, verdict.samples_used) == ("fail", 0)
-    pinned = Triad(1.0, 3.0, 2.0)
-    assert seen == [pinned, transpose_triad(pinned)]
+    cfg = AuditConfig(samples=50)
+    verdict = verdict_matrix(indices, ("IIP",), cfg).report(recording, ("IIP",)).verdict("IIP")
+    assert (verdict.status, verdict.samples_used) == ("fail", 1)
+    rows = [row[0] for _, row in _SPECS["IIP"].probes(cfg)]
+    assert seen[:2] == [rows[0], transpose_triad(rows[0])]
+    assert not {t for row in rows[1:] for t in (row, transpose_triad(row))} & set(seen)
 
 
 def _con_row_violation(evaluate, *row):
@@ -1307,18 +1313,18 @@ def test_saaty_ci_urs_is_not_failed_by_rounding():
 
 
 # The fail cells of the 12x9 verdict matrix at the default config, with their
-# samples_used (0 = pinned probe); every other cell passes after 1000 probes.
+# samples_used (the probe that found the violation); every other cell passes after 1000 probes.
 DEFAULT_FAILS = {
     "natural": {},
-    "scale_dependent": {"HTA": 1, "SI": 0},
+    "scale_dependent": {"HTA": 1, "SI": 1},
     "koczkodaj": {},
     "saaty_ci": {},
     "cx1": {"URS": 1, "SMSC": 1},
     "cx2": {"MRP": 1, "MSC": 1, "SMSC": 1},
     "cx3": {"CON": 1},
-    "cx4": {"IPA": 1, "MRP": 2, "IIP": 0},
-    "cx5": {"IPA": 1, "HTA": 0},
-    "cx6": {"IPA": 1, "SI": 0},
+    "cx4": {"IPA": 1, "MRP": 2, "IIP": 1},
+    "cx5": {"IPA": 1, "HTA": 1},
+    "cx6": {"IPA": 1, "SI": 1},
     "flat": {"URS": 1, "SMSC": 1},
     "discretised_natural": {"SMSC": 1},
 }
@@ -1328,9 +1334,9 @@ DEFAULT_FAILS = {
 # included, per config.  A change that moves one witness float
 # changes the digest; diff the documents against the previous release to see which.
 VERDICT_DIGESTS = {
-    AuditConfig(): "70f7481fbb62d7b45e940c334c527cb6f2f4facf68c29354d5a084c40b9bebb9",
-    AuditConfig(samples=37, master_seed=3): "eb36ee49506c8dd00a0929c76be2814453ac7b97089d153c9d4da64b82160f85",
-    AuditConfig(samples=37, master_seed=7): "73fa75250c33dc86ae346c4789c4187b733b5497852ad9f81b54ac0abecf9481",
+    AuditConfig(): "20a927e2f48f5d0d7de6643ca8d10c50b7c9672ecd029fac583ef19a735adf79",
+    AuditConfig(samples=37, master_seed=3): "6f617403c4c92b1d71176939435e955ca5cb420456709a2a38c689081f9c1929",
+    AuditConfig(samples=37, master_seed=7): "3647d3b98c80676d8093fecd664fb105bd2ff3d6d62bb89d8b43702972e6a2cf",
 }
 
 

@@ -225,7 +225,9 @@ class TestAudit:
         doc = json.loads(out)
         jsonschema.validate(doc, report_schema())
         assert doc["results"]["verdicts"][0]["status"] == "fail"
-        assert doc["witnesses"][0]["params"]["k"] == 2
+        # Probe 1 fails, shrunk to (1/2, 3, 1/5) scaled by k = 1/10.
+        assert doc["results"]["verdicts"][0]["samples_used"] == 1
+        assert doc["witnesses"][0]["params"]["k"] == 0.1
         assert doc["config"]["master_seed"] == 7
 
     def test_byte_determinism(self):
@@ -290,15 +292,15 @@ class TestConcordance:
 # sha256 of three --json documents at the default seed.  A change that moves
 # one byte of a report changes its digest; only a release may re-pin them.
 JSON_DIGESTS = {
-    ("compute", "--matrix", "row.csv", "--json"): "1722267536b6582872351cdb3773b3a5cf09c8e19223f8e50df87c28eff33a2f",
+    ("compute", "--matrix", "row.csv", "--json"): "793db8467f976165362ff774ebe2839804b20e1d0b9be638f7679a62215ecf7f",
     # cx3 fails CON on probe 1, so this document carries a CON witness.
     ("audit", "cx3", "--axioms", "CON,MRP", "--samples", "300", "--json"): (
-        "fcc4c37e2f33cbbf746ecf3cc9185d414e7996191146614cd49e49c768b5731d"
+        "351bf4143c3c91ae0f3b2fc0030f794627f9f313b89ce5b3e46593194d2c6d06"
     ),
-    ("independence", "--samples", "200", "--json"): "643f43e67fc33decb016c9e1d6cec516bca85e4b7574c9c6410f75f7b93778e4",
+    ("independence", "--samples", "200", "--json"): "75b6d1ac0d80d72dd4c5b67336706a2dcd74ad714cc3fd5b5f2a835a05ccfc19",
     # natural and cx5 disagree on pair 1, so this document carries a concordance witness.
     ("concordance", "natural", "cx5", "--samples", "1000", "--json"): (
-        "255521897701a871e9ddca3e03e8ff8336acb5ee95bdd24e0cb385f4ce14577f"
+        "e1a3485e80eac3d60842b020ca7d4b06860735b3ee45278df0ea2a00a4d768d2"
     ),
 }
 

@@ -14,11 +14,13 @@ from eigen_oracle import matrix_rows
 from triadaudit import (
     DomainError,
     Triad,
+    Witness,
     consistency_ratio,
     is_consistent,
     natural_index,
     permute_triad,
     power_transform,
+    replay_witness,
     scale_transform,
     single_entry_perturb,
     transpose_triad,
@@ -359,3 +361,25 @@ def test_a_non_numeric_transform_parameter_raises_the_float_conversion_error(nam
     assert type(excinfo.value) is ValueError
     with pytest.raises(TypeError):
         transform(None)
+
+
+# A finite entry whose power overflows is rejected as an infinite entry, by its
+# field, as an underflow to 0 is; a replayed witness reaches the same transforms.
+MRP_OVERFLOW = Witness("MRP", "", {"input": Triad(1e200, 1.0, 1.0)}, {"b": 3.0})
+MSC_OVERFLOW = Witness(
+    "MSC", "", {"consistent": Triad(1e100, 1e200, 1e100)}, {"position": "13", "delta_prev": 1.0, "delta": 2.0}
+)
+OVERFLOWS = {
+    "power_transform": (lambda: power_transform(Triad(1e200, 1.0, 1.0), 2.0), "t12"),
+    "single_entry_perturb": (lambda: single_entry_perturb(Triad(1e200, 1e200, 1.0), "12", 2.0), "t12"),
+    "MRP replay": (lambda: replay_witness(MRP_OVERFLOW, natural_index), "t12"),
+    "MSC replay": (lambda: replay_witness(MSC_OVERFLOW, natural_index), "t13"),
+}
+
+
+@pytest.mark.parametrize("case", OVERFLOWS)
+def test_an_overflowing_power_raises_the_domain_error_of_its_field(case):
+    call, name = OVERFLOWS[case]
+    with pytest.raises(DomainError) as excinfo:
+        call()
+    assert str(excinfo.value) == f"{name} must be a finite positive real, got inf"
