@@ -11,6 +11,7 @@ from contextlib import redirect_stdout
 
 import jsonschema
 
+import reference_engine
 from eigen_oracle import saaty_ci_oracle
 from triadaudit import (
     AXIOMS,
@@ -125,10 +126,7 @@ def test_criterion_7_discretised_boundary(default_matrix):
     assert stats.ties_b_only > 0 and stats.discordant == 0
     # Every one-sided tie comes from pairs clipped on both sides (natural > 2).
     clipped_pairs = 0
-    for i in range(cfg.samples):
-        rng = probe_rng(probe_key(cfg.master_seed, "pair"), i)
-        s = sample_triad(rng)
-        t = sample_triad(rng)
+    for s, t in reference_engine.pairs(cfg):
         if natural_index(s) > 2.0 and natural_index(t) > 2.0:
             clipped_pairs += 1
             assert descriptor.evaluate(s) == descriptor.evaluate(t) == 2.0

@@ -9,6 +9,7 @@ from collections import Counter
 
 import pytest
 
+import reference_engine
 import triadaudit.axioms
 from conftest import band_edge_values
 from triadaudit import (
@@ -28,10 +29,8 @@ from triadaudit import (
     independence_table,
     natural_index,
     probe_key,
-    probe_rng,
     ranking_concordance,
     replay_witness,
-    sample_triad,
     verdict_matrix,
 )
 from triadaudit.analysis import INDEPENDENCE_AXIOMS, INDEPENDENCE_ROWS, _implication_verdict
@@ -177,8 +176,7 @@ class TestConcordance:
         # at samples=1, each side's tie must be axioms._close of its two values,
         # closeness within the band ``tol``.
         cfg = AuditConfig(samples=1)
-        draw = probe_rng(probe_key(cfg.master_seed, "pair"), 0)
-        s, t = sample_triad(draw), sample_triad(draw)
+        ((s, t),) = reference_engine.pairs(cfg)
 
         def scripted(at_s, at_t):
             return IndexDescriptor(
@@ -270,30 +268,14 @@ class TestConcordance:
         assert total == stats.pairs == 700
 
     def test_counts_match_manual_recount_of_the_pair_stream(self):
-        cfg = AuditConfig(samples=200)
-        a, b = get_index("natural"), get_index("scale_dependent")
-        counts = {"c": 0, "d": 0, "ta": 0, "tb": 0, "both": 0}
-        for i in range(cfg.samples):
-            rng = probe_rng(probe_key(cfg.master_seed, "pair"), i)
-            s = sample_triad(rng)
-            t = sample_triad(rng)
-            da, db = a.evaluate(s) - a.evaluate(t), b.evaluate(s) - b.evaluate(t)
-            tie_a = math.isclose(a.evaluate(s), a.evaluate(t), rel_tol=cfg.tolerance, abs_tol=cfg.tolerance)
-            tie_b = math.isclose(b.evaluate(s), b.evaluate(t), rel_tol=cfg.tolerance, abs_tol=cfg.tolerance)
-            if tie_a and tie_b:
-                counts["both"] += 1
-            elif tie_a:
-                counts["ta"] += 1
-            elif tie_b:
-                counts["tb"] += 1
-            elif da * db > 0:
-                counts["c"] += 1
-            else:
-                counts["d"] += 1
-        stats = ranking_concordance(a, b, cfg)
-        assert (stats.concordant, stats.discordant) == (counts["c"], counts["d"])
-        assert (stats.ties_a_only, stats.ties_b_only, stats.ties_both) == (counts["ta"], counts["tb"], counts["both"])
-        assert stats == ranking_concordance(a, b, cfg)
+        # The reference engine recounts the pair stream of natural against every catalog index.
+        natural = get_index("natural")
+        for cfg in (AuditConfig(samples=200), AuditConfig(samples=200, master_seed=7)):
+            for d in CATALOG:
+                stats = ranking_concordance(natural, d, cfg)
+                counts = (stats.concordant, stats.discordant, stats.ties_a_only, stats.ties_b_only, stats.ties_both)
+                assert counts == reference_engine.concordance(natural.evaluate, d.evaluate, cfg), (cfg, d.id)
+                assert stats == ranking_concordance(natural, d, cfg)
 
 
 class TestCharacterization:

@@ -10,11 +10,12 @@ import math
 import pickle
 import struct
 import sys
-from itertools import permutations
+from itertools import count, permutations, product
 
 import numpy as np
 import pytest
 
+import reference_engine
 from conftest import band_edge_values
 from triadaudit import (
     AXIOMS,
@@ -28,12 +29,16 @@ from triadaudit import (
     check_axiom,
     consistency_ratio,
     get_index,
+    is_consistent,
     natural_index,
     probe_key,
     probe_rng,
     replay_witness,
     sample_consistent_triad,
     sample_triad,
+    scale_transform,
+    single_entry_perturb,
+    transpose_triad,
     verdict_matrix,
 )
 from triadaudit import analysis, axioms, cli
@@ -42,9 +47,7 @@ from triadaudit.axioms import (
     CONTINUITY_LADDER,
     DELTA_GRID,
     K_GRID,
-    _CON_JUMP_FRACTION,
     _DECODE,
-    _MIN_LOG_ENTRY,
     _SPECS,
     AxiomVerdict,
     VerdictMatrix,
@@ -52,16 +55,7 @@ from triadaudit.axioms import (
     _block0,
     _shrink,
 )
-from triadaudit.core import (
-    _band,
-    _close,
-    _with_entry,
-    permute_triad,
-    power_transform,
-    scale_transform,
-    single_entry_perturb,
-    transpose_triad,
-)
+from triadaudit.core import _close
 
 FAST = AuditConfig(samples=150, master_seed=42)
 
@@ -191,9 +185,9 @@ class TestConfig:
     def test_entry_range_feeds_the_msc_redraw_and_keeps_every_probe_in_float64(self):
         lo, hi = (math.log(v) for v in AuditConfig.entry_range)
         # MSC/SMSC redraw consistent triads until every entry is at least
-        # _MIN_LOG_ENTRY from 1 in log space.  At log(hi/lo) = 4 * _MIN_LOG_ENTRY
+        # OFF_UNIT (0.05) from 1 in log space.  At log(hi/lo) = 4 * OFF_UNIT
         # about 1/8 of the draws qualify; a narrower range starves that redraw.
-        assert hi - lo >= 4 * _MIN_LOG_ENTRY
+        assert hi - lo >= 4 * reference_engine.OFF_UNIT
         # The largest |log| of an entry, a product of two entries or a consistency
         # ratio that a probe hands to an index: sampled and consistent triads,
         # MRP's powers b, MSC/SMSC's powers delta of one consistent entry, SI's
@@ -214,33 +208,30 @@ class TestProbeDomains:
 
     CFG = AuditConfig(samples=300, master_seed=5)
 
-    def rows(self, axiom):
-        return [row for _, row in _SPECS[axiom].probes(self.CFG)]
-
     @pytest.mark.parametrize("axiom, grid", [("MRP", tuple(b for b in B_GRID if b != 1.0)), ("SI", K_GRID)])
     def test_power_and_scale_grids_are_positive_on_both_sides_of_one(self, axiom, grid):
         assert all(v > 0.0 for v in grid)
         assert min(grid) < 1.0 < max(grid)
-        assert {row[1:] for row in self.rows(axiom)} == {grid}
+        assert {row[1:] for row in _reference_rows(axiom, self.CFG)} == {grid}
 
     def test_continuity_ladder_is_positive_and_strictly_decreasing(self):
         assert all(eps > 0.0 for eps in CONTINUITY_LADDER)
         assert all(a > b for a, b in zip(CONTINUITY_LADDER, CONTINUITY_LADDER[1:]))
-        assert {row[2] for row in self.rows("CON")} == {CONTINUITY_LADDER}
+        assert {row[2] for row in _reference_rows("CON", self.CFG)} == {CONTINUITY_LADDER}
 
     def test_hta_probes_have_unit_t12(self):
-        rows = self.rows("HTA")
+        rows = _reference_rows("HTA", self.CFG)
         assert len(rows) == self.CFG.samples
         assert all(t.t12 == 1.0 for (t,) in rows)
 
     def test_ipa_rows_carry_the_five_non_identity_bijections(self):
         # The identity is skipped: its permuted triad is the input itself.
-        for _, *perms in self.rows("IPA"):
+        for _, *perms in _reference_rows("IPA", self.CFG):
             assert sorted(perms) == [p for p in permutations(range(3)) if p != (0, 1, 2)]
 
     @pytest.mark.parametrize("axiom", ["MSC", "SMSC"])
     def test_every_rung_lifts_the_consistency_ratio_further(self, axiom):
-        rows = self.rows(axiom)
+        rows = _reference_rows(axiom, self.CFG)
         assert len(rows) == self.CFG.samples
         for base, position, delta_prev, *deltas in rows:
             assert delta_prev == 1.0 and consistency_ratio(base) == pytest.approx(1.0)
@@ -319,15 +310,6 @@ class TestCheckAxiom:
 
 
 class TestWitnessReplay:
-    def test_all_catalog_failures_replay(self, default_matrix):
-        for descriptor, report in default_matrix.rows:
-            for verdict in report.verdicts:
-                if verdict.status == "fail":
-                    assert replay_witness(verdict.witness, descriptor.evaluate, default_matrix.config.tolerance), (
-                        descriptor.id,
-                        verdict.axiom,
-                    )
-
     def test_replay_takes_the_band_positionally_and_no_other(self):
         # A replay restates the equality band as its third argument, or raises.
         verdict = check_axiom(get_index("scale_dependent"), "SI", FAST)
@@ -345,19 +327,18 @@ class TestWitnessReplay:
     @pytest.mark.parametrize("position", ["12", "13"])
     def test_an_int_position_replays_like_its_string(self, position):
         # Triad.entry reads str(position), and so does every rung of a CON or
-        # MSC/SMSC row: the index jumps as soon as the entry at ``position`` grows.
-        t = Triad(1.0, 3.0, 2.0)
+        # MSC/SMSC row: the index drops as soon as the entry at ``position`` moves.
+        t = Triad(2.0, 4.0, 2.0)
 
-        def jump(u):
-            return float(u.entry(position) > t.entry(position))
+        def drop(u):
+            return -float(u.entry(position) != t.entry(position))
 
+        rungs = {"delta_prev": 1.0, "delta": 1.5}
+        rows = {"CON": ("input", {"ladder": CONTINUITY_LADDER}), "MSC": ("consistent", rungs)}
+        rows["SMSC"] = rows["MSC"]
         for key in (position, int(position)):
-            witness = Witness("CON", "", {"input": t}, {"position": key, "ladder": CONTINUITY_LADDER})
-            assert replay_witness(witness, jump)
-        base = Triad(2.0, 4.0, 2.0)
-        for axiom in ("MSC", "SMSC"):
-            expand = _SPECS[axiom].expand
-            assert expand(base, int(position), 1.0, 1.5, 2.0, 3.0) == expand(base, position, 1.0, 1.5, 2.0, 3.0)
+            for axiom, (name, params) in rows.items():
+                assert replay_witness(Witness(axiom, "", {name: t}, {"position": key, **params}), drop), (axiom, key)
 
     def test_witness_to_dict_is_self_contained(self):
         verdict = check_axiom(get_index("cx6"), "SI", FAST)
@@ -383,21 +364,6 @@ class TestAudit:
     def test_natural_passes_everything(self, default_matrix):
         report = default_matrix.report(get_index("natural"), AXIOMS)
         assert report.all_pass and report.matches_expected
-
-    def test_scale_dependent_profile(self, default_matrix):
-        report = default_matrix.report(get_index("scale_dependent"), AXIOMS)
-        statuses = {v.axiom: v.status for v in report.verdicts}
-        assert statuses == {
-            "URS": "pass",
-            "IPA": "pass",
-            "MRP": "pass",
-            "MSC": "pass",
-            "CON": "pass",
-            "IIP": "pass",
-            "HTA": "fail",
-            "SI": "fail",
-            "SMSC": "pass",
-        }
 
     def test_determinism_of_reports(self):
         a = audit(get_index("cx5"), AXIOMS, FAST)
@@ -558,8 +524,8 @@ def test_probe_rng_is_order_free():
 
 @pytest.mark.parametrize("axiom", AXIOMS)
 def test_a_larger_budget_replays_the_smaller_one_first(axiom):
-    small = list(_SPECS[axiom].probes(AuditConfig(samples=40, master_seed=9)))
-    large = list(_SPECS[axiom].probes(AuditConfig(samples=100, master_seed=9)))
+    small = _engine_rows(axiom, AuditConfig(samples=40, master_seed=9))
+    large = _engine_rows(axiom, AuditConfig(samples=100, master_seed=9))
     assert large[: len(small)] == small and len(large) > len(small)
 
 
@@ -683,15 +649,12 @@ EVALS_PER_PASSING_CELL = {
 }
 
 
-def _counting_natural(calls):
-    def evaluate(t):
-        calls.append(t)
-        return natural_index(t)
-
+def _recording(evaluate, seen):
+    """A descriptor of ``evaluate`` that records every triad it evaluates in ``seen``."""
     return IndexDescriptor(
-        id="counting_natural",
-        label="natural, counting its evaluations",
-        evaluate=evaluate,
+        id="recording",
+        label="records every triad it evaluates",
+        evaluate=lambda t: seen.append(t) or evaluate(t),
         expected_profile={a: "pass" for a in AXIOMS},
     )
 
@@ -702,7 +665,7 @@ def test_each_probe_evaluates_each_triad_once():
     # one triad per rung.  A passing CON row settles on its first and last
     # rungs.  URS's probe 0 has one row: its consistent triad is the reference.
     calls = []
-    counting = _counting_natural(calls)
+    counting = _recording(natural_index, calls)
     cfg = AuditConfig(samples=50)
     counts = {}
     for axiom in AXIOMS:
@@ -716,7 +679,7 @@ def test_a_matrix_row_evaluates_like_its_own_check():
     # Among 11 catalog indices that close early or late, the counting row sees
     # each probe's row once, as it does alone.
     calls = []
-    counting = _counting_natural(calls)
+    counting = _recording(natural_index, calls)
     indices = (*CATALOG[1:7], counting, *CATALOG[7:])
     assert len(indices) == 12
     cfg = AuditConfig(samples=50)
@@ -744,15 +707,6 @@ def test_a_nan_valued_index_still_fails_ipa():
     assert replay_witness(verdict.witness, nan_valued.evaluate)
 
 
-def _recording(evaluate, seen):
-    return IndexDescriptor(
-        id="recording",
-        label="records every triad it evaluates",
-        evaluate=lambda t: seen.append(t) or evaluate(t),
-        expected_profile={a: "pass" for a in AXIOMS},
-    )
-
-
 def test_a_patched_triad_init_sees_every_build(monkeypatch):
     # perfbench counts triads by wrapping Triad.__init__: every triad that a
     # sweep or a concordance hands to an index must have passed through it.
@@ -776,111 +730,60 @@ def test_a_patched_triad_init_sees_every_build(monkeypatch):
     assert seen and all(id(t) in ids for t in seen)
 
 
-# Engine rows rebuilt from the public samplers, reading each probe's draws
-# in order through its draw function, a choice over n items taking item
-# int(n * draw()): the reference for the probe families, which read block 0
-# by position.
-REFERENCE_CONFIG = AuditConfig(samples=200)
-_GRIDS = {
-    "IPA": tuple(p for p in permutations(range(3)) if p != (0, 1, 2)),
-    "MRP": tuple(b for b in B_GRID if b != 1.0),
-    "IIP": (),
-    "SI": K_GRID,
-}
+# The adapter from a reference row to the engine's relation: apart from the
+# pins of layout and cost, the one place here that knows how the engine
+# evaluates a row.  The engine's _SPECS rows list their fields as the reference's do.
+def _engine_params(axiom, evaluate, row):
+    """The params of the engine's witness on a reference row, or None if the row passes."""
+    spec = _SPECS[axiom]
+    witness = spec.violation(evaluate, *spec.expand(*row))
+    return None if witness is None else witness.params
 
 
-def _reference_base(draw):
-    """MSC/SMSC's base: consistent triads three draws at a time until every entry is off 1; and its tries."""
-    tries = 1
-    while True:
-        base = sample_consistent_triad(draw)
-        if all(abs(math.log(e)) >= _MIN_LOG_ENTRY for e in dataclasses.astuple(base)):
-            return base, tries
-        tries += 1
+def _engine_rows(axiom, cfg):
+    """The engine's rows of ``axiom`` at ``cfg``, in draw order."""
+    return [row for _, row in _SPECS[axiom].probes(cfg)]
 
 
 def _reference_rows(axiom, cfg):
-    key, rows = probe_key(cfg.master_seed, axiom), []
-    positions = ("12", "13", "23")
-    for i in range(cfg.samples):
-        draw = probe_rng(key, i)
-        if axiom in _GRIDS:
-            rows.append((sample_triad(draw), *_GRIDS[axiom]))
-        elif axiom == "HTA":
-            # (1; a; b) takes a and b from the first two of three draws.
-            t = sample_triad(draw)
-            rows.append((Triad(1.0, t.t12, t.t13),))
-        elif axiom == "URS":
-            consistent, offender = sample_consistent_triad(draw), sample_triad(draw)
-            if i == 0:
-                reference = consistent
-            else:
-                rows.append((reference, consistent, "consistent_mismatch"))
-            rows.append((reference, offender, "inconsistent_match"))
-        elif axiom == "CON":
-            bases = (sample_triad(draw), sample_consistent_triad(draw))
-            position = positions[int(len(positions) * draw())]
-            rows.extend((base, position, CONTINUITY_LADDER) for base in bases)
-        else:
-            base, _ = _reference_base(draw)
-            position = positions[int(len(positions) * draw())]
-            lifts = (base.entry(position) > 1.0) == (position == "13")
-            side = [d for d in DELTA_GRID if d > 1.0] if lifts else [d for d in reversed(DELTA_GRID) if d < 1.0]
-            rows.append((base, position, 1.0, *side))
-    return rows
+    """The reference's rows of ``axiom`` at ``cfg``, in draw order."""
+    return [row for probe in reference_engine.rows(axiom, cfg) for row in probe]
 
 
 @pytest.mark.parametrize("axiom", AXIOMS)
 def test_engine_rows_equal_the_public_sampler_rows(axiom):
-    assert [row for _, row in _SPECS[axiom].probes(REFERENCE_CONFIG)] == _reference_rows(axiom, REFERENCE_CONFIG)
+    cfg = AuditConfig()
+    assert _engine_rows(axiom, cfg) == _reference_rows(axiom, cfg)
 
 
 def test_concordance_pairs_equal_the_public_sampler_pairs():
-    cfg, seen = REFERENCE_CONFIG, []
+    cfg, seen = AuditConfig(), []
     analysis.ranking_concordance(_recording(natural_index, seen), get_index("natural"), cfg)
-    key, expected = probe_key(cfg.master_seed, "pair"), []
-    for i in range(cfg.samples):
-        draw = probe_rng(key, i)
-        expected += [sample_triad(draw), sample_triad(draw)]
-    assert seen == expected
+    assert seen == [t for pair in reference_engine.pairs(cfg) for t in pair]
 
 
-def _entry_times(t, position, factor):
-    """``t`` with the entry at ``position`` times ``factor``, other entries as they are."""
-    return Triad(*(e * factor if p == position else e for p, e in zip(("12", "13", "23"), dataclasses.astuple(t))))
+def _triads(axiom, row):
+    """The distinct triads that the reference evaluates on ``row``, in the order it first meets them."""
+    seen = []
+    reference_engine.relation(axiom, lambda t: seen.append(t) or 0.0, *row)
+    return list(dict.fromkeys(seen))
 
 
-def _reference_expansion(axiom, row):
-    """The triads that one row compares, from the public transforms and the axioms' statements."""
-    if axiom == "URS":
-        # URS compares drawn triads only.
-        return row
-    if axiom in ("IPA", "SI"):
-        t, *values = row
-        transform = permute_triad if axiom == "IPA" else scale_transform
-        return (t, [(v, transform(t, v)) for v in values])
-    if axiom == "MRP":
-        t, *bs = row
-        return (t, [(b, power_transform(t, b)) for b in bs if b != 1.0])
-    if axiom == "IIP":
-        return (row[0], [(None, transpose_triad(row[0]))])
-    if axiom == "HTA":
-        # (1; a; b) against (1; a/b; 1).
-        t = row[0]
-        return (t, [(None, Triad(1.0, t.t13 / t.t23, 1.0))])
-    if axiom == "CON":
-        t, position, ladder = row
-        first, last = (_entry_times(t, position, 1.0 + eps) for eps in (ladder[0], ladder[-1]))
-        return (t, position, ladder, first, last)
-    base, position, delta_prev, *deltas = row
-    assert delta_prev == 1.0
-    return (base, position, delta_prev, None, [(d, single_entry_perturb(base, position, d)) for d in deltas])
+def _scripted(triads, values):
+    """An evaluator that gives ``triads`` their ``values``.  Any other triad raises KeyError, so an
+    engine row that builds a triad other than the reference's public transforms fails the lookup."""
+    return dict(zip(triads, values, strict=True)).__getitem__
 
 
 @pytest.mark.parametrize("axiom", AXIOMS)
 def test_row_expansion_equals_the_public_transforms(axiom):
-    rows = _reference_rows(axiom, REFERENCE_CONFIG)[:50]
-    assert [_SPECS[axiom].expand(*row) for row in rows] == [_reference_expansion(axiom, row) for row in rows]
+    # A passing check evaluates only triads that the reference builds from the same probes.
+    cfg = AuditConfig(samples=50)
+    rows = _reference_rows(axiom, cfg)
+    triads = list(dict.fromkeys(t for row in rows for t in _triads(axiom, row)))
+    evaluate = _scripted(triads, map(natural_index, triads))
+    table = IndexDescriptor("table", "natural on the reference's triads", evaluate, {a: "pass" for a in AXIOMS})
+    assert check_axiom(table, axiom, cfg).status == "pass"
 
 
 @pytest.mark.parametrize("axiom", AXIOMS)
@@ -891,7 +794,7 @@ def test_a_matrix_sweep_builds_each_row_once(monkeypatch, axiom):
     init = Triad.__init__
     monkeypatch.setattr(Triad, "__init__", lambda self, *a, **kw: init(self, *a, **kw) or built.append(1))
     calls = []
-    counting = _counting_natural(calls)
+    counting = _recording(natural_index, calls)
     cfg = AuditConfig(samples=50)
     assert check_axiom(counting, axiom, cfg).status == "pass"
     alone = len(built)
@@ -906,10 +809,11 @@ def test_a_matrix_sweep_builds_each_row_once(monkeypatch, axiom):
 def test_a_pinned_msc_probe_reads_past_block_zero():
     # At seed 42, MSC probe 275 rejects two bases with an entry near 1 and
     # SMSC probe 811 three: their positions are draws 9 and 12, in block 1.
+    # test_engine_rows_equal_the_public_sampler_rows compares their rows.
     for axiom, i, tries in (("MSC", 275, 3), ("SMSC", 811, 4)):
-        cfg = AuditConfig(samples=i + 1)
-        assert _reference_base(probe_rng(probe_key(cfg.master_seed, axiom), i))[1] == tries
-        assert [row for _, row in _SPECS[axiom].probes(cfg)][i] == _reference_rows(axiom, cfg)[i], axiom
+        ((base, *_),) = reference_engine.rows(axiom, AuditConfig())[i]
+        draw = probe_rng(probe_key(42, axiom), i)
+        assert next(n for n in count(1) if sample_consistent_triad(draw) == base) == tries, axiom
 
 
 def test_an_msc_sweep_derives_its_key_once(monkeypatch):
@@ -918,7 +822,7 @@ def test_an_msc_sweep_derives_its_key_once(monkeypatch):
     calls = []
     key = axioms.probe_key
     monkeypatch.setattr(axioms, "probe_key", lambda *args: calls.append(args) or key(*args))
-    list(_SPECS["MSC"].probes(AuditConfig(samples=300)))
+    assert check_axiom(get_index("natural"), "MSC", AuditConfig(samples=300)).status == "pass"
     assert calls == [(42, "MSC")]
 
 
@@ -964,7 +868,8 @@ def _hex(row):
 
 @pytest.mark.parametrize("axiom", AXIOMS)
 def test_first_row_of_each_family_at_full_precision(axiom):
-    assert _hex(next(_SPECS[axiom].probes(AuditConfig()))[1]) == _HEX_ROWS[axiom]
+    # Probe 0 draws the same row at every sample count.
+    assert _hex(_engine_rows(axiom, AuditConfig(samples=1))[0]) == _HEX_ROWS[axiom]
 
 
 def _exact_product(t):
@@ -976,12 +881,12 @@ def test_every_consistent_probe_is_exactly_consistent():
     # URS's reference and its consistent offenders, every MSC/SMSC base
     # (redraws past block 0 included) and CON's consistent bases, at the default config.
     cfg = AuditConfig()
-    urs = [row for _, row in _SPECS["URS"].probes(cfg)]
+    urs = _reference_rows("URS", cfg)
     consistent = [urs[0][0]] + [offender for _, offender, kind in urs if kind == "consistent_mismatch"]
     for axiom in ("MSC", "SMSC"):
-        consistent += [row[0] for _, row in _SPECS[axiom].probes(cfg)]
-    # CON yields a sampled and then a consistent base per probe.
-    consistent += [row[0] for _, row in _SPECS["CON"].probes(cfg)][1::2]
+        consistent += [row[0] for row in _reference_rows(axiom, cfg)]
+    # CON draws a sampled and then a consistent base per probe.
+    consistent += [probe[1][0] for probe in reference_engine.rows("CON", cfg)]
     assert len(consistent) == 4 * cfg.samples
     assert [t for t in consistent if not _exact_product(t)] == []
     key = probe_key(cfg.master_seed, "c")
@@ -1002,7 +907,7 @@ def test_first_concordance_pair_and_a_redrawn_msc_base_at_full_precision():
     seen = []
     analysis.ranking_concordance(_recording(natural_index, seen), get_index("natural"), AuditConfig(samples=1))
     assert _hex(seen) == _HEX_PAIR
-    assert _hex([row for _, row in _SPECS["MSC"].probes(AuditConfig(samples=276))][275]) == _HEX_REDRAWN_MSC
+    assert _hex(_engine_rows("MSC", AuditConfig(samples=276))[275]) == _HEX_REDRAWN_MSC
 
 
 def test_a_closed_cell_is_never_evaluated_on_a_later_row():
@@ -1015,54 +920,32 @@ def test_a_closed_cell_is_never_evaluated_on_a_later_row():
     cfg = AuditConfig(samples=50)
     verdict = verdict_matrix(indices, ("IIP",), cfg).report(recording, ("IIP",)).verdict("IIP")
     assert (verdict.status, verdict.samples_used) == ("fail", 1)
-    rows = [row[0] for _, row in _SPECS["IIP"].probes(cfg)]
+    rows = [row[0] for row in _reference_rows("IIP", cfg)]
     assert seen[:2] == [rows[0], transpose_triad(rows[0])]
     assert not {t for row in rows[1:] for t in (row, transpose_triad(row))} & set(seen)
-
-
-def _con_row_violation(evaluate, *row):
-    """CON's relation on one row, expanded as a sweep expands it."""
-    return _SPECS["CON"].violation(evaluate, *_SPECS["CON"].expand(*row))
 
 
 def test_a_failing_con_row_evaluates_each_rung_once():
     # cx3's first failing CON row: the base, the first and last rungs, then the six middle rungs.
     cx3, cfg = get_index("cx3"), AuditConfig()
-    row = next(row for _, row in _SPECS["CON"].probes(cfg) if _con_row_violation(cx3.evaluate, *row))
+    row = next(row for row in _reference_rows("CON", cfg) if reference_engine.relation("CON", cx3.evaluate, *row))
     calls = []
 
     def evaluate(t):
         calls.append(t)
         return cx3.evaluate(t)
 
-    assert _con_row_violation(evaluate, *row) is not None
+    assert _engine_params("CON", evaluate, row) is not None
     assert len(calls) == len(set(calls)) == 9
 
 
-def _full_ladder_con(evaluate, input, position, ladder):
-    """The CON relation with every rung evaluated before the row is decided."""
-    base_value = evaluate(input)
-    entry = input.entry(position)
-    changes = [abs(evaluate(_with_entry(input, position, entry * (1.0 + eps))) - base_value) for eps in ladder]
-    if changes[-1] <= max(_band(base_value), _CON_JUMP_FRACTION * max(changes)):
-        return None
-    return Witness(
-        axiom="CON",
-        relation="index change does not vanish as the perturbation shrinks",
-        triads={"input": input},
-        params={"position": position, "ladder": tuple(ladder)},
-        observed={
-            "base": base_value,
-            "change_first": changes[0],
-            "change_last": changes[-1],
-            "change_max": max(changes),
-        },
-    )
-
-
-def _witness_doc(witness):
-    # json text, so that NaN observations compare equal.
-    return witness and json.dumps(witness.to_dict(), sort_keys=True)
+def _catalog_rows_agree(axiom, cfg):
+    """The engine's relation and the reference's name the same violation, or none, on every row at
+    ``cfg`` for every catalog index.  Observed values are left to the pinned digests."""
+    for row in _reference_rows(axiom, cfg):
+        for descriptor in CATALOG:
+            expected = reference_engine.relation(axiom, descriptor.evaluate, *row)
+            assert _engine_params(axiom, descriptor.evaluate, row) == expected, (descriptor.id, row)
 
 
 CON_CONFIGS = [AuditConfig(), AuditConfig(samples=300, master_seed=7)]
@@ -1070,12 +953,7 @@ CON_CONFIGS = [AuditConfig(), AuditConfig(samples=300, master_seed=7)]
 
 @pytest.mark.parametrize("cfg", CON_CONFIGS, ids=["default", "seed_7"])
 def test_con_pass_test_agrees_with_the_full_ladder(cfg):
-    rows = [row for _, row in _SPECS["CON"].probes(cfg)]
-    for descriptor in CATALOG:
-        for row in rows:
-            expected = _full_ladder_con(descriptor.evaluate, *row)
-            got = _con_row_violation(descriptor.evaluate, *row)
-            assert _witness_doc(got) == _witness_doc(expected), (descriptor.id, row)
+    _catalog_rows_agree("CON", cfg)
 
 
 NAN = float("nan")
@@ -1093,106 +971,35 @@ RUNG_VALUES = {
     "step_between_rungs": ([1.0] * 4 + [0.0] * 4, True),
     # The first and last rungs do not prove the pass; the peak in the middle does.
     "middle_peak": ([1e-3, *[1.0] * 6, 5e-4], True),
+    # The last change is within 1e-2 of the largest, but not within 1e-3.
+    "last_change_above_the_fraction": ([1.0] * 7 + [2e-3], False),
 }
+CON_ROW = (Triad(2.0, 3.0, 5.0), "13", CONTINUITY_LADDER)
 
 
 @pytest.mark.parametrize("name", RUNG_VALUES)
 def test_con_pass_test_agrees_with_the_full_ladder_on_nan_and_steps(name):
     values, passes = RUNG_VALUES[name]
-    base, position = Triad(2.0, 3.0, 5.0), "13"
-    rungs = {_with_entry(base, position, base.t13 * (1.0 + eps)): v for eps, v in zip(CONTINUITY_LADDER, values)}
-
-    def evaluate(t):
-        return rungs.get(t, 0.0)
-
-    expected = _full_ladder_con(evaluate, base, position, CONTINUITY_LADDER)
-    got = _con_row_violation(evaluate, base, position, CONTINUITY_LADDER)
-    assert _witness_doc(got) == _witness_doc(expected)
-    assert (got is None) == passes
+    evaluate = _scripted(_triads("CON", CON_ROW), [0.0, *values])
+    expected = reference_engine.relation("CON", evaluate, *CON_ROW)
+    assert _engine_params("CON", evaluate, CON_ROW) == expected
+    assert (expected is None) == passes
 
 
-# Reference rules for the ordered axioms: the band computed for every
-# comparison before the values are compared, as the relations read.
-
-
-def _eager_mrp(evaluate, input, powers):
-    """MRP's relation with a band computed for every power."""
-    base = evaluate(input)
-    for b, powered in powers:
-        after = evaluate(powered)
-        band = _band(base, after)
-        if b >= 1.0 and after < base - band:
-            relation = "I(powered) < I(input) - tolerance band although b >= 1"
-        elif b <= 1.0 and after > base + band:
-            relation = "I(powered) > I(input) + tolerance band although b <= 1"
-        else:
-            continue
-        return Witness(
-            axiom="MRP",
-            relation=relation,
-            triads={"input": input, "powered": powered},
-            params={"b": b},
-            observed={"input": base, "powered": after},
-        )
-    return None
-
-
-def _eager_monotone(strict):
-    """MSC's relation (SMSC's if ``strict``) with both bands computed on every rung."""
-
-    def eager(evaluate, consistent, position, delta_prev, previous, rungs):
-        base_value = evaluate(consistent)
-        prev_value = base_value if previous is None else evaluate(previous)
-        for delta, perturbed in rungs:
-            cur_value = evaluate(perturbed)
-            step_band = _band(prev_value, cur_value)
-            if cur_value < base_value - _band(base_value, cur_value):
-                violation, relation = "below_consistent", "I(perturbed) < I(consistent) - tolerance band"
-            elif cur_value < prev_value - step_band:
-                violation, relation = (
-                    "decrease",
-                    "I at the larger intensification < I at the smaller one - tolerance band",
-                )
-            elif strict and cur_value - prev_value <= step_band:
-                violation, relation = "tie", "intensification step failed to increase I beyond the tolerance band"
-            else:
-                prev_value, delta_prev = cur_value, delta
-                continue
-            return Witness(
-                axiom="SMSC" if strict else "MSC",
-                relation=relation,
-                triads={"consistent": consistent},
-                params={"position": position, "delta_prev": delta_prev, "delta": delta, "violation": violation},
-                observed={"consistent": base_value, "previous": prev_value, "perturbed": cur_value},
-            )
-        return None
-
-    return eager
-
-
-_EAGER = {"MRP": _eager_mrp, "MSC": _eager_monotone(False), "SMSC": _eager_monotone(True)}
-
-
-def _scripted(values):
-    """An evaluator that returns values[t] for each triad t it is given."""
-    return lambda t: values[t]
+def _scripted_rows_agree(axiom, row, values, width):
+    """On ``row``, the engine's relation and the reference's name the same violation, or none, for
+    each choice of ``width`` of ``values`` for the first ``width`` triads; any others are worth 0."""
+    triads = _triads(axiom, row)
+    for chosen in product(values, repeat=width):
+        evaluate = _scripted(triads, (*chosen[:-1], *[0.0] * (len(triads) - width), chosen[-1]))
+        assert _engine_params(axiom, evaluate, row) == reference_engine.relation(axiom, evaluate, *row), (row, chosen)
 
 
 def test_mrp_agrees_with_the_eager_band_on_scripted_values():
     # Two powers per row, below and above 1 in both orders, each value of the
     # table at the input and at each power.
-    input = Triad(2.0, 3.0, 5.0)
-    values = band_edge_values()
     for bs in ((0.5, 2.0), (2.0, 0.5)):
-        expanded = _SPECS["MRP"].expand(input, *bs)
-        (_, first), (_, second) = expanded[1]
-        for x in values:
-            for y in values:
-                for z in values:
-                    evaluate = _scripted({input: x, first: y, second: z})
-                    expected = _eager_mrp(evaluate, *expanded)
-                    got = _SPECS["MRP"].violation(evaluate, *expanded)
-                    assert _witness_doc(got) == _witness_doc(expected), (bs, x, y, z)
+        _scripted_rows_agree("MRP", (Triad(2.0, 3.0, 5.0), *bs), band_edge_values(), 3)
 
 
 @pytest.mark.parametrize("axiom", ["MSC", "SMSC"])
@@ -1200,70 +1007,42 @@ def test_monotone_agrees_with_the_eager_band_on_scripted_values(axiom):
     # From delta = 1 over two rungs (the base, the first and the second rung
     # scripted) and from delta = 1.5 over one (the base, the previous rung
     # and the rung).
-    spec, values = _SPECS[axiom], band_edge_values()
-    consistent = Triad(2.0, 6.0, 3.0)
-    from_one = spec.expand(consistent, "13", 1.0, 2.0, 3.0)
-    from_prev = spec.expand(consistent, "13", 1.5, 2.0)
-    (_, first), (_, second) = from_one[4]
-    previous, ((_, rung),) = from_prev[3], from_prev[4]
-    for expanded, triads in ((from_one, (consistent, first, second)), (from_prev, (consistent, previous, rung))):
-        for x in values:
-            for y in values:
-                for z in values:
-                    evaluate = _scripted(dict(zip(triads, (x, y, z))))
-                    expected = _EAGER[axiom](evaluate, *expanded)
-                    got = spec.violation(evaluate, *expanded)
-                    assert _witness_doc(got) == _witness_doc(expected), (expanded[2], x, y, z)
+    for deltas in ((1.0, 2.0, 3.0), (1.5, 2.0)):
+        _scripted_rows_agree(axiom, (Triad(2.0, 6.0, 3.0), "13", *deltas), band_edge_values(), 3)
 
 
 def test_con_agrees_with_the_full_ladder_on_scripted_values():
     # The base and the first and last rungs take every value of the table;
     # the middle rungs are worth 0.
-    input, position = Triad(2.0, 3.0, 5.0), "13"
-    expanded = _SPECS["CON"].expand(input, position, CONTINUITY_LADDER)
-    first, last = expanded[3], expanded[4]
-    values = band_edge_values()
-    for x in values:
-        for y in values:
-            for z in values:
-                scripted = {input: x, first: y, last: z}
-                evaluate = lambda t: scripted.get(t, 0.0)  # noqa: E731
-                expected = _full_ladder_con(evaluate, input, position, CONTINUITY_LADDER)
-                got = _SPECS["CON"].violation(evaluate, *expanded)
-                assert _witness_doc(got) == _witness_doc(expected), (x, y, z)
+    _scripted_rows_agree("CON", CON_ROW, band_edge_values(), 3)
 
 
 def test_equality_relations_follow_the_close_rule_on_scripted_values():
     # The equality relation of IPA, IIP, HTA and SI, each on a one-value row,
     # and URS's consistent_mismatch row fail iff the two values are not close
-    # within the band ``tol``, the one the relations read.
+    # within the band ``tol``, the one the relations read.  URS's
+    # inconsistent_match row, its offender 1e-7 off consistency, fails iff they are equal.
     tol = AuditConfig.tolerance
-    input, reference, offender = Triad(2.0, 3.0, 5.0), Triad(2.0, 6.0, 3.0), Triad(4.0, 12.0, 3.0)
+    input, reference = Triad(2.0, 3.0, 5.0), Triad(2.0, 6.0, 3.0)
+    rows = [
+        ("IPA", (input, (0, 2, 1))),
+        ("IIP", (input,)),
+        ("HTA", (input,)),
+        ("SI", (input, 2.0)),
+        ("URS", (reference, Triad(4.0, 12.0, 3.0), "consistent_mismatch")),
+        ("URS", (reference, Triad(2.0, 6.0 * (1.0 + 1e-7), 3.0), "inconsistent_match")),
+    ]
     values = band_edge_values()
-    for axiom, row_values in (("IPA", ((0, 2, 1),)), ("IIP", ()), ("HTA", ()), ("SI", (2.0,))):
-        expanded = _SPECS[axiom].expand(input, *row_values)
-        transformed = expanded[1][0][1]
-        for x in values:
-            for y in values:
-                close = _close(x, y)
-                assert close == math.isclose(x, y, rel_tol=tol, abs_tol=tol), (x, y)
-                grid = _SPECS[axiom].violation(_scripted({input: x, transformed: y}), *expanded)
-                urs = _SPECS["URS"].violation(
-                    _scripted({reference: x, offender: y}), reference, offender, "consistent_mismatch"
-                )
-                assert (grid is None, urs is None) == (close, close), (axiom, x, y)
+    for x, y in product(values, repeat=2):
+        assert _close(x, y) == math.isclose(x, y, rel_tol=tol, abs_tol=tol), (x, y)
+    for axiom, row in rows:
+        _scripted_rows_agree(axiom, row, values, 2)
 
 
 @pytest.mark.parametrize("cfg", CON_CONFIGS, ids=["default", "seed_7"])
 @pytest.mark.parametrize("axiom", ["MRP", "MSC", "SMSC"])
 def test_ordered_relations_agree_with_the_eager_band_on_the_catalog(axiom, cfg):
-    spec = _SPECS[axiom]
-    for _, row in spec.probes(cfg):
-        expanded = spec.expand(*row)
-        for descriptor in CATALOG:
-            expected = _EAGER[axiom](descriptor.evaluate, *expanded)
-            got = spec.violation(descriptor.evaluate, *expanded)
-            assert _witness_doc(got) == _witness_doc(expected), (descriptor.id, row)
+    _catalog_rows_agree(axiom, cfg)
 
 
 def test_a_passing_cell_computes_a_band_only_where_a_sign_points_at_a_violation(monkeypatch):
@@ -1424,7 +1203,7 @@ def _consistent(t, lo, hi):
 
 
 def _in_probe_domain(witness, lo, hi) -> bool:
-    """The probe domain that each _SPECS row documents, for a witness's one-value row."""
+    """Each axiom's probe domain, for a witness's one-value row."""
     t, p = witness.triads, witness.params
     axiom = witness.axiom
     if axiom == "URS":
@@ -1432,9 +1211,10 @@ def _in_probe_domain(witness, lo, hi) -> bool:
         return _consistent(t["reference"], lo, hi) and offender(t["offender"], lo, hi)
     if axiom in ("MSC", "SMSC"):
         base, position = t["consistent"], p["position"]
-        lifts = (base.entry(position) > 1.0) == (position == "13")
-        off_unit = all(abs(math.log(e)) >= _MIN_LOG_ENTRY for e in dataclasses.astuple(base))
-        return _consistent(base, lo, hi) and off_unit and lifts == (p["delta"] > 1.0)
+        off_unit = all(abs(math.log(e)) >= reference_engine.OFF_UNIT for e in dataclasses.astuple(base))
+        # The ladder walks the side of delta = 1 that lifts the consistency ratio above 1.
+        lifts = off_unit and consistency_ratio(single_entry_perturb(base, position, p["delta"])) > 1.0
+        return _consistent(base, lo, hi) and lifts
     if axiom == "CON":
         return _sampled(t["input"], lo, hi) or _consistent(t["input"], lo, hi)
     if axiom == "HTA":
@@ -1447,9 +1227,10 @@ def _significant_digits(x: float) -> int:
     return len(("%.15g" % x).split("e")[0].replace(".", "").strip("0"))
 
 
-def _row_triads(witness):
-    """The triads of the witness's row (spec.row), not the ones derived from them."""
-    return [witness.triads[name] for name in _SPECS[witness.axiom].row if name in witness.triads]
+def _breaks_the_reference(evaluate, witness) -> bool:
+    """Whether the reference's relation on the row that ``witness`` stores names the witness's violation."""
+    row = reference_engine.witness_row(witness)
+    return reference_engine.relation(witness.axiom, evaluate, *row) == witness.params
 
 
 def test_shrunk_default_witnesses_replay_inside_their_probe_domain(default_matrix):
@@ -1459,10 +1240,12 @@ def test_shrunk_default_witnesses_replay_inside_their_probe_domain(default_matri
     for descriptor, witness in witnesses:
         where = (descriptor.id, witness.axiom)
         assert replay_witness(witness, descriptor.evaluate, cfg.tolerance), where
+        assert _breaks_the_reference(descriptor.evaluate, witness), where
         assert _in_probe_domain(witness, *cfg.entry_range), where
         # Shrinking leaves every entry of a row triad with at most 2 significant digits.
-        for t in _row_triads(witness):
-            assert all(_significant_digits(e) <= 2 for e in dataclasses.astuple(t)), (where, t)
+        for t in reference_engine.witness_row(witness):
+            if isinstance(t, Triad):
+                assert all(_significant_digits(e) <= 2 for e in dataclasses.astuple(t)), (where, t)
 
 
 @pytest.mark.parametrize("seed", [3, 7])
@@ -1472,6 +1255,45 @@ def test_shrunk_small_budget_witnesses_replay_inside_their_probe_domain(catalog_
         for witness in report.witnesses():
             assert replay_witness(witness, descriptor.evaluate, cfg.tolerance), (descriptor.id, witness.axiom)
             assert _in_probe_domain(witness, *cfg.entry_range), (descriptor.id, witness.axiom)
+
+
+def _assert_agrees_with_the_reference(evaluate, verdict, cfg):
+    """The reference's (status, samples_used) at ``cfg``, and a fail witness that breaks the reference's relation."""
+    where = (cfg, verdict.axiom)
+    assert (verdict.status, verdict.samples_used) == reference_engine.check(evaluate, verdict.axiom, cfg), where
+    assert verdict.witness is None or _breaks_the_reference(evaluate, verdict.witness), where
+
+
+@pytest.mark.parametrize("seed", [3, 7])
+def test_every_catalog_cell_agrees_with_the_reference(catalog_matrix, seed):
+    cfg = AuditConfig(samples=37, master_seed=seed)
+    for descriptor, report in catalog_matrix(cfg).rows:
+        for verdict in report.verdicts:
+            _assert_agrees_with_the_reference(descriptor.evaluate, verdict, cfg)
+
+
+# Indices whose fails come late in the probe order, with a seed at which they do and
+# those fails' samples_used: every catalog fail comes on probe 1 or 2, so agreeing
+# with the reference on the catalog pins little more.
+LATE_FAILS = {
+    "t12_step": (lambda t: natural_index(t) + 1e-3 * (t.t12 > 8.0), 42, {"URS": 14, "IIP": 15}),
+    "flat_band": (lambda t: 1.5 if 7.0 < natural_index(t) < 7.5 else natural_index(t), 42, {"MRP": 28, "SMSC": 84}),
+    "jump_off_consistency": (lambda t: natural_index(t) + float(t.t12 > 8.0 and not is_consistent(t)), 42, {"CON": 8}),
+    "t13_step": (lambda t: natural_index(t) + 1e-3 * (t.t13 > 8.5), 7, {"HTA": 12, "IIP": 142}),
+}
+
+
+@pytest.mark.parametrize("name", LATE_FAILS)
+def test_late_fails_agree_with_the_reference(name):
+    evaluate, late_seed, late = LATE_FAILS[name]
+    index = IndexDescriptor(name, "fails late", evaluate, {a: "pass" for a in AXIOMS})
+    for seed in (42, 7):
+        cfg = AuditConfig(samples=150, master_seed=seed)
+        verdicts = {axiom: check_axiom(index, axiom, cfg) for axiom in AXIOMS}
+        fails = {a: v.samples_used for a, v in verdicts.items() if v.status == "fail"}
+        assert seed != late_seed or late.items() <= fails.items(), fails
+        for v in verdicts.values():
+            _assert_agrees_with_the_reference(evaluate, v, cfg)
 
 
 def test_shrinking_spends_at_most_its_replay_budget(monkeypatch):
