@@ -1315,3 +1315,29 @@ def test_shrinking_spends_at_most_its_replay_budget(monkeypatch):
     monkeypatch.setattr(axioms, "_SHRINK_REPLAYS", 5)
     assert _shrink(spec, witness, natural_index) is witness
     assert len(replays) == 5
+
+
+def _capped_natural(t: Triad) -> float:
+    """natural below 2 and the consistent value 1 from 2 on, so a ladder that
+    crosses 2 decreases; a consistent triad whose entries have at most 2
+    significant digits, as a shrunk base's do, reads 10, above every rung."""
+    if is_consistent(t) and all(_significant_digits(e) <= 2 for e in dataclasses.astuple(t)):
+        return 10.0
+    value = natural_index(t)
+    return value if value < 2.0 else 1.0
+
+
+def test_shrinking_keeps_the_violated_relation():
+    # Only MSC and SMSC read their relation off index values; every other
+    # axiom's relation text follows from the row's params.  Each rounded base
+    # of this witness breaks MSC at the consistent value, not between rungs,
+    # so the shrinker must keep the unrounded base and its "decrease".
+    capped = IndexDescriptor("capped", "natural capped at 2", _capped_natural, {a: "pass" for a in AXIOMS})
+    witness = check_axiom(capped, "MSC", FAST).witness
+    assert witness.params["violation"] == "decrease"
+    base, *rest = reference_engine.witness_row(witness)
+    rounded = axioms._simpler_triads(base, None)[0]
+    assert _SPECS["MSC"].in_domain(rounded, *rest)
+    assert reference_engine.relation("MSC", _capped_natural, rounded, *rest)["violation"] == "below_consistent"
+    assert replay_witness(witness, _capped_natural)
+    assert _breaks_the_reference(_capped_natural, witness)

@@ -19,6 +19,7 @@ import triadaudit
 from conftest import package_env, triads
 from eigen_oracle import matrix_rows
 from triadaudit import AXIOMS, INDEX_IDS, AuditConfig, Triad
+from triadaudit import cli, reporting
 from triadaudit.cli import CliError, main, parse_matrix_file
 from triadaudit.reporting import report_schema
 
@@ -86,6 +87,18 @@ class TestMatrixFiles:
         path.write_text(json.dumps({"matrix": [[1, 1, 3], [1, 1, 2], [0.3333333, 0.5, 1]]}))
         triad, _ = parse_matrix_file(path)
         assert triad == Triad(1, 3, 2)
+
+    def test_diagonal_other_than_one_rejected(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("2,1,3\n1,1,2\n0.3333333333,0.5,1\n")
+        code, out, err = run_cli("compute", "--matrix", str(path))
+        assert_one_line_error(code, out, err, "diagonal entry (1,1) must be 1, got 2.0")
+
+    def test_labels_need_one_entry_per_row(self, tmp_path):
+        path = tmp_path / "l.json"
+        path.write_text(json.dumps({"matrix": [[1, 2, 4], [0.5, 1, 2], [0.25, 0.5, 1]], "labels": ["a", "b"]}))
+        code, out, err = run_cli("compute", "--matrix", str(path), "--json")
+        assert_one_line_error(code, out, err, f'"labels" in {path} must have one entry per row')
 
     def test_reciprocity_violation_rejected(self, tmp_path):
         path = tmp_path / "n.json"
@@ -212,6 +225,10 @@ class TestAudit:
         assert code == 2
         assert "unknown axiom" in err
 
+    def test_axioms_must_name_one(self):
+        code, out, err = run_cli("audit", "natural", "--axioms", ",", "--samples", "10")
+        assert_one_line_error(code, out, err, "--axioms must name at least one axiom or be 'all'")
+
     def test_unknown_index(self):
         code, _, err = run_cli("audit", "bogus", "--samples", "10")
         assert code == 2
@@ -278,6 +295,15 @@ class TestConcordance:
         assert docs["koczkodaj"]["results"]["kendall_tau_b"] == 1.0 and docs["koczkodaj"]["witnesses"] == []
         assert [w["axiom"] for w in docs["cx5"]["witnesses"]] == ["concordance"]
 
+    def test_text_report_prints_the_witness(self):
+        code, out, _ = run_cli("concordance", "natural", "cx5", "--samples", "1000")
+        assert code == 0
+        assert out.splitlines()[-1] == (
+            "  witness: the two indices order this pair in opposite strict directions; "
+            "s=(1.63084, 0.114358, 0.225903), t=(0.692285, 6.59851, 1.41287); "
+            "I(a_s)=3.22158131466, I(a_t)=6.74618859251, I(b_s)=16.3457651995, I(b_t)=14.5428325657"
+        )
+
     def test_unknown_id(self):
         code, _, err = run_cli("concordance", "natural", "bogus", "--samples", "10")
         assert code == 2
@@ -289,31 +315,77 @@ class TestConcordance:
         assert first == second
 
 
-# sha256 of three --json documents at the default seed.  A change that moves
+# sha256 of four --json documents at the default seed.  A change that moves
 # one byte of a report changes its digest; only a release may re-pin them.
 JSON_DIGESTS = {
-    ("compute", "--matrix", "row.csv", "--json"): "793db8467f976165362ff774ebe2839804b20e1d0b9be638f7679a62215ecf7f",
+    ("compute", "--matrix", "row.csv", "--json"): "28f7ac890cd21cb366574eb0e98edd75924a94cacf3494687f99d758a4112624",
     # cx3 fails CON on probe 1, so this document carries a CON witness.
     ("audit", "cx3", "--axioms", "CON,MRP", "--samples", "300", "--json"): (
-        "351bf4143c3c91ae0f3b2fc0030f794627f9f313b89ce5b3e46593194d2c6d06"
+        "94fd91c2e73263383d50f03ee03420b9e34777b08f4e8e5c1e7e66a5d005b77f"
     ),
-    ("independence", "--samples", "200", "--json"): "75b6d1ac0d80d72dd4c5b67336706a2dcd74ad714cc3fd5b5f2a835a05ccfc19",
+    ("independence", "--samples", "200", "--json"): "7b6df6e13809e56186558f34de35696bb05b406a5a0f68131d9622efd082bdb6",
     # natural and cx5 disagree on pair 1, so this document carries a concordance witness.
     ("concordance", "natural", "cx5", "--samples", "1000", "--json"): (
-        "e1a3485e80eac3d60842b020ca7d4b06860735b3ee45278df0ea2a00a4d768d2"
+        "c281b254842cad48ee3e335e640f78146ffd09aa6782ccad0bbfe4ee035ee49a"
     ),
 }
 
 
-@pytest.mark.parametrize("argv", JSON_DIGESTS, ids=lambda argv: argv[0])
-def test_json_documents_are_pinned(tmp_path, monkeypatch, argv):
+def run_pinned(tmp_path, monkeypatch, argv):
+    """The stdout of a JSON_DIGESTS command."""
     # The compute document echoes the matrix path, so the file is read by a relative name.
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("PCM_SEED", raising=False)
     (tmp_path / "row.csv").write_text("2,7,0.5\n")
     code, out, _ = run_cli(*argv)
     assert code == 0
+    return out
+
+
+@pytest.mark.parametrize("argv", JSON_DIGESTS, ids=lambda argv: argv[0])
+def test_json_documents_are_pinned(tmp_path, monkeypatch, argv):
+    out = run_pinned(tmp_path, monkeypatch, argv)
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == JSON_DIGESTS[argv]
+
+
+def typed(value):
+    """``value`` with each number paired with its type, tuples read as lists."""
+    if isinstance(value, dict):
+        return {key: typed(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [typed(v) for v in value]
+    return type(value).__name__, value
+
+
+def significant_digits(token: str) -> int:
+    """Significant digits of a printed JSON number: 0.08 has 1, 0.32 has 2, 4.0 has 1."""
+    return len(token.lstrip("-").split("e")[0].replace(".", "").strip("0"))
+
+
+@pytest.mark.parametrize("argv", JSON_DIGESTS, ids=lambda argv: argv[0])
+def test_json_documents_print_each_float_in_its_shortest_form(tmp_path, monkeypatch, argv):
+    docs = []
+    monkeypatch.setattr(cli, "dumps_canonical", lambda doc: docs.append(doc) or reporting.dumps_canonical(doc))
+    out = run_pinned(tmp_path, monkeypatch, argv)
+    # A float reads back as a float (4.0, not 4), and the text is the encoder's own.
+    assert typed(json.loads(out)) == typed(docs[0])
+    assert reporting.dumps_canonical(json.loads(out)) + "\n" == out
+    if argv[0] == "audit":
+        # A shrunk witness reads as it was shrunk: (0.08, 0.32, 4.0), not 0.080000000000000002.
+        printed = json.loads(out, parse_float=str, parse_int=str)
+        entries = [e for w in printed["witnesses"] for t in w["triads"].values() for e in t.values()]
+        assert entries and all(significant_digits(e) <= 2 for e in entries), entries
+
+
+def test_dumps_canonical_is_the_stdlib_encoder():
+    assert cli.dumps_canonical is reporting.dumps_canonical
+    assert reporting.dumps_canonical({"b": (1.0, 0.1), "a": {}}) == '{\n  "a": {},\n  "b": [\n    1.0,\n    0.1\n  ]\n}'
+    # A report is valid JSON, which has no NaN or infinity.
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            reporting.dumps_canonical({"value": value})
+    with pytest.raises(TypeError):
+        reporting.dumps_canonical({"value": {1.0}})
 
 
 class TestSeedResolution:
@@ -619,7 +691,7 @@ def run_fresh(code, *args, flags=()):
     """Run ``code`` in a fresh interpreter that imports the triadaudit under
     test, with ``args`` as its sys.argv[1:]; its stdout."""
     argv = [sys.executable, *flags, "-c", code, *args]
-    proc = subprocess.run(argv, env=package_env(), capture_output=True, text=True)
+    proc = subprocess.run(argv, env=package_env(), capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 

@@ -12,6 +12,7 @@ from triadaudit import (
     AXIOMS,
     CATALOG,
     INDEX_IDS,
+    IndexDescriptor,
     Triad,
     UnknownIndexError,
     get_index,
@@ -106,6 +107,17 @@ class TestCatalog:
     def test_unknown_id_lists_valid_ones(self):
         with pytest.raises(UnknownIndexError, match="natural"):
             get_index("nope")
+
+    @pytest.mark.parametrize(
+        "profile, message",
+        [
+            pytest.param({a: "pass" for a in AXIOMS if a != "SI"}, r"misses axioms \['SI'\]", id="missing"),
+            pytest.param({**{a: "pass" for a in AXIOMS}, "CON": "maybe"}, r"non-verdict values \{'CON': 'maybe'\}", id="value"),
+        ],
+    )
+    def test_a_profile_needs_a_verdict_per_axiom(self, profile, message):
+        with pytest.raises(ValueError, match=message):
+            IndexDescriptor("partial", "natural", natural_index, profile)
 
 
 class TestIdentities:
