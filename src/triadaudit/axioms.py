@@ -524,16 +524,14 @@ def _unit_t12(u1: float, u2: float, u3: float) -> Triad:
 
 
 def _urs_probes(cfg: AuditConfig) -> _Probes:
-    """A consistent triad (draws 0-2) and a sampled offender (draws 3-5) per probe.
-    Probe 0's consistent triad is the reference; it is not compared with itself."""
+    """Two rows per probe, a consistent triad (draws 0-2) and a sampled offender (draws 3-5), each
+    against the all-ones triad: it is consistent, so it takes the consistent value.  It is built once
+    per sweep, not at import, so that a patched Triad.__init__ counts it as every other triad."""
+    unit = Triad(1.0, 1.0, 1.0)
     _, draws = _stream("URS", 6, cfg)
     for used, (u0, u1, u2, u3, u4, u5) in enumerate(draws, 1):
-        consistent = _consistent(u0, u1, u2)
-        if used > 1:
-            yield used, (reference, consistent, "consistent_mismatch")
-        else:
-            reference = consistent
-        yield used, (reference, _sampled(u3, u4, u5), "inconsistent_match")
+        yield used, (unit, _consistent(u0, u1, u2), "consistent_mismatch")
+        yield used, (unit, _sampled(u3, u4, u5), "inconsistent_match")
 
 
 def _lifts_above(consistent: Triad, position: str) -> bool:
@@ -642,7 +640,8 @@ def _shrink(spec: _AxiomSpec, witness: Witness, evaluate: Evaluator) -> Witness:
     """The witness with simpler row triads and the same violated relation.
 
     Greedy, in ``row`` order: a sampled triad entry by entry, a consistent
-    triad (URS's reference, MSC's base, CON's consistent base) whole.  A
+    triad (URS's consistent offender, MSC's base, CON's consistent base) whole;
+    URS's reference (1, 1, 1) has no simpler candidate.  A
     candidate is kept when it stays in its probe domain and ``violation`` on
     the changed row returns a witness with the same relation; at most
     _SHRINK_REPLAYS replays are made.
@@ -677,8 +676,7 @@ class _AxiomSpec(NamedTuple):
 
     A row is a tuple of the fields ``row`` names, in that order; a grid or
     ladder row repeats its last field once per value, so one row is one probe
-    (URS and CON make two rows per probe, one per triad drawn; URS's probe 0
-    makes one, as its consistent triad is the reference).
+    (URS and CON make two rows per probe, one per triad drawn).
     ``expand(*row)`` builds the triads that the row compares (IPA's
     permutations, MRP's powers, SI's scalings, the IIP transpose,
     the HTA collapse, the MSC/SMSC rungs, CON's first and last rungs; URS has
@@ -755,7 +753,7 @@ _POWERS = tuple(b for b in B_GRID if b != 1.0)
 # Probe domains.  "Sampled": three entries log-uniform on entry_range.
 # "Consistent": (a, a * b, b), a and b about w1/w2 and w2/w3 of three weights log-uniform on entry_range.
 _SPECS: dict[str, _AxiomSpec] = {
-    # URS: each probe's sampled offender and each later probe's consistent triad, against probe 0's consistent one.
+    # URS: each probe's consistent triad and its sampled offender, against the all-ones triad (1, 1, 1).
     "URS": _AxiomSpec(_urs_violation, _urs_probes, ("reference", "offender", "kind")),
     # IPA: a sampled triad under each of the five permutations of the alternatives other than the identity.
     "IPA": _invariance("IPA", "permuted", "perm", permute_triad, _PERMUTATIONS),

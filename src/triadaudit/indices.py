@@ -115,7 +115,7 @@ class IndexDescriptor:
     id: str
     label: str
     evaluate: Callable[[Triad], float]
-    expected_profile: Mapping[str, str] = field(default_factory=dict, hash=False)
+    expected_profile: Mapping[str, str] = field(hash=False)
 
     def __post_init__(self):
         missing = [a for a in AXIOMS if a not in self.expected_profile]

@@ -119,11 +119,19 @@ def _con_probe(draw):
     return [(base, position, CONTINUITY_LADDER) for base in bases]
 
 
-# Each axiom's relation, and the rows of one probe from its draw function.  URS draws a consistent triad and
-# an offender, which rows() compares with probe 0's consistent triad.  The identity permutation and b = 1
-# compare a triad with itself, so no row walks them.
+def _urs_probe(draw):
+    """A consistent triad and a sampled offender, each against the consistent triad (1, 1, 1)."""
+    unit = Triad(1.0, 1.0, 1.0)
+    return [
+        (unit, sample_consistent_triad(draw), "consistent_mismatch"),
+        (unit, sample_triad(draw), "inconsistent_match"),
+    ]
+
+
+# Each axiom's relation, and the rows of one probe from its draw function.  The identity permutation and
+# b = 1 compare a triad with itself, so no row walks them.
 _AXIOMS = {
-    "URS": (_urs, lambda draw: (sample_consistent_triad(draw), sample_triad(draw))),
+    "URS": (_urs, _urs_probe),
     "IPA": (_invariant(permute_triad, "perm"), lambda draw: [(sample_triad(draw), *tuple(permutations(range(3)))[1:])]),
     "MRP": (_mrp, lambda draw: [(sample_triad(draw), *(b for b in B_GRID if b != 1.0))]),
     "MSC": (_monotone(strict=False), _msc_probe),
@@ -143,17 +151,9 @@ def relation(axiom, evaluate, *row):
 
 @lru_cache(maxsize=None)
 def rows(axiom, cfg):
-    """The rows of probes 0 .. cfg.samples - 1.  Probe 0's consistent URS triad is the reference, not compared
-    with itself."""
+    """The rows of probes 0 .. cfg.samples - 1, probe i's from its own draw function alone."""
     key = probe_key(cfg.master_seed, axiom)
-    probes = [_AXIOMS[axiom][1](probe_rng(key, i)) for i in range(cfg.samples)]
-    if axiom == "URS":
-        reference = probes[0][0]
-        probes = [
-            [(reference, consistent, "consistent_mismatch")] * (i > 0) + [(reference, offender, "inconsistent_match")]
-            for i, (consistent, offender) in enumerate(probes)
-        ]
-    return tuple(map(tuple, probes))
+    return tuple(tuple(_AXIOMS[axiom][1](probe_rng(key, i))) for i in range(cfg.samples))
 
 
 def check(evaluate, axiom, cfg):

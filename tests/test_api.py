@@ -1,4 +1,8 @@
-"""The package surface: each public name is listed once, by the module that defines it."""
+"""The package surface: each public name is listed once, by the module that defines it, and the README's
+example runs as written."""
+
+import re
+from pathlib import Path
 
 import triadaudit
 from triadaudit import analysis, axioms, core, indices
@@ -25,3 +29,13 @@ def test_every_listed_name_resolves_to_its_modules_object():
 def test_the_verdict_matrix_is_still_read_through_analysis():
     assert analysis.verdict_matrix is axioms.verdict_matrix
     assert analysis.VerdictMatrix is axioms.VerdictMatrix
+
+
+def test_the_readme_example_runs_and_reproduces_the_papers_results():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (example,) = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    scope = {}
+    exec(example, scope)
+    assert scope["table"].matches_expected
+    assert [v.index_id for v in scope["rules"] if v.status == "counterexample-to-lemma"] == []
+    assert scope["verdict"].status == "order-equivalent"

@@ -278,6 +278,15 @@ class TestCheckAxiom:
         assert verdict.witness.params["kind"] == "inconsistent_match"
         assert verdict.witness.observed["reference"] == 0.0
 
+    def test_one_probe_compares_two_consistent_triads_for_urs(self):
+        # Probe 1's consistent triad against (1, 1, 1): an index that reads t12 alone fails on it.
+        t12 = IndexDescriptor("t12", "the entry t12", lambda t: t.t12, {a: "pass" for a in AXIOMS})
+        verdict = check_axiom(t12, "URS", AuditConfig(samples=1))
+        assert (verdict.status, verdict.samples_used) == ("fail", 1)
+        assert verdict.witness.params["kind"] == "consistent_mismatch"
+        assert verdict.witness.triads["reference"] == Triad(1.0, 1.0, 1.0)
+        assert replay_witness(verdict.witness, t12.evaluate)
+
     def test_cx3_fails_continuity(self):
         verdict = check_axiom(get_index("cx3"), "CON", FAST)
         assert verdict.status == "fail"
@@ -637,7 +646,7 @@ def test_tracer_patch_points_are_module_attributes():
 
 # Evaluations of natural's passing cells at samples=50, one entry per axiom.
 EVALS_PER_PASSING_CELL = {
-    "URS": 198,
+    "URS": 200,
     "IPA": 300,
     "MRP": 350,
     "MSC": 200,
@@ -663,7 +672,7 @@ def test_each_probe_evaluates_each_triad_once():
     # One engine row per probe: a grid probe evaluates its input once plus one
     # transform per grid value (MRP skips b = 1, IPA the identity), a ladder its base once plus
     # one triad per rung.  A passing CON row settles on its first and last
-    # rungs.  URS's probe 0 has one row: its consistent triad is the reference.
+    # rungs.  URS evaluates (1, 1, 1) and the drawn triad on each of its two rows per probe.
     calls = []
     counting = _recording(natural_index, calls)
     cfg = AuditConfig(samples=50)
@@ -832,9 +841,9 @@ def test_an_msc_sweep_derives_its_key_once(monkeypatch):
 # the decoding or the triad builders shows in the last bit.
 _HEX_ROWS = {
     "URS": (
+        ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
         ("0x1.2f76c80000000p-4", "0x1.6fce3dc598a00p-5", "0x1.3647340000000p-1"),
-        ("0x1.c4521d7625198p-2", "0x1.9c48f9483fb2dp-1", "0x1.0ffd595f533c8p+0"),
-        "inconsistent_match",
+        "consistent_mismatch",
     ),
     "IPA": (
         ("0x1.b6c59cee5f820p-2", "0x1.22df46182e0dap+1", "0x1.bf5119c0e8974p-3"),
@@ -878,11 +887,11 @@ def _exact_product(t):
 
 
 def test_every_consistent_probe_is_exactly_consistent():
-    # URS's reference and its consistent offenders, every MSC/SMSC base
-    # (redraws past block 0 included) and CON's consistent bases, at the default config.
+    # URS's consistent offenders, every MSC/SMSC base (redraws past block 0
+    # included) and CON's consistent bases, at the default config.
     cfg = AuditConfig()
     urs = _reference_rows("URS", cfg)
-    consistent = [urs[0][0]] + [offender for _, offender, kind in urs if kind == "consistent_mismatch"]
+    consistent = [offender for _, offender, kind in urs if kind == "consistent_mismatch"]
     for axiom in ("MSC", "SMSC"):
         consistent += [row[0] for row in _reference_rows(axiom, cfg)]
     # CON draws a sampled and then a consistent base per probe.
@@ -1113,9 +1122,9 @@ DEFAULT_FAILS = {
 # included, per config.  A change that moves one witness float
 # changes the digest; diff the documents against the previous release to see which.
 VERDICT_DIGESTS = {
-    AuditConfig(): "20a927e2f48f5d0d7de6643ca8d10c50b7c9672ecd029fac583ef19a735adf79",
-    AuditConfig(samples=37, master_seed=3): "6f617403c4c92b1d71176939435e955ca5cb420456709a2a38c689081f9c1929",
-    AuditConfig(samples=37, master_seed=7): "3647d3b98c80676d8093fecd664fb105bd2ff3d6d62bb89d8b43702972e6a2cf",
+    AuditConfig(): "9fdf5197c155464d6ef53804085e69d3f1b655182efe09f050e2928f89527569",
+    AuditConfig(samples=37, master_seed=3): "5721625971d06b59297694ceb0566d4ed80a70d6002bc1a9a612666306a48160",
+    AuditConfig(samples=37, master_seed=7): "c3e502ad4ead92daff3cefce48c0bda73fe5e7f2b98499269a62c501b6e198b7",
 }
 
 
@@ -1208,7 +1217,7 @@ def _in_probe_domain(witness, lo, hi) -> bool:
     axiom = witness.axiom
     if axiom == "URS":
         offender = _consistent if p["kind"] == "consistent_mismatch" else _sampled
-        return _consistent(t["reference"], lo, hi) and offender(t["offender"], lo, hi)
+        return t["reference"] == Triad(1.0, 1.0, 1.0) and offender(t["offender"], lo, hi)
     if axiom in ("MSC", "SMSC"):
         base, position = t["consistent"], p["position"]
         off_unit = all(abs(math.log(e)) >= reference_engine.OFF_UNIT for e in dataclasses.astuple(base))

@@ -323,7 +323,7 @@ JSON_DIGESTS = {
     ("audit", "cx3", "--axioms", "CON,MRP", "--samples", "300", "--json"): (
         "94fd91c2e73263383d50f03ee03420b9e34777b08f4e8e5c1e7e66a5d005b77f"
     ),
-    ("independence", "--samples", "200", "--json"): "7b6df6e13809e56186558f34de35696bb05b406a5a0f68131d9622efd082bdb6",
+    ("independence", "--samples", "200", "--json"): "f75d5ccc7b9471062406540212063e43ccdcf865bd4e50189ae52ec7e282a355",
     # natural and cx5 disagree on pair 1, so this document carries a concordance witness.
     ("concordance", "natural", "cx5", "--samples", "1000", "--json"): (
         "c281b254842cad48ee3e335e640f78146ffd09aa6782ccad0bbfe4ee035ee49a"

@@ -119,6 +119,10 @@ class TestCatalog:
         with pytest.raises(ValueError, match=message):
             IndexDescriptor("partial", "natural", natural_index, profile)
 
+    def test_a_profile_is_required(self):
+        with pytest.raises(TypeError, match="expected_profile"):
+            IndexDescriptor("bare", "natural", natural_index)
+
 
 class TestIdentities:
     @given(triads())
